@@ -1,47 +1,99 @@
-"""Kernel decode speedup gate: the array kernel must stay ≥ 5x legacy.
+"""Kernel decode speedup gate: the array kernel must stay ≥ 5x the reference.
 
-Measures the seeded ``repro bench`` workload through both decoders —
-the legacy object-graph ``decode_distance`` and the array-native
-:class:`KernelDecoder` — and **asserts the ≥ 5x smoke floor** on the
-warm (steady-state) median.  The documented headline ratio lives in
-``BENCH_10.json`` (≥ 10x, emitted by ``repro bench --mode kernel
---emit BENCH_10.json``); the smoke floor here is deliberately half of
-that so a noisy CI host cannot flake the gate while a real regression
-(a cache broken, a hot loop deoptimized) still trips it.
+Times the seeded ``repro bench`` workload (120 queries on
+``road:7x7``, up to three vertex faults each) through two decoders —
+the object-graph reference ``decode_distance`` of
+``tests/reference_decoder.py`` and a long-lived :class:`KernelDecoder`
+— and **asserts the ≥ 5x smoke floor** on the warm (steady-state)
+median, with the numpy path on and off.  The floor is half the
+documented ratio (``BENCH_10.json``, ≥ 10x) so a noisy CI host cannot
+flake the gate while a real regression (a cache broken, a hot loop
+deoptimized) still trips it.
 
 Every answer the kernel produces during the measurement is compared
-against legacy in-run — a speedup with wrong answers must fail.
+against the reference in-run — a speedup with wrong answers must fail.
 
 Run with::
 
-    pytest benchmarks/bench_kernel.py --benchmark-only -s
+    python -m pytest benchmarks/bench_kernel.py --benchmark-only -s
 """
 
 from __future__ import annotations
 
-from repro.obs.bench import measure_kernel_speedup
+import statistics
+import sys
+import time
+from pathlib import Path
+
+from repro.labeling import FaultSet, KernelDecoder
+from repro.obs.bench import build_workload
+
+# the reference decoder is test-only code: import it from the checkout
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests.reference_decoder import decode_distance as reference_decode  # noqa: E402
 
 #: CI smoke floor (the documented ratio in BENCH_10.json is ≥ 10x)
 SPEEDUP_FLOOR = 5.0
 
 
-def bench_kernel_speedup(benchmark):
-    measured = benchmark.pedantic(
-        measure_kernel_speedup,
-        kwargs={"num_queries": 120, "repeats": 3},
-        rounds=1,
-        iterations=1,
-    )
+def measure_speedup(
+    num_queries: int = 120, repeats: int = 3, use_numpy: bool | None = None
+) -> dict[str, object]:
+    """Median wall time of the workload per decoder, and their ratio.
+
+    Both decoders run the same queries, alternating, after one pass
+    each.  The kernel's first pass (label interning, memo fill) is
+    reported as ``kernel_cold_ms`` and kept out of its median: one
+    kernel serves every repeat, as a serving tier holds it.
+    """
+    labels, queries = build_workload(num_queries=num_queries)
+    triples = [
+        (
+            labels[s],
+            labels[t],
+            FaultSet(vertex_labels=[labels[f] for f in fault_vertices]),
+        )
+        for s, t, fault_vertices in queries
+    ]
+    kernel = KernelDecoder(use_numpy=use_numpy)
+    expected = [reference_decode(ls, lt, faults) for ls, lt, faults in triples]
+    start = time.perf_counter()
+    answers_identical = kernel.decode_batch(triples) == expected
+    kernel_cold_s = time.perf_counter() - start
+    reference_s: list[float] = []
+    kernel_s: list[float] = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for ls, lt, faults in triples:
+            reference_decode(ls, lt, faults)
+        reference_s.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        results = kernel.decode_batch(triples)
+        kernel_s.append(time.perf_counter() - start)
+        answers_identical = answers_identical and results == expected
+    reference_med = statistics.median(reference_s)
+    kernel_med = statistics.median(kernel_s)
+    return {
+        "use_numpy": kernel.use_numpy,
+        "answers_identical": answers_identical,
+        "reference_ms_median": round(reference_med * 1e3, 3),
+        "kernel_ms_median": round(kernel_med * 1e3, 3),
+        "kernel_cold_ms": round(kernel_cold_s * 1e3, 3),
+        "speedup": round(reference_med / kernel_med, 2),
+    }
+
+
+def _check(measured: dict[str, object]) -> None:
     print()
     print(
-        f"legacy {measured['legacy_ms_median']} ms, "
+        f"reference {measured['reference_ms_median']} ms, "
         f"kernel {measured['kernel_ms_median']} ms "
         f"(cold {measured['kernel_cold_ms']} ms), "
         f"speedup {measured['speedup']}x, "
         f"numpy={measured['use_numpy']}"
     )
     assert measured["answers_identical"], (
-        "kernel answers diverged from the legacy decoder during the "
+        "kernel answers diverged from the reference decoder during the "
         "measurement — the speedup is meaningless"
     )
     assert measured["speedup"] >= SPEEDUP_FLOOR, (
@@ -50,19 +102,16 @@ def bench_kernel_speedup(benchmark):
     )
 
 
+def bench_kernel_speedup(benchmark):
+    """The default path (numpy when installed) clears the floor."""
+    _check(benchmark.pedantic(measure_speedup, rounds=1, iterations=1))
+
+
 def bench_kernel_stdlib_speedup(benchmark):
     """The pure-stdlib path must clear the same floor without numpy."""
-    measured = benchmark.pedantic(
-        measure_kernel_speedup,
-        kwargs={"num_queries": 120, "repeats": 3, "use_numpy": False},
-        rounds=1,
-        iterations=1,
+    _check(
+        benchmark.pedantic(
+            measure_speedup, kwargs={"use_numpy": False}, rounds=1, iterations=1
+        )
     )
-    print()
-    print(
-        f"stdlib path: legacy {measured['legacy_ms_median']} ms, "
-        f"kernel {measured['kernel_ms_median']} ms, "
-        f"speedup {measured['speedup']}x"
-    )
-    assert measured["answers_identical"]
-    assert measured["speedup"] >= SPEEDUP_FLOOR
+

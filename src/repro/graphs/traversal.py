@@ -2,21 +2,18 @@
 
 BFS is the workhorse of the whole reproduction — net construction, label
 materialization and the exact baseline all reduce to (bounded) BFS on the
-unweighted input graph.  Dijkstra is only needed on the *sketch graph*
-``H`` assembled by the decoder, whose edges carry integer lengths.
+unweighted input graph.  :func:`dijkstra` serves weighted adjacency
+mappings; the decoder runs its own array Dijkstra on the sketch graph
+``H`` (see :mod:`repro.labeling.kernel.engine`).
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
-from typing import TYPE_CHECKING, Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Mapping
 
 from repro.graphs.graph import Graph
 from repro.util.pqueue import IndexedMinHeap
-
-if TYPE_CHECKING:
-    from repro.obs.trace import Span
 
 
 def bfs_distances(
@@ -172,49 +169,3 @@ def dijkstra(
                 raise ValueError(f"negative edge weight {weight} on ({u}, {v})")
             heap.push_or_decrease(v, du + weight)
     return dist
-
-
-def dijkstra_with_paths(
-    adjacency: Mapping[Hashable, Iterable[tuple[Hashable, float]]],
-    source: Hashable,
-    target: Hashable,
-    span: "Span | None" = None,
-) -> tuple[float, list[Hashable]]:
-    """Dijkstra returning ``(distance, path)`` to ``target``.
-
-    Returns ``(math.inf, [])`` when the target is unreachable.  When a
-    tracing ``span`` is supplied, the search's op counts (settled
-    nodes, scanned edges, heap updates) are recorded on it — the
-    numbers behind the decoder's query-cost envelope.
-    """
-    dist: dict[Hashable, float] = {}
-    parent: dict[Hashable, Hashable] = {}
-    heap = IndexedMinHeap()
-    heap.push(source, 0)
-    nodes_settled = 0
-    edges_scanned = 0
-    heap_updates = 1  # the initial push
-    while heap:
-        u, du = heap.pop()
-        nodes_settled += 1
-        dist[u] = du
-        if u == target:
-            break
-        for v, weight in adjacency.get(u, ()):
-            edges_scanned += 1
-            if v in dist:
-                continue
-            if heap.push_or_decrease(v, du + weight):
-                heap_updates += 1
-                parent[v] = u
-    if span is not None:
-        span.add("nodes_settled", nodes_settled)
-        span.add("edges_scanned", edges_scanned)
-        span.add("heap_updates", heap_updates)
-    if target not in dist:
-        return math.inf, []
-    path = [target]
-    while path[-1] != source:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return dist[target], path

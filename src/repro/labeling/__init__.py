@@ -13,17 +13,14 @@ from repro.labeling.scheme import ForbiddenSetLabeling, LabelingOptions
 from repro.labeling.decoder import (
     FaultSet,
     QueryResult,
-    build_sketch_graph,
     decode_distance,
     normalize_faults,
 )
 from repro.labeling.encoding import decode_label, encode_label, encoded_bit_length
 from repro.labeling.kernel import KernelDecoder
 from repro.labeling.weighted import WeightedForbiddenSetLabeling
-from repro.labeling.session import FaultScopedSession
 
 __all__ = [
-    "FaultScopedSession",
     "KernelDecoder",
     "WeightedForbiddenSetLabeling",
     "FailureFreeLabeling",
@@ -34,7 +31,6 @@ __all__ = [
     "ParamSchedule",
     "QueryResult",
     "VertexLabel",
-    "build_sketch_graph",
     "decode_distance",
     "decode_label",
     "encode_label",

@@ -29,286 +29,30 @@ Safety rules (Lemma 2.3, extended to edge faults):
   inside the relevant ball, so this is safe; and every owner edge used by
   the stretch proof has ``d(z, F) > λ_i``, so none of them is lost —
   the ``1+ε`` guarantee is unaffected.
+
+One engine runs these steps: the array kernel of
+:mod:`repro.labeling.kernel`.  :func:`decode_distance` is its one-shot
+form — each call runs a fresh :class:`~repro.labeling.kernel.KernelDecoder`
+and keeps nothing afterwards.  Owners that answer a stream of queries
+(the oracle, the serving tier, the policy router) hold one decoder
+instead, so labels are interned once and repeated ``(s, F)``
+combinations hit its memos.  The query vocabulary (:class:`FaultSet`,
+:class:`QueryResult`, :func:`normalize_faults`) lives in
+:mod:`repro.labeling.query` and is re-exported here.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.exceptions import QueryError
-from repro.graphs.traversal import dijkstra_with_paths
-from repro.labeling.params import lam_for_level
+from repro.labeling.kernel.decoder import KernelDecoder
 from repro.labeling.label import VertexLabel
+from repro.labeling.query import FaultSet, QueryResult, normalize_faults
 
 if TYPE_CHECKING:
     from repro.obs.trace import Tracer
 
-
-@dataclass(frozen=True)
-class QueryResult:
-    """Outcome of one forbidden-set distance query.
-
-    ``distance`` is the ``(1+ε)``-approximate value of
-    ``d_{G\\F}(s, t)`` (``math.inf`` when disconnected); ``path`` is the
-    corresponding sketch path — a sequence of original vertex ids whose
-    consecutive pairs are virtual edges of ``H`` (used by the routing
-    scheme as waypoints).  ``sketch_vertices``/``sketch_edges`` report
-    the size of ``H`` for the query-cost experiments.
-    """
-
-    distance: float
-    path: tuple[int, ...]
-    sketch_vertices: int
-    sketch_edges: int
-
-
-@dataclass
-class _ProtectedBalls:
-    """Per-fault, per-level protected-ball membership test.
-
-    ``centers`` holds one label per ball center: one for a faulty vertex,
-    the two endpoint labels for a faulty edge.
-    """
-
-    centers: tuple[VertexLabel, ...]
-    is_edge_fault: bool = False
-
-    def membership(self, level: int, lam: int) -> list[dict[int, int]]:
-        """For each center, ``{x: d(center, x)}`` restricted to the ball."""
-        result = []
-        for center in self.centers:
-            level_label = center.levels.get(level)
-            if level_label is None:
-                result.append({})
-                continue
-            result.append(
-                {x: d for x, d in level_label.points.items() if d <= lam}
-            )
-        return result
-
-
-def normalize_faults(
-    vertex_faults,
-    edge_faults,
-) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """Canonicalize raw fault ids before labels are fetched.
-
-    Duplicate vertex faults collapse to one entry (first-seen order is
-    kept) and the two orientations of an edge fault — ``(a, b)`` and
-    ``(b, a)`` — collapse to one ``(min, max)`` entry, so every caller
-    (oracle, database, serving tier) builds the same
-    :class:`FaultSet` and fetches each label at most once per role.
-    A self-loop edge fault is rejected: no such edge can exist.
-    """
-    seen_v: set[int] = set()
-    vertices: list[int] = []
-    for v in vertex_faults:
-        if v not in seen_v:
-            seen_v.add(v)
-            vertices.append(v)
-    seen_e: set[tuple[int, int]] = set()
-    edges: list[tuple[int, int]] = []
-    for a, b in edge_faults:
-        if a == b:
-            raise QueryError(f"forbidden edge ({a}, {b}) is a self-loop")
-        key = (min(a, b), max(a, b))
-        if key not in seen_e:
-            seen_e.add(key)
-            edges.append(key)
-    return tuple(vertices), tuple(edges)
-
-
-@dataclass
-class FaultSet:
-    """The forbidden set of a query, given as labels (the oracle model).
-
-    ``vertex_labels`` are the labels of forbidden vertices;
-    ``edge_labels`` are ``(L(a), L(b))`` pairs for forbidden edges, as in
-    the paper ("the label of an edge (a, b) of F is specified by the pair
-    (L(a), L(b))").
-    """
-
-    vertex_labels: list[VertexLabel] = field(default_factory=list)
-    edge_labels: list[tuple[VertexLabel, VertexLabel]] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.vertex_labels) + len(self.edge_labels)
-
-    def forbidden_vertices(self) -> set[int]:
-        """Ids of forbidden vertices."""
-        return {label.vertex for label in self.vertex_labels}
-
-    def forbidden_edges(self) -> set[tuple[int, int]]:
-        """Ids of forbidden edges, normalized ``(min, max)``."""
-        out = set()
-        for label_a, label_b in self.edge_labels:
-            a, b = label_a.vertex, label_b.vertex
-            out.add((min(a, b), max(a, b)))
-        return out
-
-    def all_labels(self) -> list[VertexLabel]:
-        """Every label carried by the fault set."""
-        labels = list(self.vertex_labels)
-        for label_a, label_b in self.edge_labels:
-            labels.append(label_a)
-            labels.append(label_b)
-        return labels
-
-
-def build_sketch_graph(
-    label_s: VertexLabel,
-    label_t: VertexLabel,
-    faults: FaultSet | None = None,
-    tracer: "Tracer | None" = None,
-) -> dict[int, list[tuple[int, int]]]:
-    """Assemble the sketch graph ``H = H(s, t, F)`` from labels alone.
-
-    Returns an adjacency mapping ``x -> [(y, weight), …]`` over original
-    vertex ids.  A ``tracer`` records the pipeline's op counts as
-    ``decode.fragment_gather`` / ``decode.safe_edge_filter`` /
-    ``decode.sketch_assembly`` spans without changing any answer.
-    """
-    faults = faults or FaultSet()
-    _check_compatible([label_s, label_t] + faults.all_labels())
-
-    c = label_s.c
-    lowest = c + 1
-    forbidden_vertices = faults.forbidden_vertices()
-    forbidden_edges = faults.forbidden_edges()
-    if label_s.vertex in forbidden_vertices or label_t.vertex in forbidden_vertices:
-        raise QueryError("query endpoint is inside the forbidden set")
-
-    ball_groups = [
-        _ProtectedBalls(centers=(label,)) for label in faults.vertex_labels
-    ] + [
-        _ProtectedBalls(centers=(label_a, label_b), is_edge_fault=True)
-        for label_a, label_b in faults.edge_labels
-    ]
-
-    source_labels = [label_s, label_t] + faults.all_labels()
-    # deduplicate labels of repeated vertices (e.g. two faulty edges
-    # sharing an endpoint)
-    unique_labels = list({label.vertex: label for label in source_labels}.values())
-
-    # protected-ball memberships depend only on (level, fault), not on the
-    # label being scanned: compute each once
-    membership_cache: dict[int, list[list[dict[int, int]]]] = {}
-    membership_hits = 0
-
-    def memberships_for(i: int, lam: int) -> list[list[dict[int, int]]]:
-        nonlocal membership_hits
-        cached = membership_cache.get(i)
-        if cached is None:
-            cached = [group.membership(i, lam) for group in ball_groups]
-            membership_cache[i] = cached
-        else:
-            membership_hits += 1
-        return cached
-
-    levels_scanned = 0
-    edges_listed = 0
-    graph_edges_listed = 0
-    dropped_forbidden = 0
-    dropped_protected = 0
-    edge_weights: dict[tuple[int, int], int] = {}
-    for label in source_labels:
-        levels = sorted(label.levels)
-        for i in levels:
-            level_label = label.levels[i]
-            lam = lam_for_level(i)
-            memberships = memberships_for(i, lam)
-            owner = label.vertex
-            owner_is_net = i == lowest  # at the lowest level N_0 = V(G)
-            levels_scanned += 1
-            graph_edges_listed += len(level_label.graph_edges)
-            edges_listed += len(level_label.edges)
-            # graph-edge clause: actual graph edges survive next to faults
-            # as long as they are not themselves forbidden
-            for (x, y), weight in level_label.graph_edges.items():
-                if (
-                    x not in forbidden_vertices
-                    and y not in forbidden_vertices
-                    and (x, y) not in forbidden_edges
-                ):
-                    prev = edge_weights.get((x, y))
-                    if prev is None or weight < prev:
-                        edge_weights[(x, y)] = weight
-                else:
-                    dropped_forbidden += 1
-            for (x, y), weight in level_label.edges.items():
-                x_checkable = owner_is_net or x != owner
-                y_checkable = owner_is_net or y != owner
-                if _edge_is_safe(
-                    x, y, x_checkable, y_checkable, memberships, ball_groups
-                ):
-                    prev = edge_weights.get((x, y))
-                    if prev is None or weight < prev:
-                        edge_weights[(x, y)] = weight
-                else:
-                    dropped_protected += 1
-
-    adjacency: dict[int, list[tuple[int, int]]] = {
-        label.vertex: [] for label in unique_labels
-    }
-    for (x, y), weight in edge_weights.items():
-        adjacency.setdefault(x, []).append((y, weight))
-        adjacency.setdefault(y, []).append((x, weight))
-
-    if tracer is not None:
-        with tracer.span("decode.fragment_gather") as gather:
-            gather.set("labels", len(source_labels))
-            gather.set("unique_labels", len(unique_labels))
-            gather.set("levels_scanned", levels_scanned)
-            gather.set("edges_listed", edges_listed + graph_edges_listed)
-        with tracer.span("decode.safe_edge_filter") as filt:
-            filt.set("protected_balls", len(ball_groups))
-            filt.set("membership_levels_computed", len(membership_cache))
-            filt.set("membership_cache_hits", membership_hits)
-            filt.set("edges_dropped_protected", dropped_protected)
-            filt.set("edges_dropped_forbidden", dropped_forbidden)
-        with tracer.span("decode.sketch_assembly") as assembly:
-            assembly.set("sketch_vertices", len(adjacency))
-            assembly.set("edges_kept", len(edge_weights))
-    return adjacency
-
-
-def _edge_is_safe(
-    x: int,
-    y: int,
-    x_checkable: bool,
-    y_checkable: bool,
-    memberships: list[list[dict[int, int]]],
-    ball_groups: list[_ProtectedBalls],
-) -> bool:
-    """Apply the protected-ball safety rules described in the module docstring."""
-    for group, balls in zip(ball_groups, memberships):
-        if not group.is_edge_fault:
-            ball = balls[0]
-            x_in = x_checkable and x in ball
-            y_in = y_checkable and y in ball
-            if x_checkable and y_checkable:
-                if x_in and y_in:
-                    return False
-            else:
-                # conservative owner-edge rule: the net endpoint alone decides
-                net_in = x_in if x_checkable else y_in
-                if net_in:
-                    return False
-        else:
-            ball_a, ball_b = balls
-            if x_checkable and y_checkable:
-                crossing = (x in ball_a and y in ball_b) or (
-                    x in ball_b and y in ball_a
-                )
-                if crossing:
-                    return False
-            else:
-                net = x if x_checkable else y
-                if net in ball_a and net in ball_b:
-                    return False
-    return True
+__all__ = ["FaultSet", "QueryResult", "decode_distance", "normalize_faults"]
 
 
 def decode_distance(
@@ -322,65 +66,9 @@ def decode_distance(
     Returns a :class:`QueryResult` whose ``distance`` satisfies
     ``d_{G\\F}(s,t) ≤ distance ≤ (1+ε)·d_{G\\F}(s,t)``
     (``math.inf`` when ``s`` and ``t`` are disconnected in ``G\\F``).
-    A ``tracer`` records the decode pipeline's op counts as a span
-    tree (see :mod:`repro.obs.trace`); tracing never changes answers.
+    Raises :class:`~repro.exceptions.QueryError` when an endpoint is
+    forbidden or the labels come from different schemes.  A ``tracer``
+    records the decode pipeline's op counts as a span tree (see
+    :mod:`repro.obs.trace`); tracing never changes answers.
     """
-    faults = faults or FaultSet()
-    if label_s.vertex == label_t.vertex:
-        if label_s.vertex in faults.forbidden_vertices():
-            raise QueryError("query endpoint is inside the forbidden set")
-        if tracer is not None:
-            with tracer.span("decode") as root:
-                root.set("trivial", 1)
-                root.set("num_faults", len(faults))
-        return QueryResult(
-            distance=0, path=(label_s.vertex,), sketch_vertices=0, sketch_edges=0
-        )
-    root = tracer.start("decode") if tracer is not None else None
-    try:
-        adjacency = build_sketch_graph(label_s, label_t, faults, tracer=tracer)
-        num_edges = sum(len(nbrs) for nbrs in adjacency.values()) // 2
-        dijkstra_span = (
-            tracer.start("decode.dijkstra") if tracer is not None else None
-        )
-        try:
-            distance, path = dijkstra_with_paths(
-                adjacency, label_s.vertex, label_t.vertex, span=dijkstra_span
-            )
-        finally:
-            if dijkstra_span is not None:
-                tracer.end(dijkstra_span)
-        if root is not None:
-            root.set("num_faults", len(faults))
-            root.set("sketch_vertices", len(adjacency))
-            root.set("sketch_edges", num_edges)
-            root.set(
-                "reachable", 0 if math.isinf(distance) else 1
-            )
-    finally:
-        if root is not None:
-            tracer.end(root)
-    if math.isinf(distance):
-        return QueryResult(
-            distance=math.inf,
-            path=(),
-            sketch_vertices=len(adjacency),
-            sketch_edges=num_edges,
-        )
-    return QueryResult(
-        distance=int(distance),
-        path=tuple(path),
-        sketch_vertices=len(adjacency),
-        sketch_edges=num_edges,
-    )
-
-
-def _check_compatible(labels: list[VertexLabel]) -> None:
-    reference = labels[0]
-    for label in labels[1:]:
-        if (label.c, label.top_level) != (reference.c, reference.top_level):
-            raise QueryError(
-                "labels come from different schemes: "
-                f"(c={label.c}, top={label.top_level}) vs "
-                f"(c={reference.c}, top={reference.top_level})"
-            )
+    return KernelDecoder().decode(label_s, label_t, faults, tracer=tracer)

@@ -1,8 +1,9 @@
 """Array-native decode kernel: flat label arena, CSR sketch, array Dijkstra.
 
-The kernel answers the same forbidden-set distance queries as
-:mod:`repro.labeling.decoder` — bit-identically, tracer op counts
-included — but on flat int arrays instead of nested dicts:
+The kernel is the one engine that answers forbidden-set distance
+queries (:func:`repro.labeling.decoder.decode_distance` is its
+one-shot form).  It runs the paper's query procedure on flat int
+arrays instead of nested dicts:
 
 * :mod:`~repro.labeling.kernel.arena` interns labels once into flat
   fragments with precomputed protected-ball bitmaps;
@@ -11,19 +12,17 @@ included — but on flat int arrays instead of nested dicts:
   dict/set allocation, enforced by RPL013);
 * :mod:`~repro.labeling.kernel.npops` holds the optional numpy
   vectorizations behind the same interface;
-* :mod:`~repro.labeling.kernel.heap` is the dense indexed binary heap
-  whose tie-breaking mirrors :class:`repro.util.pqueue.IndexedMinHeap`;
 * :mod:`~repro.labeling.kernel.decoder` is the stable entry point —
   :class:`KernelDecoder` with ``decode`` / ``decode_batch``.
 
 See ``docs/kernel.md`` for the data layout and the differential
-harness that locks the equivalence down.
+harness that checks every answer against the test-only reference
+decoder in ``tests/reference_decoder.py``.
 """
 
 from repro.labeling.kernel.arena import HAVE_NUMPY, Fragment, LabelArena
 from repro.labeling.kernel.decoder import KernelDecoder
 from repro.labeling.kernel.engine import DecodeEngine
-from repro.labeling.kernel.heap import DenseMinHeap
 
 __all__ = [
     "HAVE_NUMPY",
@@ -31,5 +30,4 @@ __all__ = [
     "LabelArena",
     "KernelDecoder",
     "DecodeEngine",
-    "DenseMinHeap",
 ]

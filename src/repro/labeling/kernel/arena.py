@@ -1,6 +1,6 @@
 """Label arena: flat int-array fragments, interned once per label load.
 
-The legacy decoder re-walks every label's nested dicts on every query:
+An object-graph decoder re-walks every label's nested dicts on every query:
 ``label.levels[i].edges.items()`` yields a tuple per edge, protected
 balls are rebuilt as per-query dicts, and the merge keys the sketch
 edges by ``(x, y)`` tuples.  The arena does that object-graph walk
@@ -9,7 +9,7 @@ edges by ``(x, y)`` tuples.  The arena does that object-graph walk
 but int arrays:
 
 * one concatenated edge sequence per label, in the exact scan order of
-  the legacy decoder (levels ascending; per level, graph edges then
+  the reference decoder (levels ascending; per level, graph edges then
   virtual edges) — the merge's first-seen ordering is preserved by
   construction;
 * per-edge precomputed facts that never change between queries: the
@@ -127,8 +127,8 @@ class LabelArena:
 
     All labels interned into one arena must come from one scheme
     (identical ``c`` and ``top_level``) — mixing raises
-    :class:`~repro.exceptions.QueryError` with the legacy decoder's
-    message, so callers see the same error either way.
+    :class:`~repro.exceptions.QueryError` with the message of
+    :func:`~repro.labeling.query.check_compatible`.
     """
 
     def __init__(self) -> None:
@@ -186,8 +186,8 @@ class LabelArena:
         """Flatten a label into a fragment (idempotent per object).
 
         The first intern fixes the arena's scheme parameters; labels
-        from a different scheme are rejected with the legacy decoder's
-        incompatibility message.
+        from a different scheme are rejected with the
+        :func:`~repro.labeling.query.check_compatible` message.
         """
         frag = self._by_id.get(id(label))
         if frag is not None:

@@ -1,20 +1,21 @@
 """Stable API of the array-native decode kernel: :class:`KernelDecoder`.
 
-The kernel is the hot-engine half of a hot-engine-behind-a-stable-API
-split: callers keep the legacy vocabulary (``VertexLabel``,
-:class:`~repro.labeling.decoder.FaultSet`,
-:class:`~repro.labeling.decoder.QueryResult`, an optional tracer) and
-the engine swap is invisible — answers, error messages and traced op
-counts are bit-identical to :func:`repro.labeling.decoder.decode_distance`,
+Callers speak the query vocabulary of :mod:`repro.labeling.query`
+(``VertexLabel``, :class:`~repro.labeling.query.FaultSet`,
+:class:`~repro.labeling.query.QueryResult`, an optional tracer).
+Answers, error messages and traced op counts are bit-identical to the
+object-graph reference decoder kept in ``tests/reference_decoder.py``,
 a property pinned by ``tests/test_kernel_differential.py``.
 
-What changes is the cost model: labels are interned into a
+Labels are interned into a
 :class:`~repro.labeling.kernel.arena.LabelArena` once and every
-subsequent query over them runs on flat int arrays.
-:meth:`KernelDecoder.decode_batch` additionally shares the safe-edge
-filtering of a ``(label, F)`` pair across all queries of a batch, so
-workloads that repeat a source or a forbidden set (the oracle's
-batteries, the serving tier's bursts) pay for each combination once.
+subsequent query over them runs on flat int arrays.  The decoder's
+memos key on which interned labels play which role in ``(s, t, F)``,
+not on the ``FaultSet`` object, so a long-lived decoder shares the
+safe-edge filtering and sketch assembly of every repeated combination,
+and a caller that changes its forbidden set needs no invalidation.
+:func:`repro.labeling.decoder.decode_distance` is the one-shot form:
+a fresh decoder per call.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.exceptions import QueryError
-from repro.labeling.decoder import FaultSet, QueryResult, _check_compatible
 from repro.labeling.kernel.arena import HAVE_NUMPY, LabelArena
 from repro.labeling.kernel.engine import DecodeEngine
 from repro.labeling.label import VertexLabel
+from repro.labeling.query import FaultSet, QueryResult, check_compatible
 
 if TYPE_CHECKING:
     from repro.obs.trace import Tracer
@@ -35,7 +36,7 @@ Query = Sequence
 
 
 class KernelDecoder:
-    """Array-native drop-in for :func:`repro.labeling.decoder.decode_distance`.
+    """The forbidden-set distance decoder, over an array label arena.
 
     One instance owns a label arena and a reusable-buffer engine; it is
     cheap to keep for the lifetime of a serving tier and **not**
@@ -81,9 +82,10 @@ class KernelDecoder:
     ) -> QueryResult:
         """Answer one forbidden-set distance query from labels alone.
 
-        Same contract as :func:`repro.labeling.decoder.decode_distance`:
-        identical distances, paths, sketch sizes, tracer span tree and
-        :class:`QueryError` conditions.
+        Same contract as :func:`repro.labeling.decoder.decode_distance`
+        (which is this method on a fresh decoder): distance, sketch
+        path and sizes, tracer span tree and :class:`QueryError`
+        conditions.
         """
         return self._decode_one(label_s, label_t, faults, tracer)
 
@@ -120,8 +122,8 @@ class KernelDecoder:
     ) -> QueryResult:
         faults = faults or FaultSet()
         if label_s.vertex == label_t.vertex:
-            # trivial s == t query: replicated from decode_distance,
-            # including the span shape and the forbidden-endpoint error
+            # trivial s == t query: no sketch, but the same span shape
+            # and forbidden-endpoint error as a full decode
             if label_s.vertex in faults.forbidden_vertices():
                 raise QueryError("query endpoint is inside the forbidden set")
             if tracer is not None:
@@ -150,7 +152,7 @@ class KernelDecoder:
         root = tracer.start("decode") if tracer is not None else None
         try:
             fault_labels = faults.all_labels()
-            _check_compatible([label_s, label_t] + fault_labels)
+            check_compatible([label_s, label_t] + fault_labels)
             frag_s = arena.intern(label_s)
             frag_t = arena.intern(label_t)
             fault_v = [arena.intern(label) for label in faults.vertex_labels]

@@ -7,19 +7,20 @@ reuses them across queries, so :meth:`DecodeEngine.run` performs no
 dict/set allocation at all (``repro lint --deep`` walks the call graph
 from ``DecodeEngine.run`` and asserts exactly that; see RPL013).
 
-The engine replicates the legacy ``decode_distance`` pipeline stage by
-stage with identical semantics and identical observable op counts:
+The engine runs the decode pipeline of :mod:`repro.labeling.decoder`
+stage by stage, with the semantics and observable op counts of the
+object-graph reference decoder (``tests/reference_decoder.py``):
 
 1. **filter** — per source fragment, keep the safe/non-forbidden edges;
 2. **merge** — first-seen min-weight union of the kept edges, exactly
-   the legacy ``edge_weights`` dict;
-3. **CSR assembly** — local-id compressed adjacency in the legacy
+   the reference ``edge_weights`` dict;
+3. **CSR assembly** — local-id compressed adjacency in the reference
    insertion order;
 4. **Dijkstra** — array-based, with an indexed binary heap inlined
    into the loop whose tie-breaking matches
    :class:`repro.util.pqueue.IndexedMinHeap` operation for operation
-   (:class:`~repro.labeling.kernel.heap.DenseMinHeap` is the
-   free-standing, property-tested statement of that algorithm).
+   (``tests/reference_decoder.py`` holds the free-standing,
+   property-tested statement of that heap).
 
 Stages 1–3 run either on plain lists (always available) or through the
 numpy kernels in :mod:`repro.labeling.kernel.npops`; both produce
@@ -34,9 +35,8 @@ timings), capped, and dropped whenever the arena is reset or the id
 universe grows.  This is what ``decode_batch`` — and any serving tier
 that repeats sources or forbidden sets — amortizes.
 
-Tracer spans mirror the legacy span tree — same names, same creation
-order, same attribute values — so golden traces cannot tell the
-engines apart.
+Tracer spans follow the reference span tree — same names, same
+creation order, same attribute values — which the golden traces pin.
 """
 
 from __future__ import annotations
@@ -45,9 +45,9 @@ import math
 from typing import TYPE_CHECKING
 
 from repro.exceptions import QueryError
-from repro.labeling.decoder import QueryResult
 from repro.labeling.kernel import npops
 from repro.labeling.kernel.arena import HAVE_NUMPY, Fragment, LabelArena
+from repro.labeling.query import QueryResult
 
 if TYPE_CHECKING:
     from repro.obs.trace import Span, Tracer
@@ -128,13 +128,13 @@ class DecodeEngine:
     ) -> QueryResult:
         """Answer one (non-trivial) query over interned fragments.
 
-        ``source`` is the legacy scan order ``[s, t] + F`` including
+        ``source`` is the scan order ``[s, t] + F`` including
         duplicates; ``fsig`` is a dense id of the fault set's content
         (0 = empty) used as the memo key.  The caller has already
         opened the ``decode`` root span (``root``) and checked scheme
         compatibility; fault fragments have their protected-ball
         bitmaps built.  Raises :class:`QueryError` when an endpoint is
-        forbidden, exactly like the legacy decoder.
+        forbidden.
         """
         self._sync()
         s = frag_s.vertex
@@ -460,7 +460,7 @@ class DecodeEngine:
                     mw[slot] = w
 
     def _build_csr_py(self, m: int) -> None:
-        """Two-pass CSR over the merged edges, in legacy adjacency order.
+        """Two-pass CSR over the merged edges, in reference adjacency order.
 
         Fills the ``_indptr`` / ``_nbr`` / ``_wts`` buffers; the caller
         slices copies out of them.
@@ -512,7 +512,7 @@ class DecodeEngine:
         dropped_forbidden: int,
         dropped_protected: int,
     ) -> None:
-        """Emit gather/filter/assembly spans with legacy-identical attrs."""
+        """Emit the gather/filter/assembly spans of the decode span tree."""
         levels_scanned = 0
         edges_listed = 0
         row_mark = self._row_mark
@@ -560,10 +560,10 @@ class DecodeEngine:
         The local numbering puts ``s`` at 0 and ``t`` at 1 by
         construction (they head the unique-vertex list and are always
         distinct here).  The indexed binary heap is inlined into the
-        loop — it is a line-for-line transcription of
-        :class:`~repro.labeling.kernel.heap.DenseMinHeap`, which in
-        turn mirrors ``IndexedMinHeap``, so settle order, edge scans
-        and heap updates match ``dijkstra_with_paths`` exactly, ties
+        loop — a line-for-line transcription of the dense heap in
+        ``tests/reference_decoder.py``, which in turn mirrors
+        ``IndexedMinHeap``, so settle order, edge scans and heap
+        updates match the reference hash-map Dijkstra exactly, ties
         included.
         """
         nv = len(vlist)

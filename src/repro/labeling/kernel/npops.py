@@ -1,10 +1,10 @@
 """Vectorized filter/merge primitives for the kernel's numpy fast path.
 
-These functions are *exact* vector translations of the legacy
+These functions are *exact* vector translations of the reference
 decoder's scalar clauses — the protected-ball safety rules of
 Lemma 2.3 (with the conservative owner-edge extension) for virtual
 edges, the forbidden-vertex/edge clause for real graph edges, and the
-first-seen min-weight merge the legacy ``edge_weights`` dict performs.
+first-seen min-weight merge the reference ``edge_weights`` dict performs.
 Given the same fragments and fault set they keep exactly the same
 edges with exactly the same weights in exactly the same first-seen
 order, which is what makes the numpy and stdlib paths byte-equal (a
@@ -28,7 +28,7 @@ def filter_fragment(frag, groups, forb_v, forb_e_keys, stride) -> tuple:
 
     Returns ``(kept_keys, kept_weights, dropped_forbidden,
     dropped_protected)`` where the kept arrays preserve the fragment's
-    scan order and the drop counts match the legacy decoder's
+    scan order and the drop counts match the reference decoder's
     ``edges_dropped_forbidden`` / ``edges_dropped_protected`` tallies
     for this fragment.  ``groups`` entries are ``(is_edge_fault,
     center_a, center_b)`` fragments whose protected-ball bitmaps must
@@ -48,25 +48,33 @@ def filter_fragment(frag, groups, forb_v, forb_e_keys, stride) -> tuple:
     key = frag.np_key
     safe = np.ones(len(ex), dtype=bool)
     if groups:
-        both = frag.np_both
-        xc = frag.np_xc
+        # only virtual edges still safe are tested against the next
+        # fault: like the scalar rule's early exit, an edge stops being
+        # checked once one protected ball drops it
+        live = np.flatnonzero(isv)
         for is_edge, center_a, center_b in groups:
+            lv = lvl[live]
+            x = ex[live]
+            y = ey[live]
+            both = frag.np_both[live]
+            xc = frag.np_xc[live]
             ball_a = center_a.ball_np
-            x_in_a = ball_a[lvl, ex]
-            y_in_a = ball_a[lvl, ey]
+            x_in_a = ball_a[lv, x]
+            y_in_a = ball_a[lv, y]
             if not is_edge:
                 dropped = np.where(
                     both, x_in_a & y_in_a, np.where(xc, x_in_a, y_in_a)
                 )
             else:
                 ball_b = center_b.ball_np
-                x_in_b = ball_b[lvl, ex]
-                y_in_b = ball_b[lvl, ey]
+                x_in_b = ball_b[lv, x]
+                y_in_b = ball_b[lv, y]
                 crossing = (x_in_a & y_in_b) | (x_in_b & y_in_a)
                 net_a = np.where(xc, x_in_a, y_in_a)
                 net_b = np.where(xc, x_in_b, y_in_b)
                 dropped = np.where(both, crossing, net_a & net_b)
-            safe &= ~dropped
+            safe[live[dropped]] = False
+            live = live[~dropped]
     if forb_v is not None or forb_e_keys:
         if forb_v is not None:
             bad = forb_v[ex] | forb_v[ey]
@@ -90,7 +98,7 @@ def filter_fragment(frag, groups, forb_v, forb_e_keys, stride) -> tuple:
 def merge_edges(key_parts, weight_parts, stride) -> tuple:
     """First-seen min-weight merge of per-fragment kept-edge arrays.
 
-    Replicates the legacy ``edge_weights`` dict exactly: edge identity
+    Replicates the reference ``edge_weights`` dict exactly: edge identity
     order is first occurrence across the concatenated scan order, and
     each edge keeps the minimum weight ever listed for it.  Returns
     ``(ex, ey, ew)`` int64 arrays in that first-seen order.
@@ -117,13 +125,13 @@ def merge_edges(key_parts, weight_parts, stride) -> tuple:
 
 
 def assemble_csr(unique_vertices, ex, ey, ew, lookup) -> tuple:
-    """Local-id CSR of the merged sketch edges, in legacy adjacency order.
+    """Local-id CSR of the merged sketch edges, in reference adjacency order.
 
     ``unique_vertices`` (the query's label vertices, first-seen order)
     get the lowest local ids, then edge endpoints in first-seen order —
-    the exact insertion order of the legacy adjacency dict.  Per
+    the exact insertion order of the reference adjacency dict.  Per
     vertex, neighbors appear in merged-edge order with the ``x`` side
-    of an edge before its ``y`` side, again matching the legacy
+    of an edge before its ``y`` side, again matching the reference
     append order, so the array Dijkstra scans edges in the identical
     sequence.  ``lookup`` is a reusable int64 array filled with -1; it
     is restored before returning.  Returns ``(verts, indptr, nbr,

@@ -115,150 +115,45 @@ def measure_overhead(
     }
 
 
-def measure_kernel_speedup(
-    seed: int = 0,
-    epsilon: float = 1.0,
-    num_queries: int = 120,
-    repeats: int = 5,
-    use_numpy: bool | None = None,
-) -> dict[str, object]:
-    """Timed comparison of the kernel decoder vs the legacy decoder.
-
-    Runs the same seeded workload through both decoders (alternating,
-    after a warmup pass each) and reports median wall-clock times plus
-    the ``legacy / kernel`` speedup ratio.  The kernel medians are its
-    *steady state*: one long-lived :class:`KernelDecoder` serves all
-    repeats, so labels are interned once and its per-``(label, F)``
-    memo caches are warm — exactly how the serving tier holds it.  The
-    cold first pass is reported separately as ``kernel_cold_ms``.
-
-    Every answer produced by the kernel is compared against the legacy
-    answer in-run; ``answers_identical`` records the outcome (a
-    mismatch would make the timing meaningless).
-    """
-    if repeats < 1:
-        raise ObservabilityError(f"need at least 1 repeat, got {repeats}")
-    from repro.labeling.kernel import KernelDecoder
-
-    labels, queries = build_workload(
-        seed=seed, epsilon=epsilon, num_queries=num_queries
-    )
-    kernel = KernelDecoder(use_numpy=use_numpy)
-    triples = [
-        (
-            labels[s],
-            labels[t],
-            FaultSet(vertex_labels=[labels[f] for f in fault_vertices]),
-        )
-        for s, t, fault_vertices in queries
-    ]
-    legacy_results = [
-        decode_distance(ls, lt, faults) for ls, lt, faults in triples
-    ]
-    # cold pass: interning + cache fill, timed but kept out of the medians
-    start = time.perf_counter()
-    kernel_results = kernel.decode_batch(triples)
-    kernel_cold_s = time.perf_counter() - start
-    answers_identical = kernel_results == legacy_results
-    legacy_s: list[float] = []
-    kernel_s: list[float] = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for ls, lt, faults in triples:
-            decode_distance(ls, lt, faults)
-        legacy_s.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        kernel_results = kernel.decode_batch(triples)
-        kernel_s.append(time.perf_counter() - start)
-        answers_identical = answers_identical and (
-            kernel_results == legacy_results
-        )
-    legacy_med = statistics.median(legacy_s)
-    kernel_med = statistics.median(kernel_s)
-    return {
-        "num_queries": num_queries,
-        "repeats": repeats,
-        "use_numpy": kernel.use_numpy,
-        "answers_identical": answers_identical,
-        "legacy_ms_median": round(legacy_med * 1e3, 3),
-        "kernel_ms_median": round(kernel_med * 1e3, 3),
-        "kernel_cold_ms": round(kernel_cold_s * 1e3, 3),
-        "speedup": round(legacy_med / kernel_med, 2),
-    }
-
-
 def run_bench(
     seed: int = 0,
     epsilon: float = 1.0,
     num_queries: int = 120,
     repeats: int = 5,
     emit: str | None = None,
-    mode: str = "obs",
 ) -> dict[str, object]:
     """The ``repro bench`` entry point: measure, assemble, optionally emit.
 
-    ``mode="obs"`` (the default) measures tracing overhead;
-    ``mode="kernel"`` measures the kernel-vs-legacy decode speedup.
-    The payload's ``deterministic`` section (workload shape and decode
-    op counts, or the answer-equality verdict) is identical on every
-    run of the same seed; the ``timing`` section is host wall-clock and
-    varies.  ``emit`` writes the payload as indented JSON to the given
-    path.
+    Measures the tracing overhead of the decode path.  The payload's
+    ``deterministic`` section (workload shape and decode op counts) is
+    identical on every run of the same seed; the ``timing`` section is
+    host wall-clock and varies.  ``emit`` writes the payload as
+    indented JSON to the given path.
     """
-    if mode not in ("obs", "kernel"):
-        raise ObservabilityError(
-            f"unknown bench mode {mode!r} (expected 'obs' or 'kernel')"
-        )
-    payload: dict[str, object]
-    if mode == "kernel":
-        kmeasured = measure_kernel_speedup(
-            seed=seed, epsilon=epsilon, num_queries=num_queries, repeats=repeats
-        )
-        payload = {
-            "bench": "kernel_decode_speedup",
-            "schema": BENCH_SCHEMA,
-            "params": {
-                "seed": seed,
-                "epsilon": epsilon,
-                "num_queries": num_queries,
-                "repeats": repeats,
-                "use_numpy": kmeasured["use_numpy"],
-            },
-            "deterministic": {
-                "answers_identical": kmeasured["answers_identical"],
-            },
-            "timing": {
-                "legacy_ms_median": kmeasured["legacy_ms_median"],
-                "kernel_ms_median": kmeasured["kernel_ms_median"],
-                "kernel_cold_ms": kmeasured["kernel_cold_ms"],
-                "speedup": kmeasured["speedup"],
-            },
-        }
-    else:
-        measured = measure_overhead(
-            seed=seed, epsilon=epsilon, num_queries=num_queries, repeats=repeats
-        )
-        payload = {
-            "bench": "obs_decode_overhead",
-            "schema": BENCH_SCHEMA,
-            "params": {
-                "seed": seed,
-                "epsilon": epsilon,
-                "num_queries": num_queries,
-                "repeats": repeats,
-            },
-            "deterministic": {
-                "decode_spans": measured["decode_spans"],
-                "nodes_settled": measured["nodes_settled"],
-                "edges_scanned": measured["edges_scanned"],
-                "heap_updates": measured["heap_updates"],
-            },
-            "timing": {
-                "plain_ms_median": measured["plain_ms_median"],
-                "traced_ms_median": measured["traced_ms_median"],
-                "overhead_ratio": measured["overhead_ratio"],
-            },
-        }
+    measured = measure_overhead(
+        seed=seed, epsilon=epsilon, num_queries=num_queries, repeats=repeats
+    )
+    payload: dict[str, object] = {
+        "bench": "obs_decode_overhead",
+        "schema": BENCH_SCHEMA,
+        "params": {
+            "seed": seed,
+            "epsilon": epsilon,
+            "num_queries": num_queries,
+            "repeats": repeats,
+        },
+        "deterministic": {
+            "decode_spans": measured["decode_spans"],
+            "nodes_settled": measured["nodes_settled"],
+            "edges_scanned": measured["edges_scanned"],
+            "heap_updates": measured["heap_updates"],
+        },
+        "timing": {
+            "plain_ms_median": measured["plain_ms_median"],
+            "traced_ms_median": measured["traced_ms_median"],
+            "overhead_ratio": measured["overhead_ratio"],
+        },
+    }
     if emit is not None:
         with open(emit, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)

@@ -18,14 +18,9 @@ from typing import TYPE_CHECKING, Iterable
 from repro.exceptions import QueryError
 from repro.graphs.graph import Graph
 from repro.labeling.construction import LabelingOptions
-from repro.labeling.decoder import (
-    FaultSet,
-    QueryResult,
-    decode_distance,
-    normalize_faults,
-)
 from repro.labeling.encoding import decode_label, encode_label
 from repro.labeling.kernel import KernelDecoder
+from repro.labeling.query import FaultSet, QueryResult, normalize_faults
 from repro.labeling.scheme import ForbiddenSetLabeling
 
 if TYPE_CHECKING:
@@ -37,16 +32,15 @@ class ForbiddenSetDistanceOracle:
     """Centralized ``(1+ε)``-approximate forbidden-set distance oracle.
 
     Optional ``obs`` (a :class:`repro.obs.Registry`) and ``tracer``
-    hooks record query counts, label decodes and memo hits, and trace
-    the decode pipeline.  Both default to off and never change answers.
+    hooks record query counts, label decodes and label-cache hits, and
+    trace the decode pipeline.  Both default to off and never change
+    answers.
 
-    ``decoder`` selects the decode engine: ``"kernel"`` (default) runs
-    the array-native kernel of :mod:`repro.labeling.kernel`,
-    ``"legacy"`` the original object-graph decoder.  The two are
-    differential-tested bit-identical, so the choice only affects
-    speed; in kernel mode decoded labels are additionally cached
-    across queries (they are immutable) so the kernel's label
-    interning amortizes.
+    Queries run on one long-lived
+    :class:`~repro.labeling.kernel.KernelDecoder`.  Each stored label is
+    deserialized at most once and then kept (decoded labels are
+    immutable): the stable object identity is what lets the kernel's
+    label interning and memos pay off across queries.
     """
 
     def __init__(
@@ -56,13 +50,7 @@ class ForbiddenSetDistanceOracle:
         options: LabelingOptions | None = None,
         obs: "Registry | None" = None,
         tracer: "Tracer | None" = None,
-        decoder: str = "kernel",
     ) -> None:
-        if decoder not in ("kernel", "legacy"):
-            raise QueryError(
-                f"unknown decoder backend {decoder!r}"
-                " (expected 'kernel' or 'legacy')"
-            )
         scheme = ForbiddenSetLabeling(graph, epsilon, options=options)
         self._epsilon = epsilon
         self._num_vertices = graph.num_vertices
@@ -72,27 +60,29 @@ class ForbiddenSetDistanceOracle:
         self._table: list[bytes] = [
             encode_label(scheme.label(v)) for v in graph.vertices()
         ]
-        self._kernel = (
-            KernelDecoder(max_labels=max(4096, graph.num_vertices))
-            if decoder == "kernel" else None
-        )
-        # cross-query decoded-label cache (kernel mode only): decoded
-        # labels are immutable, and a stable object identity is what
-        # makes the kernel's arena interning pay off across queries.
-        # Memory is bounded by the n labels the oracle already stores.
-        self._label_cache: dict[int, object] | None = (
-            {} if decoder == "kernel" else None
-        )
+        self._decoder = KernelDecoder(max_labels=max(4096, graph.num_vertices))
+        # decoded labels, kept across queries; memory is bounded by the
+        # n labels the oracle already stores
+        self._labels: dict[int, object] = {}
 
     def _load(self, vertex: int):
         if not 0 <= vertex < self._num_vertices:
             raise QueryError(f"vertex {vertex} out of range")
-        cache = self._label_cache
-        if cache is None:
-            return decode_label(self._table[vertex])
-        label = cache.get(vertex)
+        label = self._labels.get(vertex)
         if label is None:
-            label = cache[vertex] = decode_label(self._table[vertex])
+            label = self._labels[vertex] = decode_label(self._table[vertex])
+            if self._obs is not None:
+                self._obs.counter(
+                    "repro_oracle_label_decodes_total",
+                    "Stored labels deserialized (decode_label calls) while "
+                    "answering queries.",
+                ).inc()
+        elif self._obs is not None:
+            self._obs.counter(
+                "repro_oracle_memo_hits_total",
+                "Label loads served from the decoded-label cache instead "
+                "of being deserialized.",
+            ).inc()
         return label
 
     def query(
@@ -104,52 +94,28 @@ class ForbiddenSetDistanceOracle:
     ) -> QueryResult:
         """``(1+ε)``-approximate ``d_{G\\F}(s, t)`` from the stored table.
 
-        Each serialized label is decoded at most once per query: fault
-        inputs are deduplicated up front and a per-query memo covers the
-        remaining overlaps (shared edge-fault endpoints, ``s``/``t``
-        also named as faults).
+        Each stored label is deserialized at most once over the
+        oracle's lifetime: fault inputs are deduplicated up front, and
+        every later load of the same vertex — in this query or any
+        other — is served from the decoded-label cache.
         """
         vertex_faults, edge_faults = normalize_faults(vertex_faults, edge_faults)
         for a, b in edge_faults:
             if (a, b) not in self._edge_set:
                 raise QueryError(f"forbidden edge ({a}, {b}) is not in the graph")
-        memo: dict[int, object] = {}
-        memo_hits = 0
-
-        def load(vertex: int):
-            nonlocal memo_hits
-            label = memo.get(vertex)
-            if label is None:
-                label = memo[vertex] = self._load(vertex)
-            else:
-                memo_hits += 1
-            return label
-
+        load = self._load
         faults = FaultSet(
             vertex_labels=[load(f) for f in vertex_faults],
             edge_labels=[(load(a), load(b)) for a, b in edge_faults],
         )
-        if self._kernel is not None:
-            result = self._kernel.decode(
-                load(s), load(t), faults, tracer=self._tracer
-            )
-        else:
-            result = decode_distance(
-                load(s), load(t), faults, tracer=self._tracer
-            )
+        result = self._decoder.decode(
+            load(s), load(t), faults, tracer=self._tracer
+        )
         if self._obs is not None:
             self._obs.counter(
                 "repro_oracle_queries_total",
                 "Forbidden-set distance queries answered by the oracle.",
             ).inc()
-            self._obs.counter(
-                "repro_oracle_label_decodes_total",
-                "Serialized labels deserialized while answering queries.",
-            ).inc(len(memo))
-            self._obs.counter(
-                "repro_oracle_memo_hits_total",
-                "Label loads served from the per-query memo.",
-            ).inc(memo_hits)
         return result
 
     def size_bits(self) -> int:

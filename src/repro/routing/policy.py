@@ -10,9 +10,11 @@ mechanism."
 :class:`PolicyRouter` manages named policies — each a forbidden set of
 vertices/edges — on top of a single :class:`ForbiddenSetRouting`
 instance.  Policies compose (a route can apply several at once, e.g. a
-tenant policy plus the current outage list), and each policy keeps a
-:class:`~repro.labeling.session.FaultScopedSession` so repeated distance
-queries under the same policy amortize the decoder work.
+tenant policy plus the current outage list).  The router holds one
+long-lived :class:`~repro.labeling.kernel.KernelDecoder` for all its
+distance queries: the decoder's memos key on which labels form ``F``,
+so repeated queries under the same composition amortize the decoder
+work and redefining a policy needs no invalidation.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from typing import Iterable
 from repro.exceptions import QueryError
 from repro.graphs.graph import Graph
 from repro.labeling.construction import LabelingOptions
-from repro.labeling.decoder import FaultSet, QueryResult
-from repro.labeling.session import FaultScopedSession
+from repro.labeling.kernel import KernelDecoder
+from repro.labeling.query import QueryResult
 from repro.routing.scheme import ForbiddenSetRouting
 from repro.routing.simulator import RouteResult
 
@@ -50,7 +52,7 @@ class PolicyRouter:
         self._graph = graph
         self._routing = ForbiddenSetRouting(graph, epsilon, options=options)
         self._policies: dict[str, tuple[frozenset[int], frozenset[tuple[int, int]]]] = {}
-        self._sessions: dict[frozenset[str], FaultScopedSession] = {}
+        self._decoder = KernelDecoder(max_labels=max(4096, graph.num_vertices))
 
     # -- policy management ----------------------------------------------------
 
@@ -70,21 +72,10 @@ class PolicyRouter:
             if not self._graph.has_edge(a, b):
                 raise QueryError(f"policy {name!r}: edge ({a}, {b}) not in graph")
         self._policies[name] = (vertex_set, edge_set)
-        # invalidate sessions that include this policy
-        self._sessions = {
-            key: session
-            for key, session in self._sessions.items()
-            if name not in key
-        }
 
     def drop_policy(self, name: str) -> None:
         """Remove a policy (unknown names are ignored)."""
         self._policies.pop(name, None)
-        self._sessions = {
-            key: session
-            for key, session in self._sessions.items()
-            if name not in key
-        }
 
     def policy_names(self) -> list[str]:
         """Defined policy names, sorted."""
@@ -107,25 +98,18 @@ class PolicyRouter:
 
     # -- queries ----------------------------------------------------------------
 
-    def _session(self, policies: Iterable[str]) -> FaultScopedSession:
-        key = frozenset(policies)
-        session = self._sessions.get(key)
-        if session is None:
-            vertices, edges = self.combined_faults(key)
-            fault_set = self._routing.labeling.fault_set(
-                vertex_faults=sorted(vertices), edge_faults=sorted(edges)
-            )
-            session = FaultScopedSession(fault_set)
-            self._sessions[key] = session
-        return session
-
     def distance(
         self, s: int, t: int, policies: Iterable[str] = ()
     ) -> QueryResult:
         """``(1+ε)``-approximate distance under the composed policies."""
-        session = self._session(policies)
+        vertices, edges = self.combined_faults(policies)
         labeling = self._routing.labeling
-        return session.query(labeling.label(s), labeling.label(t))
+        fault_set = labeling.fault_set(
+            vertex_faults=sorted(vertices), edge_faults=sorted(edges)
+        )
+        return self._decoder.decode(
+            labeling.label(s), labeling.label(t), fault_set
+        )
 
     def route(
         self, s: int, t: int, policies: Iterable[str] = ()

@@ -39,13 +39,9 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from repro.exceptions import QueryError
-from repro.labeling.decoder import (
-    FaultSet,
-    decode_distance,
-    normalize_faults,
-)
 from repro.labeling.encoding import DECODE_ERRORS, decode_label
 from repro.labeling.kernel import KernelDecoder
+from repro.labeling.query import FaultSet, normalize_faults
 from repro.service.client import ResilientLabelClient
 from repro.service.clock import VirtualClock
 from repro.service.store import ShardedLabelStore
@@ -106,6 +102,9 @@ QUERIES_TOTAL = "repro_queries_total"
 QUERIES_TOTAL_HELP = "Frontend queries answered, by status and reason."
 QUERY_LATENCY = "repro_query_latency_ms"
 QUERY_LATENCY_HELP = "End-to-end query latency in virtual milliseconds."
+
+#: decoded labels the service keeps, keyed by their exact bytes (LRU)
+DECODE_MEMO_SIZE = 512
 
 
 @dataclass(frozen=True)
@@ -201,21 +200,10 @@ class QueryService:
         default_deadline_ms: float = 120.0,
         obs: "Registry | None" = None,
         tracer: "Tracer | None" = None,
-        decode_memo_size: int = 512,
-        decoder_backend: str = "kernel",
         **client_kwargs,
     ) -> None:
         if stretch_bound < 1.0:
             raise QueryError(f"stretch bound {stretch_bound} below 1")
-        if decode_memo_size < 0:
-            raise QueryError(
-                f"decode memo size must be >= 0, got {decode_memo_size}"
-            )
-        if decoder_backend not in ("kernel", "legacy"):
-            raise QueryError(
-                f"unknown decoder backend {decoder_backend!r}"
-                " (expected 'kernel' or 'legacy')"
-            )
         self._store = store
         self.stretch_bound = stretch_bound
         self.obs = obs
@@ -230,18 +218,12 @@ class QueryService:
             store.attach_observability(obs)
         self.default_deadline_ms = default_deadline_ms
         self.metrics = ServiceMetrics()
-        self._decode_memo_size = decode_memo_size
         self._decode_memo: "OrderedDict[bytes, object]" = OrderedDict()
-        # the array-native kernel answers bit-identically to
-        # decode_distance (differential-tested), so swapping it in is
-        # invisible to every caller — including golden traces.  The
-        # byte-keyed decode memo above gives labels a stable object
-        # identity, which is what makes the kernel's arena interning
-        # effective across queries.
-        self.decoder_backend = decoder_backend
-        self._kernel = (
-            KernelDecoder() if decoder_backend == "kernel" else None
-        )
+        # one long-lived decoder for every query; the byte-keyed decode
+        # memo above gives labels a stable object identity, which is
+        # what makes the kernel's arena interning effective across
+        # queries
+        self._decoder = KernelDecoder()
 
     # -- constructors -------------------------------------------------------
 
@@ -444,14 +426,9 @@ class QueryService:
                 if a in labels and b in labels
             ],
         )
-        if self._kernel is not None:
-            result = self._kernel.decode(
-                labels[s], labels[t], available, tracer=self.tracer
-            )
-        else:
-            result = decode_distance(
-                labels[s], labels[t], available, tracer=self.tracer
-            )
+        result = self._decoder.decode(
+            labels[s], labels[t], available, tracer=self.tracer
+        )
         if not missing:
             return self._record(QueryOutcome(
                 s=s, t=t, status="exact", distance=result.distance,
@@ -492,10 +469,9 @@ class QueryService:
             self.metrics.decode_memo_hits += 1
             return label
         label = decode_label(data)
-        if self._decode_memo_size:
-            if len(memo) >= self._decode_memo_size:
-                memo.popitem(last=False)
-            memo[data] = label
+        if len(memo) >= DECODE_MEMO_SIZE:
+            memo.popitem(last=False)
+        memo[data] = label
         return label
 
     def _record(self, outcome: QueryOutcome) -> QueryOutcome:

@@ -2,11 +2,17 @@
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import repro
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _public_modules():
@@ -65,3 +71,31 @@ def test_all_exports_resolve(module):
 
 def test_version_defined():
     assert repro.__version__
+
+
+def test_production_never_imports_the_reference_decoder():
+    """``tests/reference_decoder.py`` is test-only: no ``repro`` module loads it.
+
+    Runs in a fresh interpreter from the repository root, where the
+    ``tests`` package is importable, so an accidental import would
+    succeed and show up in ``sys.modules``.
+    """
+    script = (
+        "import importlib, pkgutil, sys\n"
+        "import repro\n"
+        "for info in pkgutil.walk_packages(repro.__path__, prefix='repro.'):\n"
+        "    if not info.name.endswith('__main__'):\n"
+        "        importlib.import_module(info.name)\n"
+        "print(sorted(name for name in sys.modules\n"
+        "             if name.endswith('reference_decoder')))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=ROOT, env=env,
+        capture_output=True, text=True, timeout=300, check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -31,9 +31,9 @@ from repro.labeling import (
     FaultSet,
     ForbiddenSetLabeling,
     LabelingOptions,
-    build_sketch_graph,
     decode_distance,
 )
+from tests.reference_decoder import build_sketch_graph
 
 
 def check_random_queries(

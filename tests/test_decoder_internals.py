@@ -2,21 +2,24 @@
 
 These pin down the exact semantics of the protected-ball rules
 (documented in ``labeling/decoder.py``) with hand-built labels, rather
-than going through the full construction.
+than going through the full construction.  The rules are checked on
+the reference decoder (``tests/reference_decoder.py``), which states
+them one clause at a time; the hand-built sketches also run through
+the production decoder.
 """
 
 import math
 
 import pytest
 
-from repro.labeling.decoder import (
-    FaultSet,
+from repro.labeling.decoder import FaultSet, decode_distance as production_decode
+from repro.labeling.label import LevelLabel, VertexLabel
+from tests.reference_decoder import (
     _ProtectedBalls,
     _edge_is_safe,
     build_sketch_graph,
     decode_distance,
 )
-from repro.labeling.label import LevelLabel, VertexLabel
 
 
 def make_label(vertex, levels_spec, c=2, top=4):
@@ -94,6 +97,13 @@ class TestEdgeSafety:
         assert not _edge_is_safe(1, 2, True, True, memberships, groups)
 
 
+def decode_both(label_s, label_t, faults=None):
+    """The reference answer, after checking the production decoder agrees."""
+    expected = decode_distance(label_s, label_t, faults)
+    assert production_decode(label_s, label_t, faults) == expected
+    return expected
+
+
 class TestHandBuiltSketch:
     """A miniature instance assembled by hand: path 0-1-2-3-4 plus labels
     containing exactly controlled content."""
@@ -110,13 +120,13 @@ class TestHandBuiltSketch:
         )
 
     def test_no_faults_distance(self):
-        result = decode_distance(self.label_s, self.label_t)
+        result = decode_both(self.label_s, self.label_t)
         assert result.distance == 4
         assert result.path == (0, 1, 2, 3, 4)
 
     def test_vertex_fault_disconnects(self):
         fault = make_label(2, {3: ({0: 2, 1: 1, 2: 0, 3: 1, 4: 2}, {}, {})})
-        result = decode_distance(
+        result = decode_both(
             self.label_s, self.label_t, FaultSet(vertex_labels=[fault])
         )
         assert math.isinf(result.distance)
@@ -124,7 +134,7 @@ class TestHandBuiltSketch:
     def test_edge_fault_disconnects(self):
         fa = make_label(2, {3: ({2: 0}, {}, {})})
         fb = make_label(3, {3: ({3: 0}, {}, {})})
-        result = decode_distance(
+        result = decode_both(
             self.label_s, self.label_t, FaultSet(edge_labels=[(fa, fb)])
         )
         assert math.isinf(result.distance)
@@ -146,7 +156,7 @@ class TestHandBuiltSketch:
                 4: ({2: 0}, {}, {}),  # level-4 ball: 0 and 4 not listed
             },
         )
-        result = decode_distance(
+        result = decode_both(
             self.label_s, self.label_t, FaultSet(vertex_labels=[fault])
         )
         assert result.distance == 4  # the virtual edge survives
@@ -162,7 +172,7 @@ class TestHandBuiltSketch:
                 4: ({2: 0, 0: 2, 4: 2}, {}, {}),  # both endpoints inside PB
             },
         )
-        result = decode_distance(
+        result = decode_both(
             self.label_s, self.label_t, FaultSet(vertex_labels=[fault])
         )
         assert math.isinf(result.distance)

@@ -19,8 +19,9 @@ fully seeded instances (deterministic — no test flakiness):
 Plus the meta-invariant that makes the obs layer trustworthy:
 tracing a decode must never change its answer.
 
-The whole battery runs twice — once per decoder backend (the legacy
-object-graph ``decode_distance`` and the array-native
+The whole battery runs twice — once per decoder (the object-graph
+reference ``decode_distance`` of ``tests/reference_decoder.py``, still
+named ``legacy`` in the test ids, and the array-native
 :class:`KernelDecoder`) — via the ``decode`` fixture, so every
 metamorphic relation is pinned on both engines.
 """
@@ -33,9 +34,10 @@ import pytest
 from repro.graphs import generators as gen
 from repro.graphs.doubling import doubling_dimension_estimate
 from repro.graphs.traversal import bfs_distances_avoiding
-from repro.labeling import FaultSet, ForbiddenSetLabeling, decode_distance
+from repro.labeling import FaultSet, ForbiddenSetLabeling
 from repro.labeling.kernel import KernelDecoder
 from repro.obs.trace import SPAN_DIJKSTRA, Tracer
+from tests.reference_decoder import decode_distance
 
 ENVELOPE_CONSTANT = 24.0
 

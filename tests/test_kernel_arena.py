@@ -6,12 +6,13 @@ Four contracts beneath the differential harness:
   fragment object, same handle, no arena growth; fragment flat arrays
   faithfully replay the label's (level, edge) scan order.
 * **CSR round-trip** — the engine's cached CSR sketch, re-expanded to
-  an adjacency mapping, equals :func:`build_sketch_graph`'s dict sketch
-  exactly — including per-vertex neighbour order, which downstream
-  Dijkstra tie-breaking depends on.
-* **indexed-heap property** — :class:`DenseMinHeap` replayed against
-  :class:`repro.util.pqueue.IndexedMinHeap` (the decoder's reference
-  heap) on random push/decrease/pop scripts: identical pop sequences,
+  an adjacency mapping, equals the reference ``build_sketch_graph``'s
+  dict sketch exactly — including per-vertex neighbour order, which
+  downstream Dijkstra tie-breaking depends on.
+* **indexed-heap property** — the reference ``DenseMinHeap`` (the
+  algorithm the engine's Dijkstra inlines) replayed against
+  :class:`repro.util.pqueue.IndexedMinHeap` on random
+  push/decrease/pop scripts: identical pop sequences,
   identical decrease-key outcomes.
 * **numpy == stdlib** — both kernel paths produce byte-equal cache
   entries for the same queries, not merely equal answers.
@@ -24,14 +25,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs import generators as gen
-from repro.labeling import FaultSet, ForbiddenSetLabeling, build_sketch_graph
-from repro.labeling.kernel import (
-    HAVE_NUMPY,
-    DenseMinHeap,
-    KernelDecoder,
-    LabelArena,
-)
+from repro.labeling import FaultSet, ForbiddenSetLabeling
+from repro.labeling.kernel import HAVE_NUMPY, KernelDecoder, LabelArena
 from repro.util.pqueue import IndexedMinHeap
+from tests.reference_decoder import DenseMinHeap, build_sketch_graph
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +97,7 @@ class TestInterning:
 
 
 def csr_to_adjacency(vlist, indptr, nbr, wts):
-    """Expand the engine's CSR arrays back into the legacy dict shape."""
+    """Expand the engine's CSR arrays back into the reference dict shape."""
     adjacency = {}
     for i, x in enumerate(vlist):
         adjacency[x] = [

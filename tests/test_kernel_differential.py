@@ -1,9 +1,9 @@
-"""Differential harness: the array kernel IS the legacy decoder, bit for bit.
+"""Differential harness: the array kernel IS the reference decoder, bit for bit.
 
-The kernel (:class:`repro.labeling.kernel.KernelDecoder`) re-implements
-:func:`repro.labeling.decoder.decode_distance` on flat arrays with
-cross-query memo caches.  Nothing about it is allowed to show through:
-for every query the two decoders must agree on
+The kernel (:class:`repro.labeling.kernel.KernelDecoder`) runs the
+object-graph reference decoder of ``tests/reference_decoder.py`` on flat
+arrays with cross-query memo caches.  Nothing about it is allowed to
+show through: for every query the two decoders must agree on
 
 * the distance, the witness path and the sketch sizes,
 * the **entire traced span tree** — names, nesting, and every op-count
@@ -15,7 +15,9 @@ for every query the two decoders must agree on
 Hypothesis drives (graph family × ε × seeded fault sets); deterministic
 cases pin the named edge conditions (``F = ∅``, ``s ∈ F`` / ``t ∈ F``,
 disconnected-after-``F``) and the batch API's grouping-order freedom.
-Both kernel paths (pure stdlib and numpy) are exercised.
+Both kernel paths (pure stdlib and numpy) are exercised, and so is the
+production entry point :func:`repro.labeling.decoder.decode_distance`
+(a fresh kernel per call).
 
 A long-lived kernel per backend serves the whole run on purpose: the
 equivalence must survive warm memo caches, arena growth and fault-set
@@ -24,6 +26,7 @@ signature reuse, not just a cold first query.
 
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -31,9 +34,11 @@ from hypothesis import strategies as st
 
 from repro.exceptions import QueryError
 from repro.graphs import generators as gen
-from repro.labeling import FaultSet, ForbiddenSetLabeling, decode_distance
+from repro.labeling import FaultSet, ForbiddenSetLabeling
+from repro.labeling.decoder import decode_distance as production_decode
 from repro.labeling.kernel import HAVE_NUMPY, KernelDecoder
 from repro.obs.trace import Tracer
+from tests.reference_decoder import decode_distance
 
 # -- instances ---------------------------------------------------------------
 
@@ -46,6 +51,9 @@ INSTANCES = [
     ("road:4x4/e1", lambda: gen.road_like_graph(4, 4, seed=3), 1.0),
     ("road:4x4/e0.5", lambda: gen.road_like_graph(4, 4, seed=3), 0.5),
     ("tree:20/e1", lambda: gen.random_tree(20, seed=5), 1.0),
+    # diameter 48 > λ = 32 at the lowest level: protected balls no
+    # longer cover the whole graph, so each fault drops its own edges
+    ("cycle:96/e1", lambda: gen.cycle_graph(96), 1.0),
 ]
 
 BACKENDS = ["stdlib"] + (["numpy"] if HAVE_NUMPY else [])
@@ -134,6 +142,19 @@ def test_kernel_matches_legacy(backend, case):
     assert_equivalent(kernel_for(backend), labels[s], labels[t], faults)
 
 
+@settings(max_examples=60, deadline=None)
+@given(case=query_cases())
+def test_one_shot_decode_distance_matches_reference(case):
+    name, s, t, fault_v, fault_e = case
+    labels, _ = instance(name)
+    faults = FaultSet(
+        vertex_labels=[labels[f] for f in fault_v],
+        edge_labels=[(labels[a], labels[b]) for a, b in fault_e],
+    )
+    one_shot = SimpleNamespace(decode=production_decode)
+    assert_equivalent(one_shot, labels[s], labels[t], faults)
+
+
 # -- deterministic edge conditions -------------------------------------------
 
 
@@ -167,6 +188,17 @@ def test_disconnected_after_faults(backend):
     result = assert_equivalent(kern, labels[0], labels[8], faults)
     assert math.isinf(result.distance)
     assert result.path == ()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_faults_with_disjoint_protected_balls(backend):
+    # on the small instances the first fault's ball covers the graph and
+    # drops every droppable edge; here later faults drop edges of their own
+    labels, _ = instance("cycle:96/e1")
+    kern = kernel_for(backend)
+    faults = FaultSet(vertex_labels=[labels[f] for f in (10, 40, 70)])
+    for s, t in [(0, 50), (20, 90), (5, 35), (45, 80)]:
+        assert_equivalent(kern, labels[s], labels[t], faults)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -145,7 +145,7 @@ class TestDynamicOracle:
 
 
 class TestDecodeEconomy:
-    """Each serialized label is decoded at most once per query."""
+    """Each serialized label is decoded at most once, across queries too."""
 
     def _counting_oracle(self, monkeypatch):
         import repro.oracle.oracle as oracle_module
@@ -178,6 +178,44 @@ class TestDecodeEconomy:
         )
         assert len(calls) == len(set(calls))
         assert sorted(set(calls)) == [0, 1, 5, 6, 9, 15]
+
+    def test_decode_counter_counts_real_decodes(self, monkeypatch):
+        """Labels served from the cache count as hits, never as decodes."""
+        import repro.oracle.oracle as oracle_module
+        from repro.obs.registry import Registry
+
+        obs = Registry()
+        oracle = ForbiddenSetDistanceOracle(
+            grid_graph(4, 4), epsilon=1.0, obs=obs
+        )
+        calls: list[int] = []
+        real = oracle_module.decode_label
+
+        def counting(data):
+            label = real(data)
+            calls.append(label.vertex)
+            return label
+
+        monkeypatch.setattr(oracle_module, "decode_label", counting)
+        queries = [
+            (0, 15, [5, 6], []),
+            (0, 15, [5, 6], []),  # repeated
+            (3, 12, [5], [(6, 10)]),  # overlaps the first two
+            (0, 12, [], [(1, 5), (5, 9)]),  # 5 twice in one query
+        ]
+        loads = 0
+        for s, t, vertex_faults, edge_faults in queries:
+            oracle.query(
+                s, t, vertex_faults=vertex_faults, edge_faults=edge_faults
+            )
+            loads += 2 + len(vertex_faults) + 2 * len(edge_faults)
+        decodes = obs.get_counter_value("repro_oracle_label_decodes_total")
+        hits = obs.get_counter_value("repro_oracle_memo_hits_total")
+        assert decodes == len(calls) == len(set(calls))
+        assert decodes + hits == loads
+        assert obs.get_counter_value("repro_oracle_queries_total") == len(
+            queries
+        )
 
     def test_duplicate_faults_answer_unchanged(self):
         g = grid_graph(4, 4)

