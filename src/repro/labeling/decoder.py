@@ -34,7 +34,7 @@ One engine runs these steps: the array kernel of
 :mod:`repro.labeling.kernel`.  :func:`decode_distance` is its one-shot
 form — each call runs a fresh :class:`~repro.labeling.kernel.KernelDecoder`
 and keeps nothing afterwards.  Owners that answer a stream of queries
-(the oracle, the serving tier, the policy router) hold one decoder
+(the oracle, the serving tier, the routing schemes) hold one decoder
 instead, so labels are interned once and repeated ``(s, F)``
 combinations hit its memos.  The query vocabulary (:class:`FaultSet`,
 :class:`QueryResult`, :func:`normalize_faults`) lives in

@@ -4,21 +4,31 @@ An object-graph decoder re-walks every label's nested dicts on every query:
 ``label.levels[i].edges.items()`` yields a tuple per edge, protected
 balls are rebuilt as per-query dicts, and the merge keys the sketch
 edges by ``(x, y)`` tuples.  The arena does that object-graph walk
-**once per label load** and keeps the result as parallel flat lists
-(plus optional numpy mirrors), so the per-query engine touches nothing
-but int arrays:
+**once per label load** and keeps the result as three flat edge
+columns, so the per-query engine touches nothing but int arrays:
 
 * one concatenated edge sequence per label, in the exact scan order of
   the reference decoder (levels ascending; per level, graph edges then
   virtual edges) — the merge's first-seen ordering is preserved by
   construction;
-* per-edge precomputed facts that never change between queries: the
-  level row, the virtual/graph flag, and the owner-checkability of each
-  endpoint (Lemma 2.3's conservative owner rule);
+* one *segment* per level, ``(row, start, vstart, end)``: the level's
+  graph edges are ``[start, vstart)`` and its virtual edges
+  ``[vstart, end)``.  Every per-edge fact that never changes between
+  queries — the level row, the virtual/graph flag, and the
+  owner-checkability of each endpoint (Lemma 2.3's conservative owner
+  rule) — follows from the segment and the label's owner, so none of
+  them is stored per edge;
 * per-label **protected-ball bitmaps** — for each level row, a
   byte-per-vertex membership table of ``PB_i(v) = B(v, λ_i)`` — built
   lazily the first time a label is used as a fault, then reused by
   every subsequent query naming that fault.
+
+The columns exist once, in the representation of the arena's mode:
+numpy arrays (int32 endpoints and weights, 12 bytes per edge) when the
+owning decoder runs the numpy fast path, plain lists otherwise.
+Interning builds them with bulk C-level calls over each level's dicts
+(``map(itemgetter(0), …)``, ``np.fromiter``), never a per-edge Python
+loop.
 
 Interning is keyed by object identity: the arena pins a strong
 reference to every interned :class:`~repro.labeling.label.VertexLabel`,
@@ -28,6 +38,10 @@ when a serving tier wants to bound memory across label generations.
 """
 
 from __future__ import annotations
+
+from itertools import chain
+from operator import itemgetter
+from typing import Any
 
 from repro.exceptions import QueryError
 from repro.labeling.label import VertexLabel
@@ -41,14 +55,21 @@ except ImportError:  # pragma: no cover - exercised where numpy is absent
 #: whether the numpy fast path can be used in this interpreter
 HAVE_NUMPY = _np is not None
 
+_first = itemgetter(0)
+_second = itemgetter(1)
+
 
 class Fragment:
-    """One interned label: flat scan-order arrays plus cached fault data.
+    """One interned label: flat scan-order edge columns plus fault data.
 
-    Everything on a fragment is immutable after :meth:`LabelArena.intern`
-    except the lazily built protected-ball bitmaps (``ball`` /
-    ``ball_np``) and the stride-stamped numpy key cache — both are
-    caches whose contents are fully determined by the label.
+    ``ex`` / ``ey`` / ``ew`` are the edge endpoints and weights in scan
+    order — numpy arrays in a numpy-mode arena, lists otherwise — and
+    ``segments`` holds one ``(row, start, vstart, end)`` tuple per
+    level, ascending.  Everything on a fragment is immutable after
+    :meth:`LabelArena.intern` except the lazily built protected-ball
+    bitmaps ``ball``: a list of per-row bytearrays in stdlib mode, one
+    flat boolean array indexed ``row * ball_bound + vertex`` in numpy
+    mode.  The bitmaps are a cache fully determined by the label.
     """
 
     __slots__ = (
@@ -63,25 +84,10 @@ class Fragment:
         "ex",
         "ey",
         "ew",
-        "lvl",
-        "isv",
-        "xc",
-        "yc",
+        "segments",
         "edges_listed",
-        "points_x",
-        "points_d",
         "ball",
         "ball_bound",
-        "np_ex",
-        "np_ey",
-        "np_ew",
-        "np_lvl",
-        "np_isv",
-        "np_both",
-        "np_xc",
-        "np_key",
-        "key_stride",
-        "ball_np",
     )
 
     def __init__(self, handle: int, label: VertexLabel) -> None:
@@ -94,31 +100,16 @@ class Fragment:
         self.num_levels = len(self.levels_sorted)
         #: number of level rows in this scheme (levels c+1 .. top_level)
         self.rows = max(self.top_level - self.c, 1)
-        self.ex: list[int] = []
-        self.ey: list[int] = []
-        self.ew: list[int] = []
-        self.lvl: list[int] = []
-        self.isv: list[int] = []
-        self.xc: list[int] = []
-        self.yc: list[int] = []
-        self.points_x: list[list[int]] = [[] for _ in range(self.rows)]
-        self.points_d: list[list[int]] = [[] for _ in range(self.rows)]
-        self.ball: list[bytearray] | None = None
-        self.ball_bound = 0
-        self.np_ex = None
-        self.np_ey = None
-        self.np_ew = None
-        self.np_lvl = None
-        self.np_isv = None
-        self.np_both = None
-        self.np_xc = None
-        self.np_key = None
-        self.key_stride = 0
-        self.ball_np = None
+        self.ex: Any = None
+        self.ey: Any = None
+        self.ew: Any = None
+        self.segments: list[tuple[int, int, int, int]] = []
         self.edges_listed = 0
+        self.ball: Any = None
+        self.ball_bound = 0
 
     def row_of(self, level: int) -> int:
-        """The bitmap/points row of an absolute level id."""
+        """The bitmap row of an absolute level id."""
         return level - (self.c + 1)
 
 
@@ -128,10 +119,17 @@ class LabelArena:
     All labels interned into one arena must come from one scheme
     (identical ``c`` and ``top_level``) — mixing raises
     :class:`~repro.exceptions.QueryError` with the message of
-    :func:`~repro.labeling.query.check_compatible`.
+    :func:`~repro.labeling.query.check_compatible`.  ``use_numpy``
+    picks the column representation and is fixed by the owning
+    :class:`~repro.labeling.kernel.decoder.KernelDecoder`.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, use_numpy: bool = HAVE_NUMPY) -> None:
+        if use_numpy and not HAVE_NUMPY:
+            raise ValueError(
+                "numpy fast path requested but numpy is not installed"
+            )
+        self.use_numpy = bool(use_numpy)
         self._fragments: list[Fragment] = []
         self._by_id: dict[int, Fragment] = {}
         self._id_bound = 0
@@ -207,56 +205,38 @@ class LabelArena:
             )
         frag = Fragment(len(self._fragments), label)
         bound = label.vertex + 1
-        owner = label.vertex
-        lowest = label.c + 1
-        ex, ey, ew = frag.ex, frag.ey, frag.ew
-        lvl, isv, xc, yc = frag.lvl, frag.isv, frag.xc, frag.yc
+        # per level: graph edges, then virtual edges (the scan order)
+        edge_maps = []
+        segments = frag.segments
+        end = 0
         for i in frag.levels_sorted:
             level_label = label.levels[i]
-            row = frag.row_of(i)
-            owner_is_net = i == lowest
-            px = frag.points_x[row]
-            pd = frag.points_d[row]
-            for x, d in level_label.points.items():
-                px.append(x)
-                pd.append(d)
-                if x >= bound:
-                    bound = x + 1
-            for (x, y), weight in level_label.graph_edges.items():
-                ex.append(x)
-                ey.append(y)
-                ew.append(weight)
-                lvl.append(row)
-                isv.append(0)
-                xc.append(1)
-                yc.append(1)
-                if x >= bound:
-                    bound = x + 1
-                if y >= bound:
-                    bound = y + 1
-            for (x, y), weight in level_label.edges.items():
-                ex.append(x)
-                ey.append(y)
-                ew.append(weight)
-                lvl.append(row)
-                isv.append(1)
-                xc.append(1 if (owner_is_net or x != owner) else 0)
-                yc.append(1 if (owner_is_net or y != owner) else 0)
-                if x >= bound:
-                    bound = x + 1
-                if y >= bound:
-                    bound = y + 1
-        frag.edges_listed = len(ex)
-        if _np is not None:
-            frag.np_ex = _np.asarray(ex, dtype=_np.int64)
-            frag.np_ey = _np.asarray(ey, dtype=_np.int64)
-            frag.np_ew = _np.asarray(ew, dtype=_np.int64)
-            frag.np_lvl = _np.asarray(lvl, dtype=_np.int64)
-            frag.np_isv = _np.asarray(isv, dtype=bool)
-            np_xc = _np.asarray(xc, dtype=bool)
-            np_yc = _np.asarray(yc, dtype=bool)
-            frag.np_xc = np_xc
-            frag.np_both = np_xc & np_yc
+            start = end
+            vstart = start + len(level_label.graph_edges)
+            end = vstart + len(level_label.edges)
+            segments.append((frag.row_of(i), start, vstart, end))
+            edge_maps.append(level_label.graph_edges)
+            edge_maps.append(level_label.edges)
+            if level_label.points:
+                bound = max(bound, max(level_label.points) + 1)
+
+        xs = map(_first, chain.from_iterable(edge_maps))
+        ys = map(_second, chain.from_iterable(edge_maps))
+        ws = chain.from_iterable(m.values() for m in edge_maps)
+        if self.use_numpy:
+            frag.ex = _column(xs, end)
+            frag.ey = _column(ys, end)
+            frag.ew = _column(ws, end)
+            if end:
+                top = max(int(frag.ex.max()), int(frag.ey.max()))
+                bound = max(bound, top + 1)
+        else:
+            frag.ex = list(xs)
+            frag.ey = list(ys)
+            frag.ew = list(ws)
+            if end:
+                bound = max(bound, max(frag.ex) + 1, max(frag.ey) + 1)
+        frag.edges_listed = end
         self._fragments.append(frag)
         self._by_id[id(label)] = frag
         if bound > self._id_bound:
@@ -276,34 +256,32 @@ class LabelArena:
         if frag.ball is not None and frag.ball_bound >= bound:
             return
         ball = [bytearray(bound) for _ in range(frag.rows)]
-        for row in range(frag.rows):
+        for i in frag.levels_sorted:
+            row = frag.row_of(i)
             lam = self._lam_by_row[row]
             table = ball[row]
-            px = frag.points_x[row]
-            pd = frag.points_d[row]
-            for k in range(len(px)):
-                if pd[k] <= lam:
-                    table[px[k]] = 1
-        frag.ball = ball
+            for x, d in frag.label.levels[i].points.items():
+                if d <= lam:
+                    table[x] = 1
+        if self.use_numpy:
+            frag.ball = _np.frombuffer(b"".join(ball), dtype=_np.uint8).astype(
+                bool
+            )
+        else:
+            frag.ball = ball
         frag.ball_bound = bound
-        if _np is not None:
-            if bound:
-                frag.ball_np = _np.frombuffer(
-                    b"".join(ball), dtype=_np.uint8
-                ).reshape(frag.rows, bound).astype(bool)
-            else:
-                frag.ball_np = _np.zeros((frag.rows, 0), dtype=bool)
 
-    def ensure_keys(self, frag: Fragment, stride: int) -> None:
-        """Refresh a fragment's cached numpy merge keys for a stride.
 
-        The merge keys edges as ``x * stride + y``; the stride grows
-        with the id universe, so cached keys carry the stride they were
-        computed for and are rebuilt when it changes (rare: only when
-        new labels widen the universe between queries).
-        """
-        if _np is None:
-            return
-        if frag.key_stride != stride:
-            frag.np_key = frag.np_ex * stride + frag.np_ey
-            frag.key_stride = stride
+def _column(values, count: int):
+    """A numpy column of the ``count`` ints in ``values``.
+
+    int32 holds every vertex id and every unit or moderate weight.  The
+    values are read once, as int64, and narrowed only when all of them
+    fit, so a column outside int32 (a heavy weighted graph) stays int64
+    rather than wrap.
+    """
+    column = _np.fromiter(values, dtype=_np.int64, count=count)
+    int32 = _np.iinfo(_np.int32)
+    if count and (column.min() < int32.min or column.max() > int32.max):
+        return column
+    return column.astype(_np.int32)

@@ -51,13 +51,10 @@ class KernelDecoder:
     def __init__(
         self, use_numpy: bool | None = None, max_labels: int = 4096
     ) -> None:
-        if use_numpy and not HAVE_NUMPY:
-            raise ValueError(
-                "numpy fast path requested but numpy is not installed"
-            )
-        self._use_numpy = HAVE_NUMPY if use_numpy is None else bool(use_numpy)
-        self._arena = LabelArena()
-        self._engine = DecodeEngine(self._arena, self._use_numpy)
+        self._arena = LabelArena(
+            HAVE_NUMPY if use_numpy is None else bool(use_numpy)
+        )
+        self._engine = DecodeEngine(self._arena)
         self._max_labels = max_labels
         # fault-set content -> dense signature, persistent so the
         # engine's memo caches work across decode()/decode_batch() calls
@@ -71,7 +68,7 @@ class KernelDecoder:
     @property
     def use_numpy(self) -> bool:
         """Whether the numpy fast path is active."""
-        return self._use_numpy
+        return self._arena.use_numpy
 
     def decode(
         self,

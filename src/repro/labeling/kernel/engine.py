@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING
 
 from repro.exceptions import QueryError
 from repro.labeling.kernel import npops
-from repro.labeling.kernel.arena import HAVE_NUMPY, Fragment, LabelArena
+from repro.labeling.kernel.arena import Fragment, LabelArena
 from repro.labeling.query import QueryResult
 
 if TYPE_CHECKING:
@@ -71,9 +71,9 @@ class DecodeEngine:
     memo caches automatically.  Not thread-safe.
     """
 
-    def __init__(self, arena: LabelArena, use_numpy: bool) -> None:
+    def __init__(self, arena: LabelArena) -> None:
         self._arena = arena
-        self._use_numpy = bool(use_numpy) and HAVE_NUMPY
+        self._use_numpy = arena.use_numpy
         self._generation = -1
         self._stride = 0
         # fault context, rebuilt per cache-miss query in O(|F|)
@@ -372,8 +372,7 @@ class DecodeEngine:
         twin of :func:`repro.labeling.kernel.npops.filter_fragment`.
         """
         ex, ey, ew = frag.ex, frag.ey, frag.ew
-        lvl, isv = frag.lvl, frag.isv
-        xcl, ycl = frag.xc, frag.yc
+        owner = frag.vertex
         groups = self._groups
         forb = self._forb_v
         forb_e = self._forb_e
@@ -383,46 +382,10 @@ class DecodeEngine:
         dropped_forbidden = 0
         dropped_protected = 0
         stride = self._stride
-        for j in range(len(ex)):
-            x = ex[j]
-            y = ey[j]
-            if isv[j]:
-                row = lvl[j]
-                xc = xcl[j]
-                yc = ycl[j]
-                keep = True
-                for is_edge, center_a, center_b in groups:
-                    ball_a = center_a.ball[row]
-                    if not is_edge:
-                        if xc and yc:
-                            if ball_a[x] and ball_a[y]:
-                                keep = False
-                                break
-                        elif ball_a[x] if xc else ball_a[y]:
-                            keep = False
-                            break
-                    else:
-                        ball_b = center_b.ball[row]
-                        if xc and yc:
-                            if (ball_a[x] and ball_b[y]) or (
-                                ball_b[x] and ball_a[y]
-                            ):
-                                keep = False
-                                break
-                        elif xc:
-                            if ball_a[x] and ball_b[x]:
-                                keep = False
-                                break
-                        elif ball_a[y] and ball_b[y]:
-                            keep = False
-                            break
-                if keep:
-                    kx.append(x)
-                    ky.append(y)
-                    kw.append(ew[j])
-                else:
-                    dropped_protected += 1
-            else:
+        for row, start, vstart, end in frag.segments:
+            for j in range(start, vstart):
+                x = ex[j]
+                y = ey[j]
                 drop = forb[x] or forb[y]
                 if not drop and forb_e:
                     ekey = x * stride + y
@@ -436,6 +399,40 @@ class DecodeEngine:
                     kx.append(x)
                     ky.append(y)
                     kw.append(ew[j])
+            # above the lowest level the owner may not be a net-point, so
+            # its ball membership is unknown: an owner edge is tested on
+            # its net endpoint alone (Lemma 2.3's conservative rule)
+            owner_is_net = row == 0
+            for j in range(vstart, end):
+                x = ex[j]
+                y = ey[j]
+                bx = x
+                by = y
+                if not owner_is_net:
+                    if x == owner:
+                        bx = y
+                    elif y == owner:
+                        by = x
+                keep = True
+                for is_edge, center_a, center_b in groups:
+                    ball_a = center_a.ball[row]
+                    if not is_edge:
+                        if ball_a[bx] and ball_a[by]:
+                            keep = False
+                            break
+                    else:
+                        ball_b = center_b.ball[row]
+                        if (ball_a[bx] and ball_b[by]) or (
+                            ball_b[bx] and ball_a[by]
+                        ):
+                            keep = False
+                            break
+                if keep:
+                    kx.append(x)
+                    ky.append(y)
+                    kw.append(ew[j])
+                else:
+                    dropped_protected += 1
         return kx, ky, kw, dropped_forbidden, dropped_protected
 
     def _merge_py(self, recs: list[tuple]) -> None:

@@ -11,8 +11,9 @@ order, which is what makes the numpy and stdlib paths byte-equal (a
 property pinned by ``tests/test_kernel_arena.py``).
 
 The module imports numpy lazily-at-module-load: when numpy is absent
-every entry point raises, and the engine never routes here (the
-``use_numpy`` flag is forced off by :class:`~repro.labeling.kernel.decoder.KernelDecoder`).
+every entry point raises, and the engine never routes here (without
+numpy every :class:`~repro.labeling.kernel.arena.LabelArena` is in
+stdlib mode, and the engine takes its mode from the arena).
 """
 
 from __future__ import annotations
@@ -32,67 +33,72 @@ def filter_fragment(frag, groups, forb_v, forb_e_keys, stride) -> tuple:
     ``edges_dropped_forbidden`` / ``edges_dropped_protected`` tallies
     for this fragment.  ``groups`` entries are ``(is_edge_fault,
     center_a, center_b)`` fragments whose protected-ball bitmaps must
-    already be built; ``forb_v`` is a boolean bitmap over vertex ids
-    (or None when no fault forbids any vertex) and ``forb_e_keys`` a
-    list of ``a * stride + b`` keys for forbidden edges.
+    already be built, with ``ball_bound == stride``; ``forb_v`` is a
+    boolean bitmap over vertex ids (or None when no fault forbids any
+    vertex) and ``forb_e_keys`` a list of ``a * stride + b`` keys for
+    forbidden edges.  Merge keys ``x * stride + y`` are computed here,
+    per call, rather than stored on the fragment.
     """
-    if frag.key_stride != stride:
-        frag.np_key = frag.np_ex * stride + frag.np_ey
-        frag.key_stride = stride
+    ex = frag.ex
+    ey = frag.ey
+    key = ex.astype(np.int64)
+    key *= stride
+    key += ey
     if not groups and forb_v is None and not forb_e_keys:
-        return frag.np_key, frag.np_ew, 0, 0
-    ex = frag.np_ex
-    ey = frag.np_ey
-    lvl = frag.np_lvl
-    isv = frag.np_isv
-    key = frag.np_key
-    safe = np.ones(len(ex), dtype=bool)
-    if groups:
-        # only virtual edges still safe are tested against the next
-        # fault: like the scalar rule's early exit, an edge stops being
-        # checked once one protected ball drops it
-        live = np.flatnonzero(isv)
-        for is_edge, center_a, center_b in groups:
-            lv = lvl[live]
-            x = ex[live]
-            y = ey[live]
-            both = frag.np_both[live]
-            xc = frag.np_xc[live]
-            ball_a = center_a.ball_np
-            x_in_a = ball_a[lv, x]
-            y_in_a = ball_a[lv, y]
-            if not is_edge:
-                dropped = np.where(
-                    both, x_in_a & y_in_a, np.where(xc, x_in_a, y_in_a)
-                )
-            else:
-                ball_b = center_b.ball_np
-                x_in_b = ball_b[lv, x]
-                y_in_b = ball_b[lv, y]
-                crossing = (x_in_a & y_in_b) | (x_in_b & y_in_a)
-                net_a = np.where(xc, x_in_a, y_in_a)
-                net_b = np.where(xc, x_in_b, y_in_b)
-                dropped = np.where(both, crossing, net_a & net_b)
-            safe[live[dropped]] = False
-            live = live[~dropped]
-    if forb_v is not None or forb_e_keys:
-        if forb_v is not None:
-            bad = forb_v[ex] | forb_v[ey]
+        return key, frag.ew, 0, 0
+    segments = frag.segments
+    # flat bitmap index row * stride + vertex of each endpoint
+    base = np.repeat(
+        np.array([row * stride for row, _, _, _ in segments], dtype=np.intp),
+        [end - start for _, start, _, end in segments],
+    )
+    ix = base + ex
+    iy = base + ey
+    # above the lowest level an owner endpoint's ball membership is
+    # unknown (Lemma 2.3's conservative rule): test the net endpoint in
+    # its place.  Rows ascend, so those levels form a suffix.
+    above = next((start for row, start, _, _ in segments if row), len(ex))
+    owner = frag.vertex
+    x_owned = np.flatnonzero(ex[above:] == owner) + above
+    y_owned = np.flatnonzero(ey[above:] == owner) + above
+    x_net = iy[x_owned]
+    y_net = ix[y_owned]
+    ix[x_owned] = x_net
+    iy[y_owned] = y_net
+    # protected-ball rules, evaluated on every edge and then kept for
+    # virtual ones only: an edge is unsafe when any fault's balls catch
+    # it, so testing every fault (not stopping at the first) is exact
+    unsafe = np.zeros(len(ex), dtype=bool)
+    for is_edge, center_a, center_b in groups:
+        ball_a = center_a.ball
+        if not is_edge:
+            unsafe |= ball_a[ix] & ball_a[iy]
         else:
-            bad = np.zeros(len(ex), dtype=bool)
-        for fk in forb_e_keys:
-            bad |= key == fk
-        keep_graph = ~bad
-    else:
-        keep_graph = None
-    if keep_graph is None:
-        keep = safe | ~isv
-        dropped_forbidden = 0
-    else:
-        keep = np.where(isv, safe, keep_graph)
-        dropped_forbidden = int(np.count_nonzero(~keep_graph & ~isv))
-    dropped_protected = int(np.count_nonzero(~safe & isv))
-    return key[keep], frag.np_ew[keep], dropped_forbidden, dropped_protected
+            ball_b = center_b.ball
+            unsafe |= (ball_a[ix] & ball_b[iy]) | (ball_b[ix] & ball_a[iy])
+    for _, start, vstart, _ in segments:
+        unsafe[start:vstart] = False
+    keep = ~unsafe
+    # the forbidden-vertex/edge clause, on graph edges only
+    dropped_forbidden = 0
+    if forb_v is not None or forb_e_keys:
+        for _, start, vstart, _ in segments:
+            if start == vstart:
+                continue
+            if forb_v is not None:
+                bad = forb_v[ex[start:vstart]] | forb_v[ey[start:vstart]]
+            else:
+                bad = np.zeros(vstart - start, dtype=bool)
+            for fk in forb_e_keys:
+                bad |= key[start:vstart] == fk
+            keep[start:vstart] = ~bad
+            dropped_forbidden += int(np.count_nonzero(bad))
+    return (
+        key[keep],
+        frag.ew[keep],
+        dropped_forbidden,
+        int(np.count_nonzero(unsafe)),
+    )
 
 
 def merge_edges(key_parts, weight_parts, stride) -> tuple:

@@ -604,8 +604,9 @@ class NondeterminismTaintRule(DeepRule):
 class HotPathAllocationRule(DeepRule):
     """RPL013 (advisory): per-query allocations on the decode hot path.
 
-    Walks the call graph breadth-first from the decoder entry
-    (``decode_distance`` / ``Decoder.decode``) and reports every
+    Walks the call graph breadth-first from the decoder entries
+    (``decode_distance`` / ``KernelDecoder.decode`` /
+    ``DecodeEngine.run``) and reports every
     reachable function that builds dicts or sets, with its call depth.
     Severity ``info``: this is the prioritized work-list for the array
     kernel (ROADMAP item 1), not a failure.
@@ -619,7 +620,7 @@ class HotPathAllocationRule(DeepRule):
     #: (class name or None, function name) pairs that anchor the walk.
     ENTRY_POINTS = (
         (None, "decode_distance"),
-        ("Decoder", "decode"),
+        ("KernelDecoder", "decode"),
         ("DecodeEngine", "run"),
     )
 

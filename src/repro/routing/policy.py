@@ -10,11 +10,12 @@ mechanism."
 :class:`PolicyRouter` manages named policies — each a forbidden set of
 vertices/edges — on top of a single :class:`ForbiddenSetRouting`
 instance.  Policies compose (a route can apply several at once, e.g. a
-tenant policy plus the current outage list).  The router holds one
-long-lived :class:`~repro.labeling.kernel.KernelDecoder` for all its
-distance queries: the decoder's memos key on which labels form ``F``,
-so repeated queries under the same composition amortize the decoder
-work and redefining a policy needs no invalidation.
+tenant policy plus the current outage list).  Distance queries and
+routes share that instance's one long-lived
+:class:`~repro.labeling.kernel.KernelDecoder`: the decoder's memos key
+on which labels form ``F``, so repeated queries under the same
+composition amortize the decoder work and redefining a policy needs no
+invalidation.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from typing import Iterable
 from repro.exceptions import QueryError
 from repro.graphs.graph import Graph
 from repro.labeling.construction import LabelingOptions
-from repro.labeling.kernel import KernelDecoder
 from repro.labeling.query import QueryResult
 from repro.routing.scheme import ForbiddenSetRouting
 from repro.routing.simulator import RouteResult
@@ -52,7 +52,6 @@ class PolicyRouter:
         self._graph = graph
         self._routing = ForbiddenSetRouting(graph, epsilon, options=options)
         self._policies: dict[str, tuple[frozenset[int], frozenset[tuple[int, int]]]] = {}
-        self._decoder = KernelDecoder(max_labels=max(4096, graph.num_vertices))
 
     # -- policy management ----------------------------------------------------
 
@@ -107,7 +106,7 @@ class PolicyRouter:
         fault_set = labeling.fault_set(
             vertex_faults=sorted(vertices), edge_faults=sorted(edges)
         )
-        return self._decoder.decode(
+        return self._routing.decoder.decode(
             labeling.label(s), labeling.label(t), fault_set
         )
 

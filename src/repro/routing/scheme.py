@@ -6,6 +6,7 @@ from typing import Iterable
 
 from repro.graphs.graph import Graph
 from repro.labeling.construction import LabelingOptions
+from repro.labeling.kernel import KernelDecoder
 from repro.labeling.scheme import ForbiddenSetLabeling
 from repro.routing.simulator import RouteResult, simulate_route
 from repro.routing.tables import RoutingTable, build_routing_table
@@ -34,11 +35,17 @@ class ForbiddenSetRouting:
         self._graph = graph
         self._labeling = ForbiddenSetLabeling(graph, epsilon, options=options)
         self._tables: dict[int, RoutingTable] = {}
+        self._decoder = KernelDecoder(max_labels=max(4096, graph.num_vertices))
 
     @property
     def labeling(self) -> ForbiddenSetLabeling:
         """The underlying distance labeling scheme."""
         return self._labeling
+
+    @property
+    def decoder(self) -> KernelDecoder:
+        """The long-lived decoder that plans and re-plans every route."""
+        return self._decoder
 
     def stretch_bound(self) -> float:
         """The distance-scheme stretch bound ``1 + ε``."""
@@ -72,4 +79,5 @@ class ForbiddenSetRouting:
             self._labeling.label(t),
             faults,
             max_redecodes=max_redecodes,
+            decoder=self._decoder,
         )

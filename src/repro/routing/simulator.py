@@ -28,6 +28,12 @@ target's label.  Forwarding rules, per leg ``(x → y)`` of the plan:
   label and the header carries ``L(t)`` and the fault labels) and adopts
   the fresh plan.  Re-decodes are counted in the result, and a TTL
   guards against pathological loops.
+
+The initial plan and every re-decode run on the caller's long-lived
+:class:`~repro.labeling.kernel.KernelDecoder`: a scheme that routes
+many packets decodes over the same labels again and again, so the
+owning scheme keeps one decoder and its interned labels and memos
+serve every packet.
 """
 
 from __future__ import annotations
@@ -38,8 +44,9 @@ from typing import Callable
 
 from repro.exceptions import RoutingError
 from repro.graphs.graph import Graph
-from repro.labeling.decoder import FaultSet, decode_distance
+from repro.labeling.kernel import KernelDecoder
 from repro.labeling.label import VertexLabel
+from repro.labeling.query import FaultSet
 from repro.routing.tables import RoutingTable
 
 
@@ -100,20 +107,24 @@ def simulate_route(
     label_t: VertexLabel,
     faults: FaultSet | None = None,
     max_redecodes: int = 32,
+    *,
+    decoder: KernelDecoder,
 ) -> RouteResult:
     """Forward a packet from ``s`` to ``t`` in ``G \\ F``.
 
     ``graph`` is used solely as the transmission medium (to move the
     packet through a port); all routing decisions use tables, labels and
-    the header.  Raises :class:`RoutingError` if the decoder reports the
-    pair disconnected or forwarding exhausts its TTL.
+    the header.  ``decoder`` is the routing scheme's long-lived decoder;
+    it answers the initial plan and every local re-decode.  Raises
+    :class:`RoutingError` if the decoder reports the pair disconnected
+    or forwarding exhausts its TTL.
     """
     faults = faults or FaultSet()
     forbidden_vertices = faults.forbidden_vertices()
     forbidden_edges = faults.forbidden_edges()
     s, t = label_s.vertex, label_t.vertex
 
-    initial = decode_distance(label_s, label_t, faults)
+    initial = decoder.decode(label_s, label_t, faults)
     if math.isinf(initial.distance):
         raise RoutingError(f"{s} and {t} are disconnected in G \\ F")
     plan = list(initial.path)
@@ -172,7 +183,7 @@ def simulate_route(
                 raise RoutingError(
                     f"recovery limit exceeded routing {s} -> {t} at {current}"
                 )
-            fresh = decode_distance(table.label, label_t, faults)
+            fresh = decoder.decode(table.label, label_t, faults)
             if math.isinf(fresh.distance):
                 raise RoutingError(
                     f"{current} and {t} disconnected during recovery"

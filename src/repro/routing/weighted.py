@@ -20,6 +20,7 @@ from typing import Iterable
 
 from repro.graphs.weighted import WeightedGraph, weighted_first_hops
 from repro.labeling.construction import LabelingOptions
+from repro.labeling.kernel import KernelDecoder
 from repro.labeling.label import VertexLabel
 from repro.labeling.weighted import WeightedForbiddenSetLabeling
 from repro.routing.simulator import RouteResult, simulate_route
@@ -83,6 +84,7 @@ class WeightedForbiddenSetRouting:
             graph, epsilon, options=options
         )
         self._tables: dict[int, RoutingTable] = {}
+        self._decoder = KernelDecoder(max_labels=max(4096, graph.num_vertices))
 
     @property
     def labeling(self) -> WeightedForbiddenSetLabeling:
@@ -122,6 +124,7 @@ class WeightedForbiddenSetRouting:
             self._labeling.label(t),
             faults,
             max_redecodes=max_redecodes,
+            decoder=self._decoder,
         )
         return WeightedRouteResult(
             route=result.route,

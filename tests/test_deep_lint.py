@@ -25,7 +25,8 @@ from repro.lint import (
     render_json,
     render_sarif,
 )
-from repro.lint.deep import deep_check_sources
+from repro.lint.deep import build_program_for_paths, deep_check_sources
+from repro.lint.deep_rules import HotPathAllocationRule
 from repro.lint.engine import SourceFile
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -374,6 +375,24 @@ def test_kernel_package_is_allocation_free_on_the_hot_path():
     )
     rpl013 = [f for f in result.findings if f.rule == "RPL013"]
     assert rpl013 == [], "\n".join(f.render() for f in rpl013)
+
+
+def test_hot_path_entry_points_resolve_in_the_repo():
+    """Every RPL013 anchor names a function the repo's call graph has.
+
+    A stale anchor (a renamed or deleted decoder class) would silently
+    shrink the walked hot path instead of failing.
+    """
+    program = build_program_for_paths([ROOT / "src" / "repro"])
+    defined = {
+        (node.class_name, node.name) for node in program.sorted_functions()
+    }
+    missing = [
+        entry
+        for entry in HotPathAllocationRule.ENTRY_POINTS
+        if entry not in defined
+    ]
+    assert missing == []
 
 
 # -- CLI ---------------------------------------------------------------------

@@ -4,7 +4,8 @@ Four contracts beneath the differential harness:
 
 * **interning idempotence** — re-interning a label is a no-op: same
   fragment object, same handle, no arena growth; fragment flat arrays
-  faithfully replay the label's (level, edge) scan order.
+  faithfully replay the label's (level, edge) scan order in both arena
+  modes, and a numpy fragment keeps one compact copy of its edges.
 * **CSR round-trip** — the engine's cached CSR sketch, re-expanded to
   an adjacency mapping, equals the reference ``build_sketch_graph``'s
   dict sketch exactly — including per-vertex neighbour order, which
@@ -57,21 +58,48 @@ class TestInterning:
 
     def test_fragment_replays_label_scan_order(self, labeled):
         _, labels = labeled
-        arena = LabelArena()
-        frag = arena.intern(labels[3])
         label = labels[3]
         expected = []
         for level in sorted(label.levels):
             level_label = label.levels[level]
-            row = frag.row_of(level)
+            row = level - (label.c + 1)
             for (x, y), w in level_label.graph_edges.items():
-                expected.append((x, y, w, row))
+                expected.append((x, y, w, row, False))
             for (x, y), w in level_label.edges.items():
-                expected.append((x, y, w, row))
-        got = list(zip(frag.ex, frag.ey, frag.ew, frag.lvl))
-        assert got == expected
-        assert frag.edges_listed == len(expected)
-        assert frag.num_levels == len(label.levels)
+                expected.append((x, y, w, row, True))
+        for use_numpy in [False] + ([True] if HAVE_NUMPY else []):
+            frag = LabelArena(use_numpy).intern(label)
+            got = [
+                (int(frag.ex[j]), int(frag.ey[j]), int(frag.ew[j]), row,
+                 j >= vstart)
+                for row, start, vstart, end in frag.segments
+                for j in range(start, end)
+            ]
+            assert got == expected
+            assert frag.edges_listed == len(expected)
+            assert frag.num_levels == len(label.levels)
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+    def test_numpy_fragment_is_compact(self, labeled):
+        """One compact copy: <= 16 bytes of columns per listed edge and no
+        Python list as long as the edge count."""
+        import numpy as np
+
+        _, labels = labeled
+        arena = LabelArena(use_numpy=True)
+        for label in labels:
+            frag = arena.intern(label)
+            values = [getattr(frag, slot) for slot in type(frag).__slots__]
+            column_bytes = sum(
+                value.nbytes for value in values
+                if isinstance(value, np.ndarray)
+            )
+            assert column_bytes <= 16 * frag.edges_listed
+            assert all(
+                len(value) < frag.edges_listed
+                for value in values
+                if isinstance(value, list)
+            )
 
     def test_scheme_mismatch_raises(self, labeled):
         _, labels = labeled

@@ -252,3 +252,23 @@ class TestTracer:
         span.set("status", "exact")
         with pytest.raises(ObservabilityError):
             span.add("status")
+
+
+# -- documentation -----------------------------------------------------------
+
+
+def test_every_degradation_reason_is_documented():
+    from pathlib import Path
+
+    from repro.service.frontend import DegradationReason
+
+    doc = (
+        Path(__file__).resolve().parents[1] / "docs" / "observability.md"
+    ).read_text(encoding="utf-8")
+    section = doc.split("## Degradation reasons", 1)[1].split("\n## ", 1)[0]
+    missing = [
+        reason.value
+        for reason in DegradationReason
+        if f"`{reason.value}`" not in section
+    ]
+    assert missing == []
