@@ -12,8 +12,10 @@ The reproduction's robustness harness, in four parts:
   while checking delivery/stretch/route invariants after every event;
 * :mod:`repro.chaos.service_runner` — drives a
   :class:`~repro.service.frontend.QueryService` through a shard-fault
-  plan, judging every answer against ground truth: exact within
-  ``(1+ε)`` or explicitly degraded, never silently wrong;
+  and rollout plan, handing every answer to the shared
+  :class:`~repro.service.judge.Judge` (exact within ``(1+ε)`` or
+  explicitly degraded, never silently wrong) and checking the serving
+  tier's retry, breaker and recovery invariants;
 * :mod:`repro.chaos.corruption` — seeded bit-flips, truncations and
   lying length fields against saved label databases, with a fuzz
   harness demanding *error or exact answer, never silently wrong*.

@@ -3,19 +3,21 @@
 Drives a :class:`~repro.service.frontend.QueryService` through a
 :class:`~repro.chaos.plan.FaultPlan` of shard-level events
 (``shard_down`` / ``shard_slow`` / ``shard_flaky`` / ``shard_corrupt``
-/ ``shard_crash`` / ``shard_restart`` / ``shard_recover``),
-virtual-time windows and forbidden-set queries, judging every answer
-against ground truth recomputed from the graph.  The store persists
-its shards through the crash-consistent durability layer on a seeded
-:class:`~repro.durability.fs.SimulatedFS`, so every crash/restart pair
-is a genuine reload-from-disk through recovery:
+/ ``shard_crash`` / ``shard_restart`` / ``shard_recover``), label
+rollouts (``rollout_begin`` / ``_commit`` / ``_abort`` /
+``_crash``), virtual-time windows and forbidden-set queries.  The
+store persists its shards through the crash-consistent durability
+layer on a seeded :class:`~repro.durability.fs.SimulatedFS`, so every
+crash/restart pair is a genuine reload-from-disk through recovery.
 
-* **no silent wrong** — an ``exact`` answer must satisfy the scheme's
-  ``(1+ε)`` stretch bound against the true ``d_{G\\F}`` (and agree on
-  reachability); a ``degraded`` answer must carry ``distance=None``,
-  name the labels it is missing, and certify only a valid lower bound;
-* **degraded answers are flagged** — an answer with any missing label
-  must have ``status == "degraded"``, and vice versa;
+Every answer — each plan query and each post-recovery probe — goes to
+the :class:`~repro.service.judge.Judge`, which checks it against BFS
+ground truth on the graph of the label generation that answered it,
+with the rules stated once in ``docs/service.md`` ("Judge"): exact
+within the ``(1+ε)`` window, degraded with a reason, a missing label
+and a certified lower bound, never silently wrong.  On top of the
+judge the runner checks the serving tier's own invariants:
+
 * **bounded retries** — the physical fetch attempts behind one query
   never exceed ``unique_labels × (max_attempts + 1)`` (the ``+1`` is
   one hedge overshoot per logical fetch);
@@ -31,31 +33,22 @@ failures; :attr:`ServiceChaosReport.ok` summarizes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.chaos.plan import ChaosEvent, FaultPlan, SERVICE_EVENT_KINDS
 from repro.durability.fs import CRASH_MODES, SimulatedFS
-from repro.exceptions import ReproError, SimulatedCrashError
+from repro.exceptions import ReproError, RolloutError, SimulatedCrashError
 from repro.graphs.graph import Graph
-from repro.graphs.traversal import bfs_distances_avoiding
 from repro.labeling import ForbiddenSetLabeling
-from repro.rollout import (
-    GraphChange,
-    IncrementalRelabeler,
-    RolloutCoordinator,
-    repair_manifest,
-)
+from repro.rollout import EdgeRollouts, repair_manifest
 from repro.service import QueryService
+from repro.service.judge import Judge, Verdict
 from repro.util.rng import make_rng
 
 if TYPE_CHECKING:
     from repro.obs.registry import Registry
     from repro.obs.trace import Tracer
-
-_EPS = 1e-9
-
 
 @dataclass
 class ServiceChaosReport:
@@ -115,17 +108,7 @@ class ServiceChaosRunner:
         self._plan = plan
         self._final_probes = final_probes
         self._obs = obs
-        self._epsilon = epsilon
-        # rollout state: the graph matching the committed label
-        # generation (queries are judged against it), lazily built
-        # relabeler/coordinator, and the staged-but-unresolved plan
-        self._current_graph = graph
-        self._relabeler: IncrementalRelabeler | None = None
-        self._coordinator: RolloutCoordinator | None = None
-        self._pending: "tuple[int, object] | None" = None
-        self._next_version = 1
         scheme = ForbiddenSetLabeling(graph, epsilon)
-        self._stretch_bound = scheme.stretch_bound()
         self._service = QueryService.from_scheme(
             scheme,
             num_shards=num_shards,
@@ -146,6 +129,11 @@ class ServiceChaosRunner:
         self._service.store.attach_durability(
             SimulatedFS(seed=plan.seed + 4), "service-chaos"
         )
+        store = self._service.store
+        self._judge = Judge(
+            graph, self._service.stretch_bound, store.committed_version
+        )
+        self._rollouts = EdgeRollouts(store, graph, epsilon, self._judge, obs)
         # shadow health derived from the event stream alone; conditions
         # stack (a shard can be slow *and* flaky) until a recover clears
         self._shadow: dict[int, set[str]] = {}
@@ -205,69 +193,19 @@ class ServiceChaosRunner:
 
     # -- rollout events ----------------------------------------------------
 
-    def _ensure_rollout(self) -> None:
-        if self._relabeler is None:
-            self._relabeler = IncrementalRelabeler(
-                self._graph, self._epsilon, obs=self._obs
-            )
-            self._coordinator = RolloutCoordinator(
-                self._service.store, obs=self._obs
-            )
-
     def _apply_rollout(self, index: int, event: ChaosEvent) -> None:
-        self._ensure_rollout()
         kind = event.kind
-        if kind == "rollout_begin":
-            self._rollout_begin(index, event)
-        elif kind == "rollout_commit":
-            self._rollout_resolve(index, commit=True)
-        elif kind == "rollout_abort":
-            self._rollout_resolve(index, commit=False)
-        else:
-            self._rollout_crash(index, event)
-
-    def _planned_change(self, index: int, event: ChaosEvent):
-        """The relabel plan for removing ``event.edge``, or None."""
-        a, b = event.edge
-        edge = (min(a, b), max(a, b))
-        if self._pending is not None:
-            self._violation(
-                index, f"{event.kind}: a rollout is already staged"
-            )
-            return None
-        if not self._current_graph.has_edge(*edge):
-            self._violation(
-                index,
-                f"{event.kind}: edge {edge} is not in the current graph",
-            )
-            return None
-        return self._relabeler.plan(GraphChange(removed_edges=(edge,)))
-
-    def _rollout_begin(self, index: int, event: ChaosEvent) -> None:
-        plan = self._planned_change(index, event)
-        if plan is None:
-            return
-        version = self._next_version
-        self._coordinator.stage(version, plan.encoded_labels())
-        self._pending = (version, plan)
-
-    def _rollout_resolve(self, index: int, commit: bool) -> None:
-        if self._pending is None:
-            self._violation(
-                index,
-                f"rollout_{'commit' if commit else 'abort'}: "
-                "no rollout is staged",
-            )
-            return
-        version, plan = self._pending
-        if commit:
-            self._coordinator.commit(version)
-            self._relabeler.commit(plan)
-            self._current_graph = plan.new_graph
-        else:
-            self._coordinator.abort(version)
-        self._pending = None
-        self._next_version = version + 1
+        try:
+            if kind == "rollout_begin":
+                self._rollouts.begin(event.edge)
+            elif kind == "rollout_commit":
+                self._rollouts.commit()
+            elif kind == "rollout_abort":
+                self._rollouts.abort()
+            else:
+                self._rollout_crash(index, event)
+        except RolloutError as exc:
+            self._violation(index, f"{kind}: {exc}")
 
     def _rollout_crash(self, index: int, event: ChaosEvent) -> None:
         """Stage+commit under an armed crash, then recover via the manifest.
@@ -277,9 +215,8 @@ class ServiceChaosRunner:
         and subsequent queries are judged against that generation's
         graph.
         """
-        plan = self._planned_change(index, event)
-        if plan is None:
-            return
+        rollouts = self._rollouts
+        plan = rollouts.plan(event.edge)
         store = self._service.store
         fs = store.filesystem
         if not isinstance(fs, SimulatedFS):
@@ -287,15 +224,15 @@ class ServiceChaosRunner:
                 index, "rollout_crash needs a SimulatedFS-backed store"
             )
             return
-        version = self._next_version
+        version = rollouts.next_version
         fs.arm_crash(
             fs.op_count + self._event_rng.randrange(1, 64),
             self._event_rng.choice(CRASH_MODES),
         )
         crashed = False
         try:
-            self._coordinator.stage(version, plan.encoded_labels())
-            self._coordinator.commit(version)
+            rollouts.coordinator.stage(version, plan.encoded_labels())
+            rollouts.coordinator.commit(version)
         except SimulatedCrashError:
             crashed = True
         if not crashed:
@@ -312,17 +249,13 @@ class ServiceChaosRunner:
                     store.commit_generation(version)
                 else:
                     store.abort_generation(version)
-        if committed == version:
-            self._relabeler.commit(plan)
-            self._current_graph = plan.new_graph
+        rollouts.resolve(version, plan, committed=committed == version)
         # force a genuine reload-from-disk on every shard; restart
         # clears every health condition, so mirror that in the shadow
         for shard in range(store.num_shards):
             store.crash(shard)
             store.restart(shard)
         self._shadow.clear()
-        self._pending = None
-        self._next_version = version + 1
 
     # -- invariant checks --------------------------------------------------
 
@@ -333,18 +266,6 @@ class ServiceChaosRunner:
                 "repro_chaos_violations_total",
                 "Invariant violations recorded by chaos runners.",
             ).inc()
-
-    def _true_distance(self, event: ChaosEvent) -> float:
-        # judged against the committed generation's graph: before a
-        # rollout commits this is the original graph, afterwards the
-        # changed one — pinned queries make the answer unambiguous
-        dist = bfs_distances_avoiding(
-            self._current_graph,
-            event.s,
-            set(event.faults),
-            {(min(a, b), max(a, b)) for a, b in event.fault_edges},
-        )
-        return dist.get(event.t, math.inf)
 
     def _checked_query(self, index: int, event: ChaosEvent) -> None:
         report = self._report
@@ -361,7 +282,6 @@ class ServiceChaosRunner:
                 f"{exc!r} instead of answering",
             )
             return
-        report.queries += 1
         report.max_attempts_per_query = max(
             report.max_attempts_per_query, outcome.attempts
         )
@@ -375,88 +295,25 @@ class ServiceChaosRunner:
                 f"query({event.s}, {event.t}): {outcome.attempts} fetch "
                 f"attempts exceeds the bound {cap} for {len(unique)} labels",
             )
-        report.checks_performed += 1
-        d_true = self._true_distance(event)
+        verdict = self._judge.judge_answer(
+            outcome, event.s, event.t, event.faults, event.fault_edges
+        )
+        self._count(index, f"query({event.s}, {event.t})", outcome, verdict)
+
+    def _count(self, index: int, what: str, outcome, verdict: Verdict) -> None:
+        """Fold one judged answer into the report."""
+        report = self._report
+        report.queries += 1
+        report.checks_performed += verdict.checks
         if outcome.status == "exact":
             report.exact_answers += 1
-            self._check_exact(index, event, outcome, d_true)
         elif outcome.status == "degraded":
             report.degraded_answers += 1
-            self._check_degraded(index, event, outcome, d_true)
-        else:
-            self._violation(
-                index,
-                f"query({event.s}, {event.t}): unknown status "
-                f"{outcome.status!r}",
-            )
-
-    def _check_exact(self, index, event, outcome, d_true: float) -> None:
-        report = self._report
-        if outcome.missing:
-            self._violation(
-                index,
-                f"query({event.s}, {event.t}): status 'exact' but labels "
-                f"are missing: {[str(m) for m in outcome.missing]}",
-            )
-            return
-        if math.isinf(d_true) != math.isinf(outcome.distance):
-            self._violation(
-                index,
-                f"query({event.s}, {event.t}): exact answer "
-                f"{outcome.distance} disagrees with true distance {d_true} "
-                "on reachability",
-            )
-            return
-        report.checks_performed += 1
-        if not math.isinf(d_true) and d_true > 0:
-            stretch = outcome.distance / d_true
+        if verdict.stretch is not None:
             report.stretch_samples += 1
-            report.worst_stretch = max(report.worst_stretch, stretch)
-            if (
-                outcome.distance < d_true
-                or stretch > self._stretch_bound + _EPS
-            ):
-                self._violation(
-                    index,
-                    f"query({event.s}, {event.t}): exact answer "
-                    f"{outcome.distance} violates the "
-                    f"[{d_true}, {self._stretch_bound:.3f}×{d_true}] "
-                    "window — silently wrong",
-                )
-        report.checks_performed += 1
-
-    def _check_degraded(self, index, event, outcome, d_true: float) -> None:
-        report = self._report
-        if outcome.distance is not None:
-            self._violation(
-                index,
-                f"query({event.s}, {event.t}): degraded answer carries an "
-                f"unqualified distance {outcome.distance}",
-            )
-            return
-        if not outcome.missing:
-            self._violation(
-                index,
-                f"query({event.s}, {event.t}): degraded answer without "
-                "any missing label",
-            )
-            return
-        report.checks_performed += 1
-        if math.isinf(outcome.lower_bound):
-            if not math.isinf(d_true):
-                self._violation(
-                    index,
-                    f"query({event.s}, {event.t}): degraded answer claims "
-                    f"'certainly unreachable' but the true distance is "
-                    f"{d_true}",
-                )
-        elif outcome.lower_bound > d_true + _EPS:
-            self._violation(
-                index,
-                f"query({event.s}, {event.t}): degraded lower bound "
-                f"{outcome.lower_bound} exceeds the true distance {d_true}",
-            )
-        report.checks_performed += 1
+            report.worst_stretch = max(report.worst_stretch, verdict.stretch)
+        for problem in verdict.problems:
+            self._violation(index, f"{what}: {problem}")
 
     def _check_health_bookkeeping(self, index: int, event: ChaosEvent) -> None:
         """The store's health registers must mirror the event stream."""
@@ -509,18 +366,15 @@ class ServiceChaosRunner:
         for _ in range(self._final_probes):
             s, t = self._probe_rng.sample(range(n), 2)
             outcome = self._service.query(s, t)
-            report.queries += 1
-            if outcome.exact:
-                report.exact_answers += 1
-            else:
-                report.degraded_answers += 1
+            what = f"post-recovery probe query({s}, {t})"
+            verdict = self._judge.judge_answer(outcome, s, t)
+            self._count(report.events_applied, what, outcome, verdict)
+            if not outcome.exact:
                 self._violation(
                     report.events_applied,
-                    f"post-recovery probe query({s}, {t}) still degraded: "
-                    f"{outcome.reason} "
+                    f"{what} still degraded: {outcome.reason} "
                     f"({[str(m) for m in outcome.missing]})",
                 )
-            report.checks_performed += 1
 
 
 def run_service_plan(

@@ -1,44 +1,32 @@
 """The SLO battery: seeded overload traffic judged against ground truth.
 
-:func:`run_gateway_battery` builds the whole serving stack — labels,
+:class:`GatewayBattery` builds the whole serving stack — labels,
 sharded store, caching client, frontend, gateway — on one virtual
 clock, replays a seeded open-loop traffic stream (optionally with a
-mid-run shard outage), and judges **every single outcome** against
-BFS ground truth recomputed from the graph:
+mid-run shard outage), and hands **every single outcome** to the
+:class:`~repro.service.judge.Judge`, which checks it against BFS
+ground truth with the rules stated once in ``docs/service.md``
+("Judge"): the stretch window for exact answers, certified lower
+bounds for degraded ones, explicit reasons and the shed vocabulary,
+the deadline (no silent timeouts), and no silent drops.
 
-* an ``exact`` answer must sit in the ``[d_true, stretch × d_true]``
-  window and agree on reachability — no silent wrong answers;
-* a ``degraded`` answer must carry no distance, name its missing
-  labels, and certify only a valid lower bound;
-* a ``shed`` must carry one of the explicit shed reasons — and *every*
-  non-exact outcome must carry a reason;
-* every submitted request resolves to exactly one outcome — no silent
-  drops, no futures left dangling after drain;
-* every served (non-shed) outcome lands within its deadline plus the
-  client's bounded overshoot — no silent timeouts;
-* served work among *backlogged* tenants stays within the DRR
-  fairness bound.
-
-On top of the hard invariants sits an :class:`SLOPolicy` — latency
-percentiles, goodput, shed-rate — so the battery doubles as a
-regression gate: ``repro traffic`` exits non-zero when either an
-invariant or an SLO is violated.  Identical seeds produce identical
-reports bit for bit (``fingerprint`` makes that checkable cheaply).
+The battery adds its own fairness invariant — served work among
+*backlogged* tenants stays within the DRR fairness bound — and an
+:class:`SLOPolicy` (latency percentiles, goodput, shed-rate), so it
+doubles as a regression gate: ``repro traffic`` exits non-zero when
+either an invariant or an SLO is violated.  Identical seeds produce
+identical reports bit for bit (``fingerprint`` makes that checkable
+cheaply).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.exceptions import QueryError
 from repro.gateway.cache import CachingLabelClient, LabelCache
-from repro.gateway.gateway import (
-    AsyncGateway,
-    GatewayConfig,
-    GatewayOutcome,
-)
+from repro.gateway.gateway import AsyncGateway, GatewayConfig
 from repro.gateway.loop import VirtualLoop
 from repro.gateway.traffic import (
     TimedRequest,
@@ -47,16 +35,14 @@ from repro.gateway.traffic import (
     overload_mix,
 )
 from repro.graphs.graph import Graph
-from repro.graphs.traversal import bfs_distances_avoiding
 from repro.labeling import ForbiddenSetLabeling
 from repro.service.clock import VirtualClock
-from repro.service.frontend import SHED_REASONS, QueryService
+from repro.service.frontend import QueryService
+from repro.service.judge import Judge
 from repro.service.store import ShardedLabelStore
 
 if TYPE_CHECKING:
     from repro.obs.registry import Registry
-
-_EPS = 1e-9
 
 
 def _percentile(sorted_values: list[float], q: float) -> float:
@@ -253,7 +239,9 @@ class GatewayBattery:
         self.gateway = AsyncGateway(
             self.service, self.loop, gateway_config, obs=obs
         )
-        self._truth_cache: dict[tuple, float] = {}
+        self.judge = Judge(
+            graph, self._stretch_bound, store.committed_version
+        )
 
     # -- running ------------------------------------------------------------
 
@@ -261,10 +249,10 @@ class GatewayBattery:
         """Replay the stream, drain the gateway, judge every outcome."""
         report = SLOReport(seed=self.seed, duration_ms=self.duration_ms)
         stream = self.traffic.generate(self.duration_ms)
-        results: list[tuple[TimedRequest, object]] = []
+        futures: list = []
 
         def _arrive(timed: TimedRequest) -> None:
-            results.append((timed, self.gateway.submit(timed.request)))
+            futures.append(self.gateway.submit(timed.request))
 
         for timed in stream:
             self.loop.call_at(
@@ -287,144 +275,40 @@ class GatewayBattery:
 
         self.loop.run_until_complete(self.loop.create_task(_drive()))
         report.submitted = len(stream)
-        self._judge(report, results)
-        self._aggregate(report, results)
+        report.violations.extend(
+            self.judge.judge_resolution(report.submitted, futures)
+        )
+        deadline_ms = self.gateway.config.default_deadline_ms
+        attempt_timeout_ms = self.service.client.retry.attempt_timeout_ms
+        for index, future in enumerate(futures):
+            if not future.done():
+                continue
+            outcome = future.result()
+            verdict = self.judge.judge_request(
+                outcome, deadline_ms, attempt_timeout_ms
+            )
+            report.checks_performed += verdict.checks
+            if verdict.stretch is not None:
+                report.worst_stretch = max(
+                    report.worst_stretch, verdict.stretch
+                )
+            request = outcome.request
+            label = (
+                f"request {index} ({request.tenant}, "
+                f"{request.s}->{request.t})"
+            )
+            report.violations.extend(
+                f"{label}: {problem}" for problem in verdict.problems
+            )
+        self._aggregate(report, futures)
         self._check_slo(report)
         if self.obs is not None:
             self._export(report)
         return report
 
-    # -- ground truth -------------------------------------------------------
-
-    def _true_distance(self, request) -> float:
-        key = (request.s, request.t, tuple(sorted(request.vertex_faults)))
-        cached = self._truth_cache.get(key)
-        if cached is not None:
-            return cached
-        dist = bfs_distances_avoiding(
-            self.graph, request.s, set(request.vertex_faults), set()
-        )
-        d_true = dist.get(request.t, math.inf)
-        self._truth_cache[key] = d_true
-        return d_true
-
-    # -- judging ------------------------------------------------------------
-
-    def _judge(self, report: SLOReport, results: list) -> None:
-        if len(results) != report.submitted:
-            report.violations.append(
-                f"{report.submitted} requests generated but only "
-                f"{len(results)} arrivals fired"
-            )
-        for index, (timed, future) in enumerate(results):
-            if not future.done():
-                report.violations.append(
-                    f"request {index}: future never resolved — work was "
-                    "silently dropped"
-                )
-                continue
-            outcome = future.result()
-            self._judge_one(report, index, outcome)
-
-    def _judge_one(
-        self, report: SLOReport, index: int, outcome: GatewayOutcome
-    ) -> None:
-        request = outcome.request
-        label = f"request {index} ({request.tenant}, {request.s}->{request.t})"
-        report.checks_performed += 1
-        if outcome.status not in ("exact", "degraded", "shed"):
-            report.violations.append(
-                f"{label}: unknown status {outcome.status!r}"
-            )
-            return
-        if outcome.status != "exact" and outcome.reason is None:
-            report.violations.append(
-                f"{label}: non-exact outcome without an explicit reason"
-            )
-            return
-        if outcome.shed:
-            if outcome.reason not in SHED_REASONS:
-                report.violations.append(
-                    f"{label}: shed with non-shed reason {outcome.reason}"
-                )
-            if outcome.outcome is not None:
-                report.violations.append(
-                    f"{label}: shed outcome carries a backend answer"
-                )
-            return
-        # served: the deadline invariant — no silent timeouts.  The
-        # backend may overshoot the budget by at most one bounded
-        # attempt (it checks the budget *before* each fetch), so the
-        # slack is the client's per-attempt timeout, not arbitrary.
-        deadline = (
-            self.gateway.config.default_deadline_ms
-            if request.deadline_ms is None else request.deadline_ms
-        )
-        slack = self.service.client.retry.attempt_timeout_ms * 2 + 1.0
-        if outcome.total_ms > deadline + slack + _EPS:
-            report.violations.append(
-                f"{label}: served {outcome.total_ms:.2f} ms after arrival "
-                f"but the deadline was {deadline:.2f} ms (+{slack:.2f} "
-                "slack) — a silent timeout"
-            )
-        inner = outcome.outcome
-        d_true = self._true_distance(request)
-        if outcome.status == "exact":
-            self._judge_exact(report, label, inner, d_true)
-        else:
-            self._judge_degraded(report, label, inner, d_true)
-
-    def _judge_exact(self, report, label, inner, d_true: float) -> None:
-        report.checks_performed += 1
-        if inner.missing:
-            report.violations.append(
-                f"{label}: exact answer with missing labels"
-            )
-            return
-        if math.isinf(d_true) != math.isinf(inner.distance):
-            report.violations.append(
-                f"{label}: exact answer {inner.distance} disagrees with "
-                f"true distance {d_true} on reachability"
-            )
-            return
-        if not math.isinf(d_true) and d_true > 0:
-            stretch = inner.distance / d_true
-            report.worst_stretch = max(report.worst_stretch, stretch)
-            if inner.distance < d_true or stretch > self._stretch_bound + _EPS:
-                report.violations.append(
-                    f"{label}: exact answer {inner.distance} outside "
-                    f"[{d_true}, {self._stretch_bound:.3f}×{d_true}] — "
-                    "silently wrong"
-                )
-
-    def _judge_degraded(self, report, label, inner, d_true: float) -> None:
-        report.checks_performed += 1
-        if inner.distance is not None:
-            report.violations.append(
-                f"{label}: degraded answer carries an unqualified "
-                f"distance {inner.distance}"
-            )
-            return
-        if not inner.missing:
-            report.violations.append(
-                f"{label}: degraded answer without any missing label"
-            )
-            return
-        if math.isinf(inner.lower_bound):
-            if not math.isinf(d_true):
-                report.violations.append(
-                    f"{label}: claims 'certainly unreachable' but the "
-                    f"true distance is {d_true}"
-                )
-        elif inner.lower_bound > d_true + _EPS:
-            report.violations.append(
-                f"{label}: degraded lower bound {inner.lower_bound} "
-                f"exceeds the true distance {d_true}"
-            )
-
     # -- aggregation --------------------------------------------------------
 
-    def _aggregate(self, report: SLOReport, results: list) -> None:
+    def _aggregate(self, report: SLOReport, futures: list) -> None:
         metrics = self.gateway.metrics
         report.exact = metrics.exact
         report.degraded = metrics.degraded
@@ -441,11 +325,11 @@ class GatewayBattery:
         if isinstance(client, CachingLabelClient):
             report.cache = client.cache.metrics.snapshot()
         totals = sorted(
-            o.total_ms for _, f in results if f.done()
+            o.total_ms for f in futures if f.done()
             for o in (f.result(),) if not o.shed
         )
         queues = sorted(
-            o.queue_ms for _, f in results if f.done()
+            o.queue_ms for f in futures if f.done()
             for o in (f.result(),) if not o.shed
         )
         report.p50_total_ms = _percentile(totals, 0.50)

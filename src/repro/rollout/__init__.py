@@ -20,6 +20,7 @@ from repro.rollout.incremental import (
     RelabelPlan,
     apply_change,
 )
+from repro.rollout.lifecycle import EdgeRollouts
 from repro.rollout.manifest import (
     GenerationEntry,
     RolloutManifest,
@@ -34,6 +35,7 @@ from repro.rollout.manifest import (
 )
 
 __all__ = [
+    "EdgeRollouts",
     "GenerationEntry",
     "GraphChange",
     "IncrementalRelabeler",

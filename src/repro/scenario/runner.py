@@ -5,18 +5,15 @@ battery: it builds the whole stack — labels, sharded store (persisted
 through the crash-consistent durability layer on a seeded simulated
 filesystem), caching client, frontend, async gateway — on one virtual
 clock, replays the compiled trace (open-loop traffic + timestamped
-chaos actions + injected probes), and judges **every** outcome against
-BFS ground truth recomputed from the graph *of the label generation
-that answered it* (mid-rollout answers are pinned to a version; they
-are judged against that version's graph, not the latest one):
-
-* an ``exact`` answer must sit in ``[d_true, stretch × d_true]`` and
-  agree on reachability;
-* a ``degraded`` answer must carry no distance, name its missing
-  labels, and certify only a valid lower bound;
-* every non-exact outcome must carry an explicit reason, and sheds
-  must use the closed shed vocabulary;
-* every submitted request resolves to exactly one outcome.
+chaos actions + injected probes), and hands **every** outcome to the
+:class:`~repro.service.judge.Judge`.  The judge checks it against BFS
+ground truth on the graph *of the label generation that answered it*
+(mid-rollout answers are pinned to a version; rollouts go through
+:class:`~repro.rollout.lifecycle.EdgeRollouts`, which tells the judge
+each committed graph), with the rules stated once in
+``docs/service.md`` ("Judge"): stretch window, certified lower bounds,
+explicit reasons, the shed vocabulary, the deadline, and no silent
+drops.
 
 The report buckets outcomes into per-window timeseries rows
 (availability, degraded fraction, worst observed stretch per window —
@@ -48,13 +45,13 @@ from repro.gateway.gateway import AsyncGateway, GatewayConfig, GatewayOutcome
 from repro.gateway.loop import VirtualLoop
 from repro.gateway.traffic import TimedRequest, TrafficGenerator
 from repro.graphs.graph import Graph
-from repro.graphs.traversal import bfs_distances_avoiding
 from repro.labeling import ForbiddenSetLabeling
-from repro.rollout import GraphChange, IncrementalRelabeler, RolloutCoordinator
+from repro.rollout import EdgeRollouts
 from repro.scenario.compile import CompiledScenario, compile_trace
 from repro.scenario.trace import ScenarioTrace
 from repro.service.clock import VirtualClock
-from repro.service.frontend import SHED_REASONS, QueryService
+from repro.service.frontend import QueryService
+from repro.service.judge import Judge
 from repro.service.store import ShardedLabelStore
 from repro.util.rng import make_rng
 
@@ -226,7 +223,6 @@ class ScenarioRunner:
         clock = VirtualClock()
         self.loop = VirtualLoop(clock)
         scheme = ForbiddenSetLabeling(compiled.graph, epsilon)
-        self._epsilon = epsilon
         self._stretch_bound = scheme.stretch_bound()
         store = ShardedLabelStore.from_scheme(
             scheme,
@@ -254,14 +250,12 @@ class ScenarioRunner:
             self.service, self.loop, gateway_config, obs=obs
         )
         self._event_rng = make_rng(seed + 3)
-        # label generations: committed version -> the graph its labels
-        # answer for (mid-rollout answers are judged per version)
-        self._graphs: dict[int, Graph] = {store.committed_version: self.graph}
-        self._relabeler: IncrementalRelabeler | None = None
-        self._coordinator: RolloutCoordinator | None = None
-        self._pending: tuple[int, object] | None = None
-        self._next_version = store.committed_version + 1
-        self._truth_cache: dict[tuple, float] = {}
+        self.judge = Judge(
+            self.graph, self._stretch_bound, store.committed_version
+        )
+        self._rollouts = EdgeRollouts(
+            store, self.graph, epsilon, self.judge, obs=obs
+        )
         self._report = ScenarioReport(
             name=trace.name,
             seed=trace.seed,
@@ -304,11 +298,9 @@ class ScenarioRunner:
         self.loop.run_until_complete(self.loop.create_task(_drive()))
         report.submitted = len(stream) + len(self.compiled.probes)
         report.probes = len(self.compiled.probes)
-        if len(results) != report.submitted:
-            report.violations.append(
-                f"{report.submitted} requests scheduled but only "
-                f"{len(results)} arrivals fired"
-            )
+        report.violations.extend(self.judge.judge_resolution(
+            report.submitted, [future for _, future in results]
+        ))
         for index, (at_ms, future) in enumerate(results):
             self._judge(index, at_ms, future)
         self._aggregate()
@@ -354,190 +346,57 @@ class ScenarioRunner:
                 f"action {event.kind} (shard {event.shard}) raised {exc!r}"
             )
 
-    def _ensure_rollout(self) -> None:
-        if self._relabeler is None:
-            self._relabeler = IncrementalRelabeler(
-                self.graph, self._epsilon, obs=self.obs
-            )
-            self._coordinator = RolloutCoordinator(
-                self.service.store, obs=self.obs
-            )
-
     def _apply_rollout(self, event: "ChaosEvent") -> None:
-        report = self._report
-        self._ensure_rollout()
         try:
             if event.kind == "rollout_begin":
-                if self._pending is not None:
-                    report.violations.append(
-                        "rollout_begin while a rollout is already staged"
-                    )
-                    return
-                plan = self._relabeler.plan(
-                    GraphChange(removed_edges=(event.edge,))
-                )
-                version = self._next_version
-                self._coordinator.stage(version, plan.encoded_labels())
-                self._pending = (version, plan)
-            elif self._pending is None:
-                report.violations.append(
-                    f"{event.kind} without a staged rollout"
-                )
+                self._rollouts.begin(event.edge)
             elif event.kind == "rollout_commit":
-                version, plan = self._pending
-                self._coordinator.commit(version)
-                self._relabeler.commit(plan)
-                self._graphs[version] = plan.new_graph
-                self._pending = None
-                self._next_version = version + 1
+                self._rollouts.commit()
             else:  # rollout_abort
-                version, _ = self._pending
-                self._coordinator.abort(version)
-                self._pending = None
-                self._next_version = version + 1
+                self._rollouts.abort()
         except ReproError as exc:
-            report.violations.append(f"action {event.kind} raised {exc!r}")
-
-    # -- ground truth --------------------------------------------------------
-
-    def _true_distance(self, request, version: int) -> float:
-        faults = tuple(sorted(request.vertex_faults))
-        edge_faults = tuple(sorted(
-            (min(a, b), max(a, b)) for a, b in request.edge_faults
-        ))
-        key = (version, request.s, request.t, faults, edge_faults)
-        cached = self._truth_cache.get(key)
-        if cached is not None:
-            return cached
-        dist = bfs_distances_avoiding(
-            self._graphs[version], request.s, set(faults), set(edge_faults)
-        )
-        d_true = dist.get(request.t, math.inf)
-        self._truth_cache[key] = d_true
-        return d_true
-
-    def _baseline_distance(self, request, version: int) -> float:
-        key = (version, request.s, request.t, (), ())
-        cached = self._truth_cache.get(key)
-        if cached is not None:
-            return cached
-        dist = bfs_distances_avoiding(
-            self._graphs[version], request.s, set(), set()
-        )
-        d_base = dist.get(request.t, math.inf)
-        self._truth_cache[key] = d_base
-        return d_base
+            self._report.violations.append(
+                f"action {event.kind} raised {exc!r}"
+            )
 
     # -- judging -------------------------------------------------------------
 
     def _judge(self, index: int, at_ms: float, future) -> None:
-        report = self._report
         if not future.done():
-            report.violations.append(
-                f"request {index}: future never resolved — work was "
-                "silently dropped"
-            )
-            return
+            return  # the judge's resolution rule already reported it
+        report = self._report
         outcome: GatewayOutcome = future.result()
-        row = self._window_at(at_ms)
-        row.submitted += 1
-        report.checks_performed += 1
+        verdict = self.judge.judge_request(
+            outcome,
+            self.gateway.config.default_deadline_ms,
+            self.service.client.retry.attempt_timeout_ms,
+        )
+        report.checks_performed += verdict.checks
         request = outcome.request
         label = f"request {index} ({request.tenant}, {request.s}->{request.t})"
-        if outcome.status not in ("exact", "degraded", "shed"):
-            report.violations.append(
-                f"{label}: unknown status {outcome.status!r}"
-            )
-            return
-        if outcome.status != "exact" and outcome.reason is None:
-            report.violations.append(
-                f"{label}: non-exact outcome without an explicit reason"
-            )
-            return
-        if outcome.shed:
+        report.violations.extend(
+            f"{label}: {problem}" for problem in verdict.problems
+        )
+        row = self._window_at(at_ms)
+        row.submitted += 1
+        if outcome.status == "shed":
             row.shed += 1
-            if outcome.reason not in SHED_REASONS:
-                report.violations.append(
-                    f"{label}: shed with non-shed reason {outcome.reason}"
-                )
-            if outcome.outcome is not None:
-                report.violations.append(
-                    f"{label}: shed outcome carries a backend answer"
-                )
-            return
-        inner = outcome.outcome
-        if inner.version not in self._graphs:
-            report.violations.append(
-                f"{label}: answered from unknown label generation "
-                f"{inner.version}"
-            )
-            return
-        d_true = self._true_distance(request, inner.version)
-        if outcome.status == "exact":
+        elif outcome.status == "exact":
             row.exact += 1
-            self._judge_exact(label, row, request, inner, d_true)
-        else:
+        elif outcome.status == "degraded":
             row.degraded += 1
-            self._judge_degraded(label, inner, d_true)
-
-    def _judge_exact(
-        self, label: str, row: WindowRow, request, inner, d_true
-    ) -> None:
-        report = self._report
-        report.checks_performed += 1
-        if inner.missing:
-            report.violations.append(
-                f"{label}: exact answer with missing labels"
-            )
+        if verdict.stretch is None:
             return
-        if math.isinf(d_true) != math.isinf(inner.distance):
-            report.violations.append(
-                f"{label}: exact answer {inner.distance} disagrees with "
-                f"true distance {d_true} on reachability"
+        row.worst_stretch = max(row.worst_stretch, verdict.stretch)
+        report.worst_stretch = max(report.worst_stretch, verdict.stretch)
+        if request.vertex_faults or request.edge_faults:
+            d_base = self.judge.distance(
+                outcome.outcome.version, request.s, request.t
             )
-            return
-        if not math.isinf(d_true) and d_true > 0:
-            stretch = inner.distance / d_true
-            row.worst_stretch = max(row.worst_stretch, stretch)
-            report.worst_stretch = max(report.worst_stretch, stretch)
-            if inner.distance < d_true or stretch > self._stretch_bound + _EPS:
-                report.violations.append(
-                    f"{label}: exact answer {inner.distance} outside "
-                    f"[{d_true}, {self._stretch_bound:.3f}×{d_true}] — "
-                    "silently wrong"
-                )
-            if request.vertex_faults or request.edge_faults:
-                d_base = self._baseline_distance(request, inner.version)
-                if not math.isinf(d_base) and d_base > 0:
-                    detour = inner.distance / d_base
-                    row.worst_detour = max(row.worst_detour, detour)
-                    report.worst_detour = max(report.worst_detour, detour)
-
-    def _judge_degraded(self, label: str, inner, d_true) -> None:
-        report = self._report
-        report.checks_performed += 1
-        if inner.distance is not None:
-            report.violations.append(
-                f"{label}: degraded answer carries an unqualified "
-                f"distance {inner.distance}"
-            )
-            return
-        if not inner.missing:
-            report.violations.append(
-                f"{label}: degraded answer without any missing label"
-            )
-            return
-        if math.isinf(inner.lower_bound):
-            if not math.isinf(d_true):
-                report.violations.append(
-                    f"{label}: claims 'certainly unreachable' but the "
-                    f"true distance is {d_true}"
-                )
-        elif inner.lower_bound > d_true + _EPS:
-            report.violations.append(
-                f"{label}: degraded lower bound {inner.lower_bound} "
-                f"exceeds the true distance {d_true}"
-            )
+            if 0 < d_base < math.inf:
+                detour = outcome.outcome.distance / d_base
+                row.worst_detour = max(row.worst_detour, detour)
+                report.worst_detour = max(report.worst_detour, detour)
 
     # -- aggregation ---------------------------------------------------------
 

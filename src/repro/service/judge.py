@@ -1,0 +1,246 @@
+"""One judge: ground truth and every verdict rule for served answers.
+
+The paper's query guarantee is one inequality,
+``d_{G\\F}(s, t) ≤ δ ≤ (1+ε)·d_{G\\F}(s, t)``, and the serving tier adds
+one more rule: a degraded answer may certify only a valid lower bound.
+:class:`Judge` states both once, together with the serving rules the
+full-stack runners share, so scenario replays, the traffic battery and
+serve-chaos schedules all rule on an answer the same way:
+
+* **exact** — no missing labels; agrees with the truth on
+  reachability; ``d_true ≤ δ ≤ stretch·d_true + 1e-9`` (so ``δ = 0``
+  when ``d_true = 0``);
+* **degraded** — no distance; at least one missing label; the lower
+  bound is at most ``d_true``, and an infinite lower bound ("certainly
+  unreachable") is allowed only when the truth is infinite;
+* every non-exact outcome carries a reason, and an unknown status is a
+  violation;
+* an answer from a label generation the judge was never told about is
+  a violation — each answer is judged against the graph of the
+  generation that produced it (:meth:`Judge.record`);
+* gateway outcomes only: a shed carries a reason from
+  :data:`~repro.service.frontend.SHED_REASONS` and no backend answer; a
+  served outcome lands within ``deadline + 2·attempt_timeout_ms + 1``
+  (the backend may overshoot its budget by one bounded attempt); and
+  every submitted request resolves — no dangling future, no missing
+  arrival.
+
+Ground truth is one BFS per (generation, ``s``, vertex faults, edge
+faults); the whole distance map is cached, so every ``t`` and the
+fault-free baseline of a detour column are read from it.
+
+The judge returns a :class:`Verdict` — the broken rules, the measured
+stretch and the checks it spent; each runner keeps its own report.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+from repro.graphs.graph import Graph
+from repro.graphs.traversal import bfs_distances_avoiding
+from repro.service.frontend import SHED_REASONS
+
+#: absolute tolerance of the stretch and lower-bound rules
+EPS = 1e-9
+
+_ANSWER_STATUSES = ("exact", "degraded")
+_GATEWAY_STATUSES = ("exact", "degraded", "shed")
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """The judge's ruling on one outcome.
+
+    ``problems`` lists every rule the outcome broke (empty when it
+    passed); ``stretch`` is ``δ / d_true`` of an exact answer with
+    ``0 < d_true < ∞`` (None otherwise); ``checks`` is 1 for the
+    outcome plus 1 when a served answer was judged against the truth.
+    """
+
+    problems: tuple[str, ...] = ()
+    stretch: float | None = None
+    checks: int = 1
+
+    @property
+    def ok(self) -> bool:
+        """True when the outcome broke no rule."""
+        return not self.problems
+
+
+class Judge:
+    """Ground truth per label generation, and every verdict rule."""
+
+    def __init__(
+        self, graph: Graph, stretch_bound: float, version: int = 0
+    ) -> None:
+        self.stretch_bound = stretch_bound
+        self._graphs: dict[int, Graph] = {version: graph}
+        self._truth: dict[tuple, dict[int, int]] = {}
+
+    def record(self, version: int, graph: Graph) -> None:
+        """Register the graph committed generation ``version`` answers for."""
+        self._graphs[version] = graph
+
+    # -- ground truth -------------------------------------------------------
+
+    def distance(
+        self, version: int, s: int, t: int, vertex_faults=(), edge_faults=()
+    ) -> float:
+        """True ``d_{G\\F}(s, t)`` in generation ``version`` (inf if cut).
+
+        One BFS per (generation, ``s``, vertex faults, edge faults); the
+        whole distance map is cached, so every other ``t`` is free.
+        """
+        key = (
+            version,
+            s,
+            frozenset(vertex_faults),
+            frozenset((min(a, b), max(a, b)) for a, b in edge_faults),
+        )
+        dist = self._truth.get(key)
+        if dist is None:
+            dist = bfs_distances_avoiding(
+                self._graphs[version], s, key[2], key[3]
+            )
+            self._truth[key] = dist
+        return dist.get(t, math.inf)
+
+    # -- verdicts -----------------------------------------------------------
+
+    def judge_answer(
+        self, answer, s: int, t: int, vertex_faults=(), edge_faults=()
+    ) -> Verdict:
+        """Rule on one backend answer (a ``QueryOutcome``) to ``(s, t, F)``."""
+        problem = _status_problem(
+            answer.status, answer.reason, _ANSWER_STATUSES
+        )
+        if problem is not None:
+            return Verdict((problem,))
+        return self._against_truth(
+            answer.status, answer, s, t, vertex_faults, edge_faults
+        )
+
+    def judge_request(
+        self, outcome, default_deadline_ms: float, attempt_timeout_ms: float
+    ) -> Verdict:
+        """Rule on one resolved gateway outcome (a ``GatewayOutcome``)."""
+        problem = _status_problem(
+            outcome.status, outcome.reason, _GATEWAY_STATUSES
+        )
+        if problem is not None:
+            return Verdict((problem,))
+        if outcome.status == "shed":
+            problems = []
+            if outcome.reason not in SHED_REASONS:
+                problems.append(f"shed with non-shed reason {outcome.reason}")
+            if outcome.outcome is not None:
+                problems.append("shed outcome carries a backend answer")
+            return Verdict(tuple(problems))
+        request = outcome.request
+        deadline = (
+            default_deadline_ms if request.deadline_ms is None
+            else request.deadline_ms
+        )
+        slack = 2 * attempt_timeout_ms + 1.0
+        late: tuple[str, ...] = ()
+        if outcome.total_ms > deadline + slack + EPS:
+            late = (
+                f"served {outcome.total_ms:.2f} ms after arrival but the "
+                f"deadline was {deadline:.2f} ms (+{slack:.2f} slack) — a "
+                "silent timeout",
+            )
+        verdict = self._against_truth(
+            outcome.status, outcome.outcome, request.s, request.t,
+            request.vertex_faults, request.edge_faults,
+        )
+        return Verdict(
+            late + verdict.problems, verdict.stretch, verdict.checks
+        )
+
+    def judge_resolution(self, scheduled: int, futures: list) -> list[str]:
+        """The no-silent-drop rule: every request arrived and resolved."""
+        problems = []
+        if len(futures) != scheduled:
+            problems.append(
+                f"{scheduled} requests scheduled but only {len(futures)} "
+                "arrivals fired"
+            )
+        for index, future in enumerate(futures):
+            if not future.done():
+                problems.append(
+                    f"request {index}: future never resolved — work was "
+                    "silently dropped"
+                )
+        return problems
+
+    def _against_truth(
+        self, status: str, answer, s: int, t: int, vertex_faults, edge_faults
+    ) -> Verdict:
+        if answer.version not in self._graphs:
+            return Verdict((
+                f"answered from unknown label generation {answer.version}",
+            ))
+        d_true = self.distance(
+            answer.version, s, t, vertex_faults, edge_faults
+        )
+        if status == "exact":
+            problems, stretch = _exact_problems(
+                answer, d_true, self.stretch_bound
+            )
+        else:
+            problems, stretch = _degraded_problems(answer, d_true), None
+        return Verdict(problems, stretch, checks=2)
+
+
+def _status_problem(status: str, reason, statuses: tuple) -> str | None:
+    if status not in statuses:
+        return f"unknown status {status!r}"
+    if status != "exact" and reason is None:
+        return "non-exact outcome without an explicit reason"
+    return None
+
+
+def _exact_problems(
+    answer, d_true: float, bound: float
+) -> tuple[tuple[str, ...], float | None]:
+    if answer.missing:
+        return ("exact answer with missing labels",), None
+    distance = answer.distance
+    if math.isinf(d_true) != math.isinf(distance):
+        return (
+            f"exact answer {distance} disagrees with true distance {d_true} "
+            "on reachability",
+        ), None
+    if math.isinf(d_true):
+        return (), None
+    stretch = distance / d_true if d_true > 0 else None
+    if distance < d_true or distance > bound * d_true + EPS:
+        return (
+            f"exact answer {distance} outside [{d_true}, "
+            f"{bound:.3f}×{d_true}] — silently wrong",
+        ), stretch
+    return (), stretch
+
+
+def _degraded_problems(answer, d_true: float) -> tuple[str, ...]:
+    if answer.distance is not None:
+        return (
+            "degraded answer carries an unqualified distance "
+            f"{answer.distance}",
+        )
+    if not answer.missing:
+        return ("degraded answer without any missing label",)
+    if math.isinf(answer.lower_bound):
+        if not math.isinf(d_true):
+            return (
+                "claims 'certainly unreachable' but the true distance is "
+                f"{d_true}",
+            )
+    elif answer.lower_bound > d_true + EPS:
+        return (
+            f"degraded lower bound {answer.lower_bound} exceeds the true "
+            f"distance {d_true}",
+        )
+    return ()

@@ -233,6 +233,19 @@ class TestTrafficCommand:
         assert payload["ok"] is True
         assert payload["submitted"] > 0
 
+    def test_traffic_json_matches_committed_golden(self, capsys):
+        # regenerate (only after a deliberate behaviour change) with
+        #   PYTHONPATH=src python -m repro traffic --seed 0 \
+        #     --duration-ms 150 --format json \
+        #     > tests/golden/traffic_seed0_150ms.json
+        from pathlib import Path
+
+        golden = Path(__file__).parent / "golden" / "traffic_seed0_150ms.json"
+        argv = ["traffic", "--seed", "0", "--duration-ms", "150",
+                "--format", "json"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
 
 class TestScenarioCommands:
     def test_list_names_every_library_scenario(self, capsys):

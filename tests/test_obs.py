@@ -272,3 +272,20 @@ def test_every_degradation_reason_is_documented():
         if f"`{reason.value}`" not in section
     ]
     assert missing == []
+
+
+def test_every_metric_in_src_is_catalogued():
+    """Each ``"repro_…"`` literal under ``src/`` has a full catalogue row."""
+    import re
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    doc = (root / "docs" / "observability.md").read_text(encoding="utf-8")
+    section = doc.split("## Metric catalogue", 1)[1].split("\n## ", 1)[0]
+    catalogued = set(re.findall(r"`(repro_[a-z0-9_]+)`", section))
+    in_src = set()
+    for path in sorted((root / "src").rglob("*.py")):
+        in_src.update(re.findall(r"\"(repro_[a-z0-9_]+)\"",
+                                 path.read_text(encoding="utf-8")))
+    assert len(in_src) > 40
+    assert sorted(in_src - catalogued) == []

@@ -1,5 +1,7 @@
 """Tests for scenario compilation and full-stack replay."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.chaos.plan import FaultPlan
@@ -18,6 +20,14 @@ from repro.scenario import (
     serialize_trace,
 )
 from repro.scenario.compile import PROBE_TENANT
+
+#: replay reports of the committed library, one ``<name>.json`` each;
+#: regenerate (only after a deliberate behaviour change) with
+#:   for f in scenarios/*.scenario; do
+#:     PYTHONPATH=src python -m repro scenario run "$f" --format json \
+#:       > "tests/golden/scenarios/$(basename "$f" .scenario).json"
+#:   done
+GOLDEN_DIR = Path(__file__).parent / "golden" / "scenarios"
 
 
 def small_trace(**overrides) -> ScenarioTrace:
@@ -121,7 +131,9 @@ class TestReplay:
         assert report.probes == 1
         assert report.exact + report.degraded + report.shed \
             == report.submitted
-        assert report.checks_performed >= report.submitted
+        # one judgment per outcome plus one truth check per served one
+        assert report.checks_performed \
+            == report.submitted + report.exact + report.degraded
 
     def test_replay_is_byte_deterministic(self):
         first = run_trace(small_trace())
@@ -208,3 +220,7 @@ class TestLibrary:
             assert first.ok, (name, first.violations)
             second = run_trace(trace)
             assert first.to_json() == second.to_json(), name
+            golden = (GOLDEN_DIR / f"{path.stem}.json").read_text(
+                encoding="utf-8"
+            )
+            assert first.to_json() == golden, name
