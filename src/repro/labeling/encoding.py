@@ -10,9 +10,17 @@ sizes.  The format is a compact, self-delimiting bit stream:
   distances, then the edges as (point-index, point-index, weight) triples
   using fixed-width indices into the point list and gamma-coded weights.
 
-``decode_label`` restores a :class:`VertexLabel` that compares equal to
-the original; the decoder can therefore run entirely from transmitted
-bytes, matching the distributed model.
+``decode_label`` restores every field exactly except ε, which comes back
+rounded to float32: the decoded label compares equal to the original
+whenever ε is a float32 value (1.0, 0.5, 0.25, ...), while ε = 0.1
+returns as 0.10000000149011612 with every level equal.  The decoder never
+reads ε, so it can run entirely from transmitted bytes, matching the
+distributed model.
+
+The codec works a field at a time: :func:`_write_level` renders each
+point and edge record of a level as ``'0'``/``'1'`` text and appends the
+level in one call, and :func:`_read_level` parses each record from the
+reader's text in one bounds-checked step (see :mod:`repro.util.bitio`).
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ import struct
 from repro.exceptions import EncodingError
 from repro.labeling.label import LevelLabel, VertexLabel
 from repro.labeling.params import lam_for_level
-from repro.util.bitio import BitReader, BitWriter
+from repro.util.bitio import PAST_END, BitReader, BitWriter, gamma_bits
 
 #: everything a corrupt-but-CRC-valid bitstream can raise out of
 #: :func:`decode_label`: framing errors (``EncodingError``), bad index
@@ -181,47 +189,80 @@ def _write_label(writer: BitWriter, label: VertexLabel) -> None:
 
 
 def _write_level(writer: BitWriter, level_label: LevelLabel) -> None:
-    points = sorted(level_label.points)
-    writer.write_gamma_nonneg(len(points))
-    previous = -1
-    for point in points:
-        writer.write_gamma(point - previous)  # gap >= 1
-        writer.write_gamma_nonneg(level_label.points[point])
-        previous = point
-    index_of = {point: idx for idx, point in enumerate(points)}
+    distances = level_label.points
+    points = sorted(distances)
     index_width = max(1, (len(points) - 1).bit_length()) if points else 1
+    index_spec = f"0{index_width}b"
+    parts = [gamma_bits(len(points) + 1)]
+    index_bits: dict[int, str] = {}
+    previous = -1
+    for index, point in enumerate(points):
+        gap = gamma_bits(point - previous)  # >= 1
+        parts.append(gap + gamma_bits(distances[point] + 1))
+        index_bits[point] = format(index, index_spec)
+        previous = point
+    weight_bits: dict[int, str] = {}
     for edge_map in (level_label.edges, level_label.graph_edges):
-        edges = sorted(edge_map.items())
-        writer.write_gamma_nonneg(len(edges))
-        for (x, y), weight in edges:
-            if x not in index_of or y not in index_of:
+        parts.append(gamma_bits(len(edge_map) + 1))
+        for edge in sorted(edge_map):
+            x, y = edge
+            x_bits = index_bits.get(x)
+            y_bits = index_bits.get(y)
+            if x_bits is None or y_bits is None:
                 raise EncodingError(
                     f"edge ({x}, {y}) endpoint missing from level point set"
                 )
-            writer.write_bits(index_of[x], index_width)
-            writer.write_bits(index_of[y], index_width)
-            writer.write_gamma(weight)
+            weight = edge_map[edge]
+            w_bits = weight_bits.get(weight)
+            if w_bits is None:
+                w_bits = weight_bits[weight] = gamma_bits(weight)
+            parts.append(x_bits + y_bits + w_bits)
+    writer.write_text("".join(parts))
 
 
 def _read_level(reader: BitReader, level: int) -> LevelLabel:
+    # Each record is parsed straight off the reader's text: a gamma code
+    # is the run of zeros up to the next "1" (found by str.find) and a
+    # payload as wide as that run, so every field ends at a computed
+    # offset that is checked against the stream end before it is read.
     num_points = reader.read_gamma_nonneg()
+    text, pos = reader.cursor()
+    limit = len(text)
+    find = text.find
     points: dict[int, int] = {}
     order: list[int] = []
-    previous = -1
+    point = -1
     for _ in range(num_points):
-        point = previous + reader.read_gamma()
-        points[point] = reader.read_gamma_nonneg()
+        one = find("1", pos)
+        end = 2 * one - pos + 1
+        if one < 0 or end > limit:
+            raise EncodingError(PAST_END)
+        point += int(text[one:end], 2)  # gap >= 1
+        one = find("1", end)
+        pos = 2 * one - end + 1
+        if one < 0 or pos > limit:
+            raise EncodingError(PAST_END)
+        points[point] = int(text[one:pos], 2) - 1
         order.append(point)
-        previous = point
+    reader.seek(pos)
     index_width = max(1, (num_points - 1).bit_length()) if num_points else 1
     edge_maps: list[dict[tuple[int, int], int]] = []
     for _ in range(2):
         num_edges = reader.read_gamma_nonneg()
+        pos = reader.cursor()[1]
         edge_map: dict[tuple[int, int], int] = {}
         for _ in range(num_edges):
-            x = order[reader.read_bits(index_width)]
-            y = order[reader.read_bits(index_width)]
-            edge_map[(x, y)] = reader.read_gamma()
+            mid = pos + index_width
+            stop = mid + index_width
+            one = find("1", stop)  # -1 as well when stop is past the end
+            end = 2 * one - stop + 1
+            if one < 0 or end > limit:
+                raise EncodingError(PAST_END)
+            x = order[int(text[pos:mid], 2)]
+            y = order[int(text[mid:stop], 2)]
+            edge_map[(x, y)] = int(text[one:end], 2)
+            pos = end
+        reader.seek(pos)
         edge_maps.append(edge_map)
     return LevelLabel(
         level=level, points=points, edges=edge_maps[0], graph_edges=edge_maps[1]

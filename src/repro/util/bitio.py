@@ -7,16 +7,40 @@ codes implemented here are classic self-delimiting integer codes:
 * **unary** — ``n`` zeros followed by a one;
 * **Elias gamma** — unary length prefix plus binary payload, for positive
   integers of unknown magnitude;
-* **fixed-width** — plain ``k``-bit big-endian integers;
-* **varint-style delta** sequences are built on top by the encoding layer.
+* **fixed-width** — plain ``k``-bit big-endian integers.
+
+The label codec (:mod:`repro.labeling.encoding`) composes them: gamma
+codes for counts, gap-coded point ids, distances and weights, and
+fixed-width indices for edge endpoints.
 
 Both classes operate most-significant-bit first so encoded labels are
-byte-order independent.
+byte-order independent.  They hold the stream as ``'0'``/``'1'`` text and
+move a whole field per C-level string operation — ``format``/``int`` in
+base 2 and ``str.find`` — instead of one bit per Python step.  Base-2
+conversions are exempt from CPython's int/str digit limit, so a label of
+any size converts in one call.
 """
 
 from __future__ import annotations
 
 from repro.exceptions import EncodingError
+
+#: the message of every read that runs off the end of the stream
+PAST_END = "read past end of bit stream"
+
+
+def gamma_bits(value: int) -> str:
+    """The Elias gamma code of ``value >= 1`` as ``'0'``/``'1'`` text.
+
+    ``k - 1`` zeros for ``k = value.bit_length()``, then ``value`` in
+    binary (whose leading one ends the unary prefix).
+
+    >>> gamma_bits(1), gamma_bits(9)
+    ('1', '0001001')
+    """
+    if value < 1:
+        raise EncodingError(f"gamma code requires value >= 1, got {value}")
+    return "0" * (value.bit_length() - 1) + bin(value)[2:]
 
 
 class BitWriter:
@@ -34,20 +58,22 @@ class BitWriter:
     """
 
     def __init__(self) -> None:
-        self._chunks: list[int] = []  # individual bits (0/1)
+        self._parts: list[str] = []  # '0'/'1' text, one entry per field
+        self._length = 0
 
     def __len__(self) -> int:
         """Number of bits written so far."""
-        return len(self._chunks)
+        return self._length
 
     @property
     def bit_length(self) -> int:
         """Number of bits written so far (same as ``len``)."""
-        return len(self._chunks)
+        return self._length
 
     def write_bit(self, bit: int) -> None:
         """Append a single bit (0 or 1)."""
-        self._chunks.append(1 if bit else 0)
+        self._parts.append("1" if bit else "0")
+        self._length += 1
 
     def write_bits(self, value: int, width: int) -> None:
         """Append ``value`` as a big-endian ``width``-bit integer."""
@@ -57,44 +83,58 @@ class BitWriter:
             raise EncodingError(f"negative width {width}")
         if value >> width:
             raise EncodingError(f"value {value} does not fit in {width} bits")
-        for shift in range(width - 1, -1, -1):
-            self._chunks.append((value >> shift) & 1)
+        if width:
+            self._parts.append(format(value, f"0{width}b"))
+            self._length += width
 
     def write_unary(self, value: int) -> None:
         """Append ``value`` zeros followed by a terminating one."""
         if value < 0:
             raise EncodingError(f"cannot unary-encode negative value {value}")
-        self._chunks.extend([0] * value)
-        self._chunks.append(1)
+        self._parts.append("0" * value + "1")
+        self._length += value + 1
 
     def write_gamma(self, value: int) -> None:
         """Append a positive integer using the Elias gamma code."""
-        if value < 1:
-            raise EncodingError(f"gamma code requires value >= 1, got {value}")
-        width = value.bit_length()
-        self.write_unary(width - 1)
-        self.write_bits(value - (1 << (width - 1)), width - 1)
+        bits = gamma_bits(value)
+        self._parts.append(bits)
+        self._length += len(bits)
 
     def write_gamma_nonneg(self, value: int) -> None:
         """Gamma-encode a non-negative integer (shifted by one)."""
         self.write_gamma(value + 1)
 
+    def write_text(self, bits: str) -> None:
+        """Append pre-rendered ``'0'``/``'1'`` text in one call.
+
+        The label codec renders a whole level this way (fields from
+        :func:`gamma_bits` and ``format(index, "0{w}b")``); any other
+        character is an :class:`EncodingError`.
+        """
+        if bits.strip("01"):
+            raise EncodingError("bit text may hold only '0' and '1'")
+        self._parts.append(bits)
+        self._length += len(bits)
+
     def getvalue(self) -> bytes:
         """Render the written bits as bytes, zero-padded to a byte boundary."""
-        out = bytearray((len(self._chunks) + 7) // 8)
-        for index, bit in enumerate(self._chunks):
-            if bit:
-                out[index >> 3] |= 0x80 >> (index & 7)
-        return bytes(out)
+        if not self._length:
+            return b""
+        size = (self._length + 7) // 8
+        text = "".join(self._parts) + "0" * (8 * size - self._length)
+        return int(text, 2).to_bytes(size, "big")
 
 
 class BitReader:
     """Reads bits MSB-first from a :class:`bytes` buffer."""
 
     def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._pos = 0
         self._limit = len(data) * 8
+        self._text = (
+            format(int.from_bytes(data, "big"), f"0{self._limit}b")
+            if data else ""
+        )
+        self._pos = 0
 
     @property
     def bits_remaining(self) -> int:
@@ -103,32 +143,58 @@ class BitReader:
 
     def read_bit(self) -> int:
         """Read a single bit."""
-        if self._pos >= self._limit:
-            raise EncodingError("read past end of bit stream")
-        byte = self._data[self._pos >> 3]
-        bit = (byte >> (7 - (self._pos & 7))) & 1
-        self._pos += 1
-        return bit
+        pos = self._pos
+        if pos >= self._limit:
+            raise EncodingError(PAST_END)
+        self._pos = pos + 1
+        return 1 if self._text[pos] == "1" else 0
 
     def read_bits(self, width: int) -> int:
         """Read a big-endian ``width``-bit integer."""
-        value = 0
-        for _ in range(width):
-            value = (value << 1) | self.read_bit()
-        return value
+        if width <= 0:
+            return 0
+        start = self._pos
+        end = start + width
+        if end > self._limit:
+            raise EncodingError(PAST_END)
+        self._pos = end
+        return int(self._text[start:end], 2)
 
     def read_unary(self) -> int:
         """Read a unary code; returns the number of leading zeros."""
-        count = 0
-        while self.read_bit() == 0:
-            count += 1
-        return count
+        start = self._pos
+        one = self._text.find("1", start)
+        if one < 0:
+            raise EncodingError(PAST_END)
+        self._pos = one + 1
+        return one - start
 
     def read_gamma(self) -> int:
         """Read an Elias-gamma-coded positive integer."""
-        width = self.read_unary()
-        return (1 << width) | self.read_bits(width)
+        start = self._pos
+        one = self._text.find("1", start)
+        end = 2 * one - start + 1  # the payload is as wide as the prefix
+        if one < 0 or end > self._limit:
+            raise EncodingError(PAST_END)
+        self._pos = end
+        return int(self._text[one:end], 2)
 
     def read_gamma_nonneg(self) -> int:
         """Read a gamma-coded non-negative integer (shifted by one)."""
         return self.read_gamma() - 1
+
+    def cursor(self) -> tuple[str, int]:
+        """The whole stream as ``'0'``/``'1'`` text and the read position.
+
+        A parser that walks many fields (the label codec's level reader)
+        takes both, reads ``text`` directly — checking every field's end
+        against ``len(text)`` itself — and hands back its final position
+        with :meth:`seek`.
+        """
+        return self._text, self._pos
+
+    def seek(self, position: int) -> None:
+        """Move the read position to ``position`` (at most the stream end)."""
+        if not 0 <= position <= self._limit:
+            raise EncodingError(PAST_END)
+        self._pos = position

@@ -1,5 +1,6 @@
 """Meta-tests: public-API hygiene (docstrings everywhere, exports resolve)."""
 
+import functools
 import importlib
 import inspect
 import os
@@ -73,8 +74,9 @@ def test_version_defined():
     assert repro.__version__
 
 
-def test_production_never_imports_the_reference_decoder():
-    """``tests/reference_decoder.py`` is test-only: no ``repro`` module loads it.
+@functools.lru_cache(maxsize=None)
+def _reference_modules_loaded_by_production() -> tuple[str, ...]:
+    """Every ``tests/reference_*`` module that importing all of ``repro`` loads.
 
     Runs in a fresh interpreter from the repository root, where the
     ``tests`` package is importable, so an accidental import would
@@ -86,8 +88,8 @@ def test_production_never_imports_the_reference_decoder():
         "for info in pkgutil.walk_packages(repro.__path__, prefix='repro.'):\n"
         "    if not info.name.endswith('__main__'):\n"
         "        importlib.import_module(info.name)\n"
-        "print(sorted(name for name in sys.modules\n"
-        "             if name.endswith('reference_decoder')))\n"
+        "print(' '.join(sorted(name for name in sys.modules\n"
+        "      if name.rpartition('.')[2].startswith('reference_'))))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -98,4 +100,16 @@ def test_production_never_imports_the_reference_decoder():
         capture_output=True, text=True, timeout=300, check=False,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return tuple(done.stdout.split())
+
+
+def test_production_never_imports_the_reference_decoder():
+    """``tests/reference_decoder.py`` is test-only: no ``repro`` module loads it."""
+    loaded = _reference_modules_loaded_by_production()
+    assert not [name for name in loaded if name.endswith("reference_decoder")]
+
+
+def test_production_never_imports_the_reference_codec():
+    """``tests/reference_codec.py`` is test-only: no ``repro`` module loads it."""
+    loaded = _reference_modules_loaded_by_production()
+    assert not [name for name in loaded if name.endswith("reference_codec")]

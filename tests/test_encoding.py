@@ -1,6 +1,7 @@
 """Tests for bit-exact label serialization."""
 
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +48,16 @@ class TestRoundtrip:
         scheme = ForbiddenSetLabeling(cycle_graph(16), epsilon=0.5)
         restored = decode_label(encode_label(scheme.label(0)))
         assert restored.epsilon == pytest.approx(0.5)
+
+    def test_epsilon_is_rounded_to_float32_and_all_else_exact(self):
+        """ε travels as f32: 0.1 comes back rounded, every other field exact."""
+        scheme = ForbiddenSetLabeling(grid_graph(6, 6), epsilon=0.1)
+        label = scheme.label(14)
+        restored = roundtrip(label)
+        assert restored.levels == label.levels
+        assert restored.epsilon == struct.unpack(">f", struct.pack(">f", 0.1))[0]
+        assert restored.epsilon != 0.1
+        assert restored != label
 
     def test_empty_levels_label(self):
         label = VertexLabel(vertex=3, epsilon=1.0, c=2, top_level=5)
