@@ -1,21 +1,16 @@
 """Chaos injection: hostile schedules and hostile bytes, replayable.
 
-The reproduction's robustness harness, in four parts:
+The reproduction's robustness harness, in three parts (serving-tier
+chaos schedules are scenario traces; see
+:func:`repro.scenario.generate.random_shard_plan`):
 
 * :mod:`repro.chaos.plan` — a seeded fault-plan DSL: scripted or
   randomized churn schedules of vertex/edge fail/recover events,
-  lossy flooding, partition windows, and shard-level serving-tier
-  events (outages, slowness, flakiness, corruption) interleaved with
-  forbidden-set queries;
+  lossy flooding and partition windows, plus the shard-level and
+  rollout actions scenario traces lower to;
 * :mod:`repro.chaos.runner` — drives a
   :class:`~repro.routing.network_sim.NetworkSimulator` through a plan
   while checking delivery/stretch/route invariants after every event;
-* :mod:`repro.chaos.service_runner` — drives a
-  :class:`~repro.service.frontend.QueryService` through a shard-fault
-  and rollout plan, handing every answer to the shared
-  :class:`~repro.service.judge.Judge` (exact within ``(1+ε)`` or
-  explicitly degraded, never silently wrong) and checking the serving
-  tier's retry, breaker and recovery invariants;
 * :mod:`repro.chaos.corruption` — seeded bit-flips, truncations and
   lying length fields against saved label databases, with a fuzz
   harness demanding *error or exact answer, never silently wrong*.
@@ -35,19 +30,12 @@ from repro.chaos.plan import (
     ChaosEvent,
     FaultPlan,
     random_churn_plan,
-    random_shard_plan,
 )
 from repro.chaos.runner import (
     ChaosReport,
     ChaosRunner,
     run_plan,
     standard_suite,
-)
-from repro.chaos.service_runner import (
-    ServiceChaosReport,
-    ServiceChaosRunner,
-    run_service_plan,
-    service_standard_suite,
 )
 
 __all__ = [
@@ -61,14 +49,9 @@ __all__ = [
     "Mutation",
     "NETWORK_EVENT_KINDS",
     "SERVICE_EVENT_KINDS",
-    "ServiceChaosReport",
-    "ServiceChaosRunner",
     "fuzz_database",
     "mutate",
     "random_churn_plan",
-    "random_shard_plan",
     "run_plan",
-    "run_service_plan",
-    "service_standard_suite",
     "standard_suite",
 ]

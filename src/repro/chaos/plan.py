@@ -19,16 +19,12 @@ checks invariants after every event.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 from repro.exceptions import QueryError
 from repro.graphs.graph import Graph
 from repro.util.rng import RngLike, make_rng
-
-#: schema tag of the canonical on-disk plan representation
-PLAN_SCHEMA = "repro/fault-plan@1"
 
 #: events understood by the network-simulator runner
 NETWORK_EVENT_KINDS = frozenset({
@@ -42,8 +38,8 @@ NETWORK_EVENT_KINDS = frozenset({
     "heal_partition",
 })
 
-#: events understood by the label-serving runner
-#: (:class:`repro.chaos.service_runner.ServiceChaosRunner`)
+#: serving-tier actions a scenario replay applies
+#: (:class:`repro.scenario.runner.ScenarioRunner`)
 SERVICE_EVENT_KINDS = frozenset({
     "shard_down",
     "shard_recover",
@@ -56,8 +52,6 @@ SERVICE_EVENT_KINDS = frozenset({
     "rollout_commit",
     "rollout_abort",
     "rollout_crash",
-    "query",
-    "advance",
 })
 
 EVENT_KINDS = NETWORK_EVENT_KINDS | SERVICE_EVENT_KINDS
@@ -73,13 +67,12 @@ class ChaosEvent:
     ``propagate`` carries ``rounds``; ``partition`` /
     ``heal_partition`` carry the cut as ``edges``.
 
-    Shard-level (serving-tier) events: ``shard_down`` /
-    ``shard_recover`` carry ``shard``; ``shard_slow`` carries
+    Shard-level (serving-tier) actions, lowered from scenario traces:
+    ``shard_down`` / ``shard_recover`` / ``shard_crash`` /
+    ``shard_restart`` carry ``shard``; ``shard_slow`` carries
     ``shard`` + ``latency_ms``; ``shard_flaky`` and ``shard_corrupt``
     carry ``shard`` + ``probability`` (failure probability resp.
-    corrupted fraction); ``query`` carries ``(s, t)`` plus optional
-    ``faults`` / ``fault_edges``; ``advance`` carries ``latency_ms``
-    of virtual time to let pass (cooldowns, backoff windows).
+    corrupted fraction).
 
     Rollout (blue/green label-generation) events: ``rollout_begin``
     and ``rollout_crash`` carry ``edge`` — the graph edge the new
@@ -99,8 +92,6 @@ class ChaosEvent:
     shard: int | None = None
     latency_ms: float | None = None
     probability: float | None = None
-    faults: tuple[int, ...] = ()
-    fault_edges: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
         if self.kind not in EVENT_KINDS:
@@ -109,7 +100,7 @@ class ChaosEvent:
             raise QueryError(f"{self.kind} event needs a vertex")
         if self.kind in ("fail_edge", "recover_edge") and self.edge is None:
             raise QueryError(f"{self.kind} event needs an edge")
-        if self.kind in ("send", "query") and (self.s is None or self.t is None):
+        if self.kind == "send" and (self.s is None or self.t is None):
             raise QueryError(f"{self.kind} event needs both endpoints")
         if self.kind in ("partition", "heal_partition") and not self.edges:
             raise QueryError(f"{self.kind} event needs a non-empty cut")
@@ -121,7 +112,7 @@ class ChaosEvent:
             raise QueryError(f"{self.kind} event needs a shard")
         if self.kind in ("rollout_begin", "rollout_crash") and self.edge is None:
             raise QueryError(f"{self.kind} event needs an edge")
-        if self.kind in ("shard_slow", "advance") and (
+        if self.kind == "shard_slow" and (
             self.latency_ms is None or self.latency_ms <= 0
         ):
             raise QueryError(f"{self.kind} event needs a positive latency_ms")
@@ -197,106 +188,6 @@ class FaultPlan:
         self.events.append(ChaosEvent(kind="heal_partition", edges=cut))
         return self
 
-    # -- fluent shard-level (serving-tier) builders -------------------------
-
-    def shard_down(self, shard: int) -> "FaultPlan":
-        """Schedule a shard outage (fetches fail fast)."""
-        self.events.append(ChaosEvent(kind="shard_down", shard=shard))
-        return self
-
-    def shard_recover(self, shard: int) -> "FaultPlan":
-        """Schedule a shard recovery (pristine health and bytes)."""
-        self.events.append(ChaosEvent(kind="shard_recover", shard=shard))
-        return self
-
-    def shard_slow(self, shard: int, latency_ms: float) -> "FaultPlan":
-        """Schedule a shard slowdown to ``latency_ms`` per fetch."""
-        self.events.append(
-            ChaosEvent(kind="shard_slow", shard=shard, latency_ms=latency_ms)
-        )
-        return self
-
-    def shard_flaky(self, shard: int, probability: float) -> "FaultPlan":
-        """Schedule seeded probabilistic fetch failures on a shard."""
-        self.events.append(
-            ChaosEvent(
-                kind="shard_flaky", shard=shard, probability=probability
-            )
-        )
-        return self
-
-    def shard_corrupt(self, shard: int, fraction: float = 0.5) -> "FaultPlan":
-        """Schedule seeded corruption of a fraction of a shard's records."""
-        self.events.append(
-            ChaosEvent(
-                kind="shard_corrupt", shard=shard, probability=fraction
-            )
-        )
-        return self
-
-    def shard_crash(self, shard: int) -> "FaultPlan":
-        """Schedule a shard process death (in-memory state lost)."""
-        self.events.append(ChaosEvent(kind="shard_crash", shard=shard))
-        return self
-
-    def shard_restart(self, shard: int) -> "FaultPlan":
-        """Schedule a shard restart: reload-from-disk through recovery."""
-        self.events.append(ChaosEvent(kind="shard_restart", shard=shard))
-        return self
-
-    def rollout_begin(self, a: int, b: int) -> "FaultPlan":
-        """Schedule staging a new label generation with edge (a, b) removed."""
-        self.events.append(
-            ChaosEvent(kind="rollout_begin", edge=(min(a, b), max(a, b)))
-        )
-        return self
-
-    def rollout_commit(self) -> "FaultPlan":
-        """Schedule committing the staged label generation."""
-        self.events.append(ChaosEvent(kind="rollout_commit"))
-        return self
-
-    def rollout_abort(self) -> "FaultPlan":
-        """Schedule aborting (sweeping) the staged label generation."""
-        self.events.append(ChaosEvent(kind="rollout_abort"))
-        return self
-
-    def rollout_crash(self, a: int, b: int) -> "FaultPlan":
-        """Schedule a rollout of edge-(a, b) removal that crashes mid-flight.
-
-        The runner arms the store's filesystem to die at a seeded op
-        inside the stage+commit window, collapses volatile state, and
-        recovers through the manifest — queries afterwards must answer
-        for exactly one committed generation.
-        """
-        self.events.append(
-            ChaosEvent(kind="rollout_crash", edge=(min(a, b), max(a, b)))
-        )
-        return self
-
-    def query(
-        self,
-        s: int,
-        t: int,
-        faults: tuple[int, ...] = (),
-        fault_edges: tuple[tuple[int, int], ...] = (),
-    ) -> "FaultPlan":
-        """Schedule a forbidden-set query whose outcome will be judged."""
-        self.events.append(
-            ChaosEvent(
-                kind="query", s=s, t=t, faults=tuple(faults),
-                fault_edges=tuple(
-                    (min(a, b), max(a, b)) for a, b in fault_edges
-                ),
-            )
-        )
-        return self
-
-    def advance(self, latency_ms: float) -> "FaultPlan":
-        """Schedule virtual-time passage (breaker cooldowns, quiet periods)."""
-        self.events.append(ChaosEvent(kind="advance", latency_ms=latency_ms))
-        return self
-
     # -- plumbing ----------------------------------------------------------
 
     def __len__(self) -> int:
@@ -308,155 +199,6 @@ class FaultPlan:
     def with_loss(self, drop_probability: float) -> "FaultPlan":
         """The same schedule under a different message-loss model."""
         return replace(self, drop_probability=drop_probability)
-
-    # -- canonical JSON round-trip -----------------------------------------
-
-    def to_json(self) -> str:
-        """The plan as canonical, schema-versioned JSON.
-
-        Sorted keys, default-valued event fields omitted, trailing
-        newline — the shared on-disk representation of compiled
-        scenarios and scripted ``repro chaos`` plans.  Byte-stable:
-        ``FaultPlan.from_json(p.to_json()).to_json() == p.to_json()``.
-        """
-        events = []
-        for event in self.events:
-            row: dict[str, object] = {"kind": event.kind}
-            if event.vertex is not None:
-                row["vertex"] = event.vertex
-            if event.edge is not None:
-                row["edge"] = list(event.edge)
-            if event.s is not None:
-                row["s"] = event.s
-            if event.t is not None:
-                row["t"] = event.t
-            if event.rounds != 1:
-                row["rounds"] = event.rounds
-            if event.edges:
-                row["edges"] = [list(edge) for edge in event.edges]
-            if event.shard is not None:
-                row["shard"] = event.shard
-            if event.latency_ms is not None:
-                row["latency_ms"] = event.latency_ms
-            if event.probability is not None:
-                row["probability"] = event.probability
-            if event.faults:
-                row["faults"] = list(event.faults)
-            if event.fault_edges:
-                row["fault_edges"] = [list(edge) for edge in event.fault_edges]
-            events.append(row)
-        payload = {
-            "schema": PLAN_SCHEMA,
-            "name": self.name,
-            "seed": self.seed,
-            "drop_probability": self.drop_probability,
-            "events": events,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        """Parse a canonical plan document (strict, precise errors)."""
-        try:
-            payload = json.loads(text)
-        except ValueError as exc:
-            raise QueryError(f"plan document is not valid JSON: {exc}") \
-                from exc
-        if not isinstance(payload, dict):
-            raise QueryError(
-                f"plan document must be a JSON object, "
-                f"got {type(payload).__name__}"
-            )
-        schema = payload.get("schema")
-        if schema != PLAN_SCHEMA:
-            raise QueryError(
-                f"unknown plan schema {schema!r} (this reader speaks "
-                f"{PLAN_SCHEMA!r})"
-            )
-        known_top = {"schema", "name", "seed", "drop_probability", "events"}
-        for key in sorted(payload):
-            if key not in known_top:
-                raise QueryError(f"unknown plan field {key!r}")
-        rows = payload.get("events", [])
-        if not isinstance(rows, list):
-            raise QueryError("plan 'events' must be a list")
-        events = []
-        for index, row in enumerate(rows):
-            events.append(_event_from_dict(index, row))
-        return cls(
-            events=events,
-            drop_probability=payload.get("drop_probability", 0.0),
-            seed=payload.get("seed", 0),
-            name=payload.get("name", "scripted"),
-        )
-
-
-_EVENT_JSON_FIELDS = frozenset({
-    "kind", "vertex", "edge", "s", "t", "rounds", "edges", "shard",
-    "latency_ms", "probability", "faults", "fault_edges",
-})
-
-
-def _edge_from_json(index: int, value: object, fld: str) -> tuple[int, int]:
-    if (
-        not isinstance(value, list)
-        or len(value) != 2
-        or not all(isinstance(v, int) for v in value)
-    ):
-        raise QueryError(
-            f"event {index}: field {fld!r} must be a [a, b] pair, "
-            f"got {value!r}"
-        )
-    return (value[0], value[1])
-
-
-def _event_from_dict(index: int, row: object) -> ChaosEvent:
-    """One JSON event row back to a validated :class:`ChaosEvent`."""
-    if not isinstance(row, dict):
-        raise QueryError(
-            f"event {index}: must be a JSON object, "
-            f"got {type(row).__name__}"
-        )
-    kind = row.get("kind")
-    if kind not in EVENT_KINDS:
-        raise QueryError(
-            f"event {index}: unknown event kind {kind!r} "
-            f"(known: {', '.join(sorted(EVENT_KINDS))})"
-        )
-    for key in sorted(row):
-        if key not in _EVENT_JSON_FIELDS:
-            raise QueryError(f"event {index}: unknown field {key!r}")
-    values: dict[str, object] = {"kind": kind}
-    for fld in ("vertex", "s", "t", "shard", "latency_ms", "probability"):
-        if fld in row:
-            values[fld] = row[fld]
-    if "rounds" in row:
-        values["rounds"] = row["rounds"]
-    if "edge" in row:
-        values["edge"] = _edge_from_json(index, row["edge"], "edge")
-    for fld in ("edges", "fault_edges"):
-        if fld in row:
-            if not isinstance(row[fld], list):
-                raise QueryError(
-                    f"event {index}: field {fld!r} must be a list"
-                )
-            values[fld] = tuple(
-                _edge_from_json(index, item, fld) for item in row[fld]
-            )
-    if "faults" in row:
-        if not isinstance(row["faults"], list) or not all(
-            isinstance(v, int) for v in row["faults"]
-        ):
-            raise QueryError(
-                f"event {index}: field 'faults' must be a list of ints"
-            )
-        values["faults"] = tuple(row["faults"])
-    try:
-        return ChaosEvent(**values)
-    except QueryError as exc:
-        raise QueryError(f"event {index}: {exc}") from exc
-    except TypeError as exc:
-        raise QueryError(f"event {index}: malformed event: {exc}") from exc
 
 
 def _partition_cut(
@@ -577,108 +319,4 @@ def random_churn_plan(
         for _ in range(min(4, len(live) // 2)):
             s, t = rng.sample(live, 2)
             plan.send(s, t)
-    return plan
-
-
-def random_shard_plan(
-    graph: Graph,
-    num_shards: int = 4,
-    num_events: int = 60,
-    seed: RngLike = None,
-    max_vertex_faults: int = 3,
-    edge_fault_probability: float = 0.25,
-    stabilize: bool = True,
-    breaker_cooldown_ms: float = 250.0,
-    name: str | None = None,
-) -> FaultPlan:
-    """A seeded serving-tier schedule: shard faults interleaved with queries.
-
-    Mixes ``shard_down`` / ``shard_slow`` / ``shard_flaky`` /
-    ``shard_corrupt`` / ``shard_crash`` events (tracking shard health
-    so every event is meaningful — a down shard is not downed again,
-    and a crashed shard is brought back with ``shard_restart``, a
-    genuine reload-from-disk), virtual-time ``advance`` windows, and
-    forbidden-set ``query`` events whose outcomes the service runner
-    judges against ground truth.  With ``stabilize=True`` the plan
-    ends by recovering or restarting every shard, letting breaker
-    cooldowns elapse, and probing with queries — so every schedule
-    exercises the "recovery restores exact answers" invariant.
-    """
-    rng = make_rng(seed)
-    n = graph.num_vertices
-    if n < 4:
-        raise QueryError("shard plans need at least 4 vertices")
-    if num_shards < 1:
-        raise QueryError("shard plans need at least one shard")
-    edges = list(graph.edges())
-    unhealthy: dict[int, str] = {}
-    plan = FaultPlan(
-        seed=rng.randrange(1 << 30),
-        name=name or f"shard-chaos(n={n}, shards={num_shards}, "
-        f"events={num_events})",
-    )
-
-    def random_query() -> None:
-        s, t = rng.sample(range(n), 2)
-        pool = [v for v in range(n) if v not in (s, t)]
-        faults = tuple(
-            rng.sample(pool, min(len(pool), rng.randint(0, max_vertex_faults)))
-        )
-        fault_edges: tuple[tuple[int, int], ...] = ()
-        if edges and rng.random() < edge_fault_probability:
-            fault_edges = (rng.choice(edges),)
-        plan.query(s, t, faults=faults, fault_edges=fault_edges)
-
-    while len(plan.events) < num_events:
-        roll = rng.random()
-        healthy = [s for s in range(num_shards) if s not in unhealthy]
-        if roll < 0.09 and healthy:
-            shard = rng.choice(healthy)
-            unhealthy[shard] = "down"
-            plan.shard_down(shard)
-        elif roll < 0.16 and healthy:
-            shard = rng.choice(healthy)
-            unhealthy[shard] = "slow"
-            plan.shard_slow(shard, latency_ms=rng.choice([40.0, 80.0, 160.0]))
-        elif roll < 0.23 and healthy:
-            shard = rng.choice(healthy)
-            unhealthy[shard] = "flaky"
-            plan.shard_flaky(
-                shard, probability=rng.choice([0.3, 0.6, 0.9])
-            )
-        elif roll < 0.29 and healthy:
-            shard = rng.choice(healthy)
-            unhealthy[shard] = "corrupt"
-            plan.shard_corrupt(
-                shard, fraction=rng.choice([0.25, 0.5, 1.0])
-            )
-        elif roll < 0.36 and healthy:
-            shard = rng.choice(healthy)
-            unhealthy[shard] = "crash"
-            plan.shard_crash(shard)
-        elif roll < 0.46 and unhealthy:
-            shard = rng.choice(sorted(unhealthy))
-            condition = unhealthy.pop(shard)
-            if condition == "crash":
-                plan.shard_restart(shard)
-            else:
-                plan.shard_recover(shard)
-        elif roll < 0.54:
-            plan.advance(rng.choice([20.0, 60.0, 150.0, 400.0]))
-        else:
-            random_query()
-
-    if stabilize:
-        # recover (or restart-from-disk) everything, wait out every
-        # breaker cooldown, then probe: a healed tier must answer
-        # exactly again
-        for shard in sorted(unhealthy):
-            if unhealthy[shard] == "crash":
-                plan.shard_restart(shard)
-            else:
-                plan.shard_recover(shard)
-        unhealthy.clear()
-        plan.advance(2 * breaker_cooldown_ms)
-        for _ in range(4):
-            random_query()
     return plan

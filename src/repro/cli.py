@@ -21,12 +21,10 @@ Subcommands::
         [--format text|json]
     python -m repro bench [--queries 120] [--repeats 5] [--emit BENCH.json]
     python -m repro traffic [--seed 0] [--duration-ms 1000] \
-        [--multiplier 4.0] [--no-cache] [--no-coalescing] \
-        [--format prom|json]
+        [--multiplier 4.0] [--format prom|json]
     python -m repro scenario list
     python -m repro scenario validate [FILE ...]
-    python -m repro scenario run FILE [--seed N] [--format text|json] \
-        [--emit-plan PLAN.json]
+    python -m repro scenario run FILE [--seed N] [--format text|json]
     python -m repro scenario search GRAPH_SPEC [--objective stretch|degraded] \
         [--budget 3] [--seed 0] [--emit FILE.scenario]
 
@@ -419,77 +417,60 @@ def cmd_rollout_battery(args: argparse.Namespace) -> int:
     return 1
 
 
-def cmd_serve_chaos(args: argparse.Namespace) -> int:
-    """``repro serve-chaos``: shard-fault schedules against the service."""
-    from repro.chaos import (
-        random_shard_plan,
-        run_service_plan,
-        service_standard_suite,
-    )
-    from repro.service import RetryPolicy
+def _serve_chaos_traces(args: argparse.Namespace) -> list:
+    """The serve-chaos schedules ``repro serve-chaos`` / ``metrics`` replay."""
+    from repro.scenario import random_shard_plan, serve_chaos_suite
 
-    if args.plan is not None:
-        from repro.chaos.plan import FaultPlan
-
-        if args.graph is None:
-            raise ReproError("serve-chaos --plan needs a graph spec")
-        graph = parse_graph_spec(args.graph)
-        with open(args.plan, "r", encoding="utf-8") as handle:
-            plan = FaultPlan.from_json(handle.read())
-        retry = RetryPolicy(hedging=not args.no_hedging)
-        reports = [run_service_plan(
-            graph, plan, epsilon=args.epsilon,
-            num_shards=args.shards, replication=args.replication,
-            retry=retry,
-        )]
-    elif args.graph is None:
-        reports = service_standard_suite(
+    if getattr(args, "graph", None) is None:
+        return serve_chaos_suite(
             num_schedules=args.schedules,
             num_events=args.events,
             seed=args.seed,
-            epsilon=args.epsilon,
         )
-    else:
-        graph = parse_graph_spec(args.graph)
-        retry = RetryPolicy(hedging=not args.no_hedging)
-        reports = []
-        for i in range(args.schedules):
-            plan = random_shard_plan(
-                graph,
-                num_shards=args.shards,
-                num_events=args.events,
-                seed=args.seed + i,
-                name=f"schedule {i} on {graph!r} (shards={args.shards}, "
-                f"replicas={args.replication})",
-            )
-            reports.append(run_service_plan(
-                graph, plan, epsilon=args.epsilon,
-                num_shards=args.shards, replication=args.replication,
-                retry=retry,
-            ))
+    return [
+        random_shard_plan(
+            args.graph,
+            num_shards=args.shards,
+            replication=args.replication,
+            num_events=args.events,
+            seed=args.seed + i,
+            hedging=not args.no_hedging,
+            name=f"schedule-{i}",
+        )
+        for i in range(args.schedules)
+    ]
+
+
+def cmd_serve_chaos(args: argparse.Namespace) -> int:
+    """``repro serve-chaos``: shard-fault schedules against the service.
+
+    Generates the schedules as scenario traces and replays each through
+    the code behind ``repro scenario run``.
+    """
+    from repro.scenario import run_trace
+
+    reports = [
+        run_trace(trace, epsilon=args.epsilon)
+        for trace in _serve_chaos_traces(args)
+    ]
     violations = 0
-    totals = {
-        "queries": 0, "exact_answers": 0, "degraded_answers": 0,
-        "retries": 0, "hedges": 0, "breaker_trips": 0,
-    }
+    totals = dict.fromkeys(("retries", "hedges", "breaker_trips"), 0)
     for report in reports:
         print(report.summary())
         for line in report.violations:
             print(f"  ! {line}")
         violations += len(report.violations)
         for key in totals:
-            totals[key] += report.metrics.get(key, 0)
-    rate = (
-        totals["degraded_answers"] / totals["queries"]
-        if totals["queries"] else 0.0
-    )
+            totals[key] += report.client.get(key, 0)
+    queries = sum(report.queries for report in reports)
+    exact = sum(report.exact for report in reports)
+    degraded = sum(report.degraded for report in reports)
+    rate = degraded / queries if queries else 0.0
     print(
         f"\n{len(reports)} schedule(s), {violations} invariant violation(s)\n"
-        f"totals: {totals['queries']} queries "
-        f"({totals['exact_answers']} exact, "
-        f"{totals['degraded_answers']} degraded, rate {rate:.2f}), "
-        f"{totals['retries']} retries, {totals['hedges']} hedges, "
-        f"{totals['breaker_trips']} breaker trips"
+        f"totals: {queries} queries ({exact} exact, {degraded} degraded, "
+        f"rate {rate:.2f}), {totals['retries']} retries, "
+        f"{totals['hedges']} hedges, {totals['breaker_trips']} breaker trips"
     )
     return 0 if violations == 0 else 1
 
@@ -624,22 +605,23 @@ def _restrict_to_changed(result: Any, ref: str) -> Any:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    """``repro metrics``: observed serve-chaos battery, exported metrics.
+    """``repro metrics``: the standard serve-chaos matrix, exported metrics.
 
-    Runs the seeded battery with every instrumentation hook attached
-    and prints the aggregate registry in Prometheus text format (or
-    canonical JSON).  The same seed always prints byte-identical
-    output — that is the property the golden-trace test pins down.
+    Replays the seeded schedules through the code behind ``repro
+    scenario run`` with one registry shared across them, and prints it
+    in Prometheus text format (or canonical JSON).  The same seed
+    always prints byte-identical output — that is the property the
+    golden-trace test pins down.
     """
     from repro.obs.export import render_metrics_json, render_prometheus
-    from repro.obs.harness import observed_service_battery
+    from repro.obs.registry import Registry
+    from repro.scenario import run_trace
 
-    registry, reports = observed_service_battery(
-        num_schedules=args.schedules,
-        num_events=args.events,
-        seed=args.seed,
-        epsilon=args.epsilon,
-    )
+    registry = Registry()
+    reports = [
+        run_trace(trace, epsilon=args.epsilon, obs=registry)
+        for trace in _serve_chaos_traces(args)
+    ]
     if args.format == "json":
         print(render_metrics_json(registry))
     else:
@@ -697,32 +679,35 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_traffic(args: argparse.Namespace) -> int:
     """``repro traffic``: the overload battery, judged against its SLOs.
 
-    Replays the standard seeded 4x-overload mix (three tenants, diurnal
-    phases, a fault burst, a mid-run shard outage) through the async
-    gateway on virtual time, judges every outcome against BFS ground
-    truth, and prints the SLO report.  Exit status 1 when any invariant
-    or SLO was violated — the same contract ``repro metrics`` has.
+    Generates the battery's trace (4x overload mix of three tenants, a
+    rush-hour curve, a fault burst, a mid-run shard outage) and replays
+    it through the code behind ``repro scenario run``.  Exit status 1
+    when any invariant or SLO was violated — the same contract
+    ``repro metrics`` has.
     """
-    import json as json_module
-
-    from repro.gateway import standard_traffic_battery
     from repro.obs.export import render_prometheus
     from repro.obs.registry import Registry
+    from repro.scenario import run_trace, traffic_trace
 
     registry = Registry()
-    report = standard_traffic_battery(
-        seed=args.seed,
-        duration_ms=args.duration_ms,
-        offered_multiplier=args.multiplier,
-        use_cache=not args.no_cache,
-        coalescing=not args.no_coalescing,
+    report = run_trace(
+        traffic_trace(
+            seed=args.seed,
+            duration_ms=args.duration_ms,
+            multiplier=args.multiplier,
+        ),
         obs=registry,
     )
     if args.format == "json":
-        print(json_module.dumps(report.to_dict(), indent=2, sort_keys=True))
+        print(report.to_json(), end="")
     else:
         print(render_prometheus(registry), end="")
         print(f"# {report.summary()}")
+    return _report_status(report)
+
+
+def _report_status(report) -> int:
+    """Exit status of one replay: 1 (violations to stderr) unless clean."""
     if not report.ok:
         for violation in report.violations[:20]:
             print(f"violation: {violation}", file=sys.stderr)
@@ -810,7 +795,8 @@ def cmd_scenario_validate(args: argparse.Namespace) -> int:
             print(
                 f"OK {path}: {trace.name} on {trace.graph_spec} — "
                 f"{len(trace.events)} events, {len(compiled.actions)} "
-                f"actions, {len(compiled.probes)} probes"
+                f"actions, {len(compiled.probes)} probes, "
+                f"{len(compiled.script)} scripted rows"
             )
         except ScenarioError as exc:
             failures += 1
@@ -820,23 +806,12 @@ def cmd_scenario_validate(args: argparse.Namespace) -> int:
 
 def cmd_scenario_run(args: argparse.Namespace) -> int:
     """``repro scenario run``: replay one trace through the full stack."""
-    import json as json_module
-
-    from repro.scenario import (
-        ScenarioRunner,
-        compile_trace,
-        load_scenario,
-    )
+    from repro.scenario import load_scenario, run_trace
 
     trace = load_scenario(args.file)
     if args.seed is not None:
         trace = trace.with_seed(args.seed)
-    compiled = compile_trace(trace)
-    if args.emit_plan:
-        with open(args.emit_plan, "w", encoding="utf-8") as handle:
-            handle.write(compiled.fault_plan().to_json())
-        print(f"wrote {args.emit_plan}")
-    report = ScenarioRunner(compiled, epsilon=args.epsilon).run()
+    report = run_trace(trace, epsilon=args.epsilon)
     if args.format == "json":
         print(report.to_json(), end="")
     else:
@@ -849,11 +824,7 @@ def cmd_scenario_run(args: argparse.Namespace) -> int:
                 f"worst stretch {row.worst_stretch:.3f}, "
                 f"detour {row.worst_detour:.3f}"
             )
-    if not report.ok:
-        for violation in report.violations[:20]:
-            print(f"violation: {violation}", file=sys.stderr)
-        return 1
-    return 0
+    return _report_status(report)
 
 
 def cmd_scenario_search(args: argparse.Namespace) -> int:
@@ -953,11 +924,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--replication", type=int, default=2)
     p_serve.add_argument("--no-hedging", action="store_true",
                          help="disable hedged reads to replicas")
-    p_serve.add_argument(
-        "--plan", default=None, metavar="PLAN.json",
-        help="replay one canonical fault-plan document (e.g. emitted by "
-             "'repro scenario run --emit-plan') instead of random schedules",
-    )
     p_serve.add_argument("-e", "--epsilon", type=float, default=1.0)
     p_serve.set_defaults(func=cmd_serve_chaos)
 
@@ -1118,14 +1084,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="offered load relative to what the backend absorbs",
     )
     p_traffic.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the label cache layer",
-    )
-    p_traffic.add_argument(
-        "--no-coalescing", action="store_true",
-        help="disable in-flight request coalescing",
-    )
-    p_traffic.add_argument(
         "--format", choices=["prom", "json"], default="prom",
         help="prom = Prometheus text + summary line, json = full report",
     )
@@ -1173,11 +1131,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sc_run.add_argument(
         "--format", choices=["text", "json"], default="text",
         help="text = summary + per-window table, json = canonical report",
-    )
-    p_sc_run.add_argument(
-        "--emit-plan", default=None, metavar="PLAN.json",
-        help="also write the lowered fault plan (replayable via "
-             "'repro serve-chaos --plan')",
     )
     p_sc_run.set_defaults(func=cmd_scenario_run)
 

@@ -14,19 +14,14 @@ front door that sheds load *explicitly*:
 * :mod:`repro.gateway.gateway` — the :class:`AsyncGateway` itself:
   admission, fairness, coalescing, explicit shed reasons;
 * :mod:`repro.gateway.traffic` — a seeded open-loop traffic model
-  (Zipf popularity, tenant mixes, diurnal phases, fault bursts);
-* :mod:`repro.gateway.battery` — the SLO battery judging every
-  outcome against BFS ground truth.
+  (Zipf popularity, tenant mixes, diurnal phases, fault bursts).
+
+The traffic battery is a generated scenario trace
+(:func:`repro.scenario.generate.traffic_trace`) replayed by
+:class:`repro.scenario.runner.ScenarioRunner`.
 """
 
 from repro.gateway.admission import QuotaPolicy, TokenBucket, WaitingRoom
-from repro.gateway.battery import (
-    GatewayBattery,
-    ShardOutage,
-    SLOPolicy,
-    SLOReport,
-    standard_traffic_battery,
-)
 from repro.gateway.cache import (
     CacheMetrics,
     CachingLabelClient,
@@ -58,16 +53,12 @@ __all__ = [
     "Event",
     "FaultBurst",
     "Future",
-    "GatewayBattery",
     "GatewayConfig",
     "GatewayMetrics",
     "GatewayOutcome",
     "GatewayRequest",
     "LabelCache",
     "QuotaPolicy",
-    "SLOPolicy",
-    "SLOReport",
-    "ShardOutage",
     "Task",
     "TenantProfile",
     "TimedRequest",
@@ -79,5 +70,4 @@ __all__ = [
     "WaitingRoom",
     "ZipfSampler",
     "overload_mix",
-    "standard_traffic_battery",
 ]

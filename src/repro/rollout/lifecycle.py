@@ -1,8 +1,8 @@
-"""The edge-removal rollout lifecycle the full-stack runners share.
+"""The edge-removal rollout lifecycle of the full-stack runner.
 
-Scenario replays and serve-chaos schedules both roll out label
-generations that remove one graph edge: plan the relabel against the
-current graph, stage the new generation, then commit or abort it.
+Scenario replays roll out label generations that remove one graph
+edge: plan the relabel against the current graph, stage the new
+generation, then commit or abort it.
 :class:`EdgeRollouts` keeps that state once — a lazily built relabeler
 and coordinator, the one staged ``(version, plan)``, the next version
 number and the current graph — and records each committed

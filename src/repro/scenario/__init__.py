@@ -3,23 +3,32 @@
 The robustness subsystem's top layer.  A *scenario trace* is a
 versioned, CRC-checked text file of timestamped events over virtual
 time — regional ball outages ``B(v, r)``, rolling maintenance, flash
-crowds, shard crashes, label rollouts, injected probe queries.
+crowds, shard crashes, label rollouts, injected probe queries — plus
+scripted rows (synchronous queries, time gaps) that run in file order.
 :mod:`repro.scenario.trace` parses and canonically serializes the
 format; :mod:`repro.scenario.compile` lowers a trace onto the
 traffic/chaos machinery; :mod:`repro.scenario.runner` replays it
 through the full serving stack and judges every outcome against BFS
-ground truth; :mod:`repro.scenario.search` hunts for the adversarial
-worst fault set and emits it back as a replayable trace; and
-:mod:`repro.scenario.library` loads the committed ``scenarios/``
-regression library.
+ground truth — the repository's one full-stack runner;
+:mod:`repro.scenario.generate` emits the serve-chaos schedules and
+the traffic battery as traces; :mod:`repro.scenario.search` hunts for
+the adversarial worst fault set and emits it back as a replayable
+trace; and :mod:`repro.scenario.library` loads the committed
+``scenarios/`` regression library.
 """
 
 from repro.scenario.compile import (
     CompiledScenario,
-    OutageWindow,
+    ScriptRow,
     TimedAction,
     TimedProbe,
     compile_trace,
+)
+from repro.scenario.generate import (
+    random_shard_plan,
+    recovery_probes,
+    serve_chaos_suite,
+    traffic_trace,
 )
 from repro.scenario.library import (
     catalogue,
@@ -31,7 +40,6 @@ from repro.scenario.runner import (
     ScenarioReport,
     ScenarioRunner,
     WindowRow,
-    run_scenario_file,
     run_trace,
 )
 from repro.scenario.search import SearchResult, WorstPair, worst_f_search
@@ -50,11 +58,11 @@ __all__ = [
     "EVENT_KINDS",
     "SCHEMA_VERSION",
     "CompiledScenario",
-    "OutageWindow",
     "ScenarioEvent",
     "ScenarioReport",
     "ScenarioRunner",
     "ScenarioTrace",
+    "ScriptRow",
     "SearchResult",
     "TimedAction",
     "TimedProbe",
@@ -66,10 +74,13 @@ __all__ = [
     "library_dir",
     "load_scenario",
     "parse_trace",
-    "run_scenario_file",
+    "random_shard_plan",
+    "recovery_probes",
     "run_trace",
     "scenario_paths",
     "serialize_trace",
+    "serve_chaos_suite",
     "trace_crc",
+    "traffic_trace",
     "worst_f_search",
 ]

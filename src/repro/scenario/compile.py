@@ -9,29 +9,32 @@
 * ``ball_outage`` / ``outage`` events become :class:`FaultBurst`
   windows — the ball variant resolves ``B(center, radius)`` inside
   the generator, the explicit variant pins the adversarial vertex
-  pool verbatim;
+  pool verbatim — and the ``burst`` header becomes a burst whose
+  center the generator draws;
 * ``maintenance`` unrolls into a rolling ``shard_down`` /
   ``shard_recover`` pair per shard, one window after another;
-* shard and rollout primitives become timestamped
+* timed shard and rollout primitives become timestamped
   :class:`~repro.chaos.plan.ChaosEvent` actions;
 * ``probe`` events become timestamped :class:`GatewayRequest`\\ s under
-  the reserved ``probe`` tenant.
+  the reserved ``probe`` tenant;
+* scripted rows become :class:`ScriptRow`\\ s, in file order;
+* the ``gateway`` header and the tenants' quotas become the
+  :class:`GatewayConfig`.
 
 Compilation is also where every *graph-dependent* check happens
 (vertex ranges, edges that must exist, shard ids inside the layout,
-flash-crowd overlap), so a trace that compiles replays without
-surprises.  :meth:`CompiledScenario.fault_plan` additionally lowers
-the schedule to a :class:`~repro.chaos.plan.FaultPlan` — the shared
-on-disk representation ``repro serve-chaos --plan`` replays.
+flash-crowd overlap, maintenance sweeps that must end in the run), so
+a trace that compiles replays without surprises.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.chaos.plan import ChaosEvent, FaultPlan
+from repro.chaos.plan import ChaosEvent
 from repro.exceptions import ScenarioError
-from repro.gateway.gateway import GatewayRequest
+from repro.gateway.admission import QuotaPolicy
+from repro.gateway.gateway import GatewayConfig, GatewayRequest
 from repro.gateway.traffic import (
     FaultBurst,
     TenantProfile,
@@ -39,15 +42,10 @@ from repro.gateway.traffic import (
     TrafficPhase,
 )
 from repro.graphs.graph import Graph
-from repro.graphs.traversal import bfs_distances
-from repro.scenario.trace import OUTAGE_KINDS, ScenarioEvent, ScenarioTrace
-from repro.util.rng import make_rng
+from repro.scenario.trace import ScenarioEvent, ScenarioTrace
 
 #: tenant name reserved for injected probe requests
 PROBE_TENANT = "probe"
-
-#: sampled judged queries per outage window in the lowered fault plan
-_PLAN_QUERIES_PER_WINDOW = 4
 
 
 @dataclass(frozen=True)
@@ -67,82 +65,28 @@ class TimedProbe:
 
 
 @dataclass(frozen=True)
-class OutageWindow:
-    """One resolved fault window (for reporting and worst-F replay)."""
+class ScriptRow:
+    """One scripted row: an ``action``, or a ``query`` / ``advance`` event."""
 
-    start_ms: float
-    end_ms: float
-    kind: str
-    vertices: tuple[int, ...]
+    event: ScenarioEvent
+    action: ChaosEvent | None = None
 
 
 @dataclass(frozen=True)
 class CompiledScenario:
-    """A trace lowered onto the concrete machinery, ready to replay."""
+    """A trace lowered onto the concrete machinery, ready to replay.
+
+    ``traffic`` is None when the trace has no open-loop traffic
+    (``rate 0``).
+    """
 
     trace: ScenarioTrace
     graph: Graph
-    traffic: TrafficConfig
+    traffic: TrafficConfig | None
     actions: tuple[TimedAction, ...]
     probes: tuple[TimedProbe, ...]
-    outages: tuple[OutageWindow, ...]
-
-    def fault_plan(self) -> FaultPlan:
-        """The schedule as a serving-tier :class:`FaultPlan`.
-
-        The shared representation: shard and rollout actions keep
-        their relative timing via ``advance`` gaps, probes become
-        judged ``query`` events, and every outage window contributes
-        a few seeded in-ball queries so ``repro serve-chaos --plan``
-        genuinely exercises the window.  Deterministic in the trace
-        seed.
-        """
-        rows: list[tuple[float, int, ChaosEvent]] = []
-        order = 0
-        for action in self.actions:
-            rows.append((action.at_ms, order, action.event))
-            order += 1
-        for probe in self.probes:
-            request = probe.request
-            rows.append((
-                probe.at_ms,
-                order,
-                ChaosEvent(
-                    kind="query",
-                    s=request.s,
-                    t=request.t,
-                    faults=tuple(request.vertex_faults),
-                    fault_edges=tuple(request.edge_faults),
-                ),
-            ))
-            order += 1
-        rng = make_rng(self.trace.seed)
-        n = self.graph.num_vertices
-        for window in self.outages:
-            span = window.end_ms - window.start_ms
-            for step in range(_PLAN_QUERIES_PER_WINDOW):
-                at = window.start_ms + span * (step + 1) / (
-                    _PLAN_QUERIES_PER_WINDOW + 1
-                )
-                pool = list(window.vertices)
-                count = min(len(pool), 1 + rng.randrange(3))
-                faults = tuple(sorted(rng.sample(pool, count)))
-                outside = [v for v in range(n) if v not in set(faults)]
-                s, t = rng.sample(outside, 2)
-                rows.append((
-                    at,
-                    order,
-                    ChaosEvent(kind="query", s=s, t=t, faults=faults),
-                ))
-                order += 1
-        plan = FaultPlan(seed=self.trace.seed, name=self.trace.name)
-        cursor = 0.0
-        for at, _, event in sorted(rows, key=lambda row: (row[0], row[1])):
-            if at > cursor:
-                plan.advance(at - cursor)
-                cursor = at
-            plan.events.append(event)
-        return plan
+    script: tuple[ScriptRow, ...]
+    gateway: GatewayConfig
 
 
 def build_graph(spec: str) -> Graph:
@@ -175,7 +119,7 @@ def _check_event(
     if kind == "outage":
         for vertex in event.vertices:
             _check_vertex(graph, vertex, index, event, "vertices")
-    if kind == "probe":
+    if kind in ("probe", "query"):
         _check_vertex(graph, event.s, index, event, "s")
         _check_vertex(graph, event.t, index, event, "t")
         for vertex in event.faults:
@@ -191,20 +135,26 @@ def _check_event(
                     f"the layout's {trace.num_shards} shards",
                     field="shards",
                 )
+        if event.end_ms() > trace.duration_ms:
+            raise ScenarioError(
+                f"event {index} (maintenance): the sweep's last window "
+                f"ends at t={event.end_ms():g}, after the scenario "
+                f"duration {trace.duration_ms:g}",
+                field="window_ms",
+            )
     if event.shard is not None and event.shard >= trace.num_shards:
         raise ScenarioError(
             f"event {index} ({kind}): shard {event.shard} outside the "
             f"layout's {trace.num_shards} shards",
             field="shard",
         )
-    if kind == "rollout_begin":
+    if kind in ("rollout_begin", "rollout_crash"):
         a, b = event.edge
         _check_vertex(graph, a, index, event, "edge")
         _check_vertex(graph, b, index, event, "edge")
         if not graph.has_edge(min(a, b), max(a, b)):
             raise ScenarioError(
-                f"event {index} (rollout_begin): edge {a}-{b} is not in "
-                f"the graph",
+                f"event {index} ({kind}): edge {a}-{b} is not in the graph",
                 field="edge",
             )
 
@@ -239,54 +189,66 @@ def _phases(trace: ScenarioTrace) -> tuple[TrafficPhase, ...]:
     return tuple(phases)
 
 
-def _bursts_and_windows(
-    graph: Graph, trace: ScenarioTrace
-) -> tuple[tuple[FaultBurst, ...], tuple[OutageWindow, ...]]:
+def _bursts(trace: ScenarioTrace) -> tuple[FaultBurst, ...]:
     bursts: list[FaultBurst] = []
-    windows: list[OutageWindow] = []
+    if trace.burst is not None:
+        # no center: the traffic generator draws it from its own stream,
+        # and each request's fault count is capped by its tenant
+        bursts.append(FaultBurst(
+            start_ms=trace.burst.at_ms,
+            duration_ms=trace.burst.duration_ms,
+            radius=trace.burst.radius,
+            burst_fault_rate=trace.burst.fault_rate,
+        ))
     for event in trace.events:
-        if event.kind not in OUTAGE_KINDS:
-            continue
-        end = min(event.end_ms(), trace.duration_ms)
         if event.kind == "ball_outage":
-            vertices = tuple(sorted(
-                bfs_distances(graph, event.center, radius=event.radius)
-            ))
-            burst = FaultBurst(
+            bursts.append(FaultBurst(
                 start_ms=event.at_ms,
                 duration_ms=event.duration_ms,
                 radius=event.radius,
                 burst_fault_rate=event.fault_rate,
                 center=event.center,
                 max_faults=event.max_faults,
-            )
-        else:
-            vertices = tuple(sorted(event.vertices))
-            burst = FaultBurst(
+            ))
+        elif event.kind == "outage":
+            bursts.append(FaultBurst(
                 start_ms=event.at_ms,
                 duration_ms=event.duration_ms,
                 radius=0,
                 burst_fault_rate=event.fault_rate,
-                vertices=vertices,
+                vertices=tuple(sorted(event.vertices)),
                 max_faults=event.max_faults,
-            )
-        bursts.append(burst)
-        windows.append(
-            OutageWindow(
-                start_ms=event.at_ms,
-                end_ms=end,
-                kind=event.kind,
-                vertices=vertices,
-            )
+            ))
+    return tuple(bursts)
+
+
+def _action(event: ScenarioEvent) -> ChaosEvent | None:
+    """The serving-tier action of a shard or rollout row (None otherwise)."""
+    kind = event.kind
+    if kind.startswith("shard_"):
+        return ChaosEvent(
+            kind=kind,
+            shard=event.shard,
+            latency_ms=event.latency_ms,
+            probability=(
+                event.fraction if kind == "shard_corrupt"
+                else event.probability
+            ),
         )
-    return tuple(bursts), tuple(windows)
+    if kind in ("rollout_begin", "rollout_crash"):
+        a, b = event.edge
+        return ChaosEvent(kind=kind, edge=(min(a, b), max(a, b)))
+    if kind in ("rollout_commit", "rollout_abort"):
+        return ChaosEvent(kind=kind)
+    return None
 
 
 def _actions(trace: ScenarioTrace) -> tuple[TimedAction, ...]:
     actions: list[TimedAction] = []
     for event in trace.events:
-        kind = event.kind
-        if kind == "maintenance":
+        if event.scripted:
+            continue
+        if event.kind == "maintenance":
             for step, shard in enumerate(event.shards):
                 start = event.at_ms + step * event.window_ms
                 actions.append(TimedAction(
@@ -296,18 +258,10 @@ def _actions(trace: ScenarioTrace) -> tuple[TimedAction, ...]:
                     start + event.window_ms,
                     ChaosEvent(kind="shard_recover", shard=shard),
                 ))
-        elif kind.startswith("shard_"):
-            actions.append(TimedAction(
-                event.at_ms, ChaosEvent(kind=kind, shard=event.shard)
-            ))
-        elif kind == "rollout_begin":
-            a, b = event.edge
-            actions.append(TimedAction(
-                event.at_ms,
-                ChaosEvent(kind=kind, edge=(min(a, b), max(a, b))),
-            ))
-        elif kind in ("rollout_commit", "rollout_abort"):
-            actions.append(TimedAction(event.at_ms, ChaosEvent(kind=kind)))
+            continue
+        action = _action(event)
+        if action is not None:
+            actions.append(TimedAction(event.at_ms, action))
     return tuple(sorted(actions, key=lambda a: a.at_ms))
 
 
@@ -350,29 +304,47 @@ def compile_trace(
                 f"tenant name {PROBE_TENANT!r} is reserved for injected "
                 "probe requests"
             )
-    bursts, windows = _bursts_and_windows(graph, trace)
-    traffic = TrafficConfig(
-        base_rate_per_ms=trace.base_rate_per_ms,
-        zipf_exponent=trace.zipf_exponent,
-        tenants=tuple(
-            TenantProfile(
-                name=tenant.name,
-                weight=tenant.weight,
-                num_users=tenant.num_users,
-                fault_rate=tenant.fault_rate,
-                max_faults=tenant.max_faults,
-                deadline_ms=tenant.deadline_ms,
-            )
-            for tenant in trace.tenants
-        ),
-        phases=_phases(trace),
-        bursts=bursts,
-    )
+    traffic = None
+    if trace.base_rate_per_ms > 0:
+        traffic = TrafficConfig(
+            base_rate_per_ms=trace.base_rate_per_ms,
+            zipf_exponent=trace.zipf_exponent,
+            tenants=tuple(
+                TenantProfile(
+                    name=tenant.name,
+                    weight=tenant.weight,
+                    num_users=tenant.num_users,
+                    fault_rate=tenant.fault_rate,
+                    max_faults=tenant.max_faults,
+                    deadline_ms=tenant.deadline_ms,
+                )
+                for tenant in trace.tenants
+            ),
+            phases=_phases(trace),
+            bursts=_bursts(trace),
+        )
     return CompiledScenario(
         trace=trace,
         graph=graph,
         traffic=traffic,
         actions=_actions(trace),
         probes=_probes(trace),
-        outages=windows,
+        script=tuple(
+            ScriptRow(event, _action(event))
+            for event in trace.events if event.scripted
+        ),
+        gateway=_gateway(trace),
+    )
+
+
+def _gateway(trace: ScenarioTrace) -> GatewayConfig:
+    """The gateway the trace's ``gateway`` header and tenant quotas ask for."""
+    gateway = trace.gateway
+    return GatewayConfig(
+        per_tenant_capacity=gateway.tenant_queue,
+        default_quota=QuotaPolicy(gateway.quota_rate, gateway.quota_burst),
+        tenant_quotas={
+            tenant.name: QuotaPolicy(tenant.quota_rate, tenant.quota_burst)
+            for tenant in trace.tenants if tenant.quota_rate is not None
+        },
     )

@@ -1,0 +1,288 @@
+"""Generated scenario traces: serve-chaos schedules and the traffic battery.
+
+Both batteries are seeded *trace generators*; the one
+:class:`~repro.scenario.runner.ScenarioRunner` replays what they emit,
+exactly as it replays a committed ``.scenario`` file:
+
+* :func:`random_shard_plan` — a serve-chaos schedule: shard faults
+  interleaved with synchronous forbidden-set queries and time gaps, as
+  scripted rows, ending with a healed tier, a wait of two breaker
+  cooldowns and three probes that must be answered exactly;
+* :func:`serve_chaos_suite` — the standard serve-chaos matrix over
+  graph families, shard layouts and hedging on/off;
+* :func:`traffic_trace` — the traffic battery: 4x overload with a
+  concurrent unreplicated shard outage, a drawn-center fault burst, a
+  small label cache, tenant quotas and an SLO gate.
+
+``repro serve-chaos``, ``repro metrics`` and ``repro traffic`` print
+what these generate replayed through the code behind ``repro scenario
+run``; ``serialize_trace`` writes any of them to a file that replays
+identically.
+"""
+
+from __future__ import annotations
+
+from repro.exceptions import ScenarioError
+from repro.gateway.traffic import overload_mix
+from repro.scenario.compile import build_graph
+from repro.scenario.trace import (
+    ScenarioEvent,
+    ScenarioTrace,
+    TraceBurst,
+    TraceGateway,
+    TraceSLO,
+    TraceTenant,
+)
+from repro.service.client import BreakerPolicy
+from repro.util.rng import RngLike, make_rng
+
+#: per-query deadline of serve-chaos schedules (virtual ms)
+SERVE_CHAOS_DEADLINE_MS = 150.0
+
+#: a drawn serve-chaos query forbids up to this many vertices, and one
+#: edge with this probability
+MAX_VERTEX_FAULTS = 3
+EDGE_FAULT_PROBABILITY = 0.25
+
+#: (graph spec, shards, replication) rotated through by the standard
+#: serve-chaos matrix; replication 1 is the unreplicated worst case
+_SUITE_GRAPHS = (
+    "grid:6x6", "cycle:32", "road:5x5:3", "tree:30:5", "torus:5x5",
+    "hypercube:5",
+)
+_SUITE_LAYOUTS = ((4, 2), (3, 1), (6, 3), (5, 2))
+
+
+def _row(kind: str, **fields) -> ScenarioEvent:
+    return ScenarioEvent(None, kind, **fields)
+
+
+def random_shard_plan(
+    graph_spec: str,
+    num_shards: int = 4,
+    replication: int = 2,
+    num_events: int = 60,
+    seed: RngLike = None,
+    hedging: bool = True,
+    name: str = "shard-chaos",
+) -> ScenarioTrace:
+    """A seeded serve-chaos schedule as a v2 trace of scripted rows.
+
+    Mixes ``shard_down`` / ``shard_slow`` / ``shard_flaky`` /
+    ``shard_corrupt`` / ``shard_crash`` rows (tracking shard health so
+    every row is meaningful — a down shard is not downed again, and a
+    crashed shard comes back with ``shard_restart``, a genuine
+    reload-from-disk), ``advance`` gaps, and forbidden-set ``query``
+    rows.  The first ``num_events`` rows are drawn; then every shard is
+    recovered or restarted, the breaker cooldowns elapse, and four
+    more queries run; :func:`recovery_probes` closes the schedule.
+    """
+    graph = build_graph(graph_spec)
+    rng = make_rng(seed)
+    n = graph.num_vertices
+    if n < 4:
+        raise ScenarioError("shard plans need at least 4 vertices")
+    if num_shards < 1:
+        raise ScenarioError("shard plans need at least one shard")
+    edges = list(graph.edges())
+    unhealthy: dict[int, str] = {}
+    trace_seed = rng.randrange(1 << 30)
+    cooldown = BreakerPolicy().cooldown_ms
+    rows: list[ScenarioEvent] = []
+
+    def random_query() -> None:
+        s, t = rng.sample(range(n), 2)
+        pool = [v for v in range(n) if v not in (s, t)]
+        faults = tuple(
+            rng.sample(pool, min(len(pool), rng.randint(0, MAX_VERTEX_FAULTS)))
+        )
+        edge_faults: tuple[tuple[int, int], ...] = ()
+        if edges and rng.random() < EDGE_FAULT_PROBABILITY:
+            a, b = rng.choice(edges)
+            edge_faults = ((min(a, b), max(a, b)),)
+        rows.append(_row(
+            "query", s=s, t=t, faults=faults, edge_faults=edge_faults
+        ))
+
+    def heal(shard: int) -> None:
+        kind = "shard_restart" if unhealthy.pop(shard) == "crash" \
+            else "shard_recover"
+        rows.append(_row(kind, shard=shard))
+
+    while len(rows) < num_events:
+        roll = rng.random()
+        healthy = [s for s in range(num_shards) if s not in unhealthy]
+        if roll < 0.09 and healthy:
+            shard = rng.choice(healthy)
+            unhealthy[shard] = "down"
+            rows.append(_row("shard_down", shard=shard))
+        elif roll < 0.16 and healthy:
+            shard = rng.choice(healthy)
+            unhealthy[shard] = "slow"
+            rows.append(_row(
+                "shard_slow", shard=shard,
+                latency_ms=rng.choice([40.0, 80.0, 160.0]),
+            ))
+        elif roll < 0.23 and healthy:
+            shard = rng.choice(healthy)
+            unhealthy[shard] = "flaky"
+            rows.append(_row(
+                "shard_flaky", shard=shard,
+                probability=rng.choice([0.3, 0.6, 0.9]),
+            ))
+        elif roll < 0.29 and healthy:
+            shard = rng.choice(healthy)
+            unhealthy[shard] = "corrupt"
+            rows.append(_row(
+                "shard_corrupt", shard=shard,
+                fraction=rng.choice([0.25, 0.5, 1.0]),
+            ))
+        elif roll < 0.36 and healthy:
+            shard = rng.choice(healthy)
+            unhealthy[shard] = "crash"
+            rows.append(_row("shard_crash", shard=shard))
+        elif roll < 0.46 and unhealthy:
+            heal(rng.choice(sorted(unhealthy)))
+        elif roll < 0.54:
+            rows.append(_row(
+                "advance", duration_ms=rng.choice([20.0, 60.0, 150.0, 400.0])
+            ))
+        else:
+            random_query()
+
+    for shard in sorted(unhealthy):
+        heal(shard)
+    rows.append(_row("advance", duration_ms=2 * cooldown))
+    for _ in range(4):
+        random_query()
+    rows.extend(recovery_probes(n, trace_seed))
+    gaps = [row.duration_ms for row in rows if row.kind == "advance"]
+    return ScenarioTrace(
+        name=name,
+        graph_spec=graph_spec,
+        # the gaps alone; each query's own latency runs the clock past it
+        duration_ms=float(sum(gap for gap in gaps if gap is not None)),
+        seed=trace_seed,
+        base_rate_per_ms=0.0,
+        num_shards=num_shards,
+        replication=replication,
+        events=tuple(rows),
+        cache_capacity=None,
+        hedging=hedging,
+        service_deadline_ms=SERVE_CHAOS_DEADLINE_MS,
+    )
+
+
+def recovery_probes(num_vertices: int, seed: int) -> tuple[ScenarioEvent, ...]:
+    """The healed tier's closing check, as scripted rows.
+
+    A wait of two breaker cooldowns, then three forbidden-set-free
+    queries drawn from ``seed + 3``, each marked ``exact=1``: once every
+    shard is healthy again and the breakers have had time to close, the
+    tier must answer exactly.  ``seed`` is the trace's seed.
+    """
+    rng = make_rng(seed + 3)
+    rows = [_row("advance", duration_ms=2 * BreakerPolicy().cooldown_ms)]
+    for _ in range(3):
+        s, t = rng.sample(range(num_vertices), 2)
+        rows.append(_row("query", s=s, t=t, exact=True))
+    return tuple(rows)
+
+
+def serve_chaos_suite(
+    num_schedules: int = 20, num_events: int = 60, seed: int = 0
+) -> list[ScenarioTrace]:
+    """The standard serve-chaos matrix, one schedule per graph/layout turn.
+
+    Rotates graph families, shard counts, replication factors
+    (including the unreplicated worst case) and hedging on/off, so one
+    call covers the matrix.  Deterministic in ``seed``.
+    """
+    traces = []
+    for i in range(num_schedules):
+        num_shards, replication = _SUITE_LAYOUTS[i % len(_SUITE_LAYOUTS)]
+        traces.append(random_shard_plan(
+            _SUITE_GRAPHS[i % len(_SUITE_GRAPHS)],
+            num_shards=num_shards,
+            replication=replication,
+            num_events=num_events,
+            seed=seed + 1000 * i + 1,
+            hedging=i % 2 == 0,
+            name=f"serve-chaos-{i}",
+        ))
+    return traces
+
+
+#: per-tenant token buckets (rate per ms, burst) of the traffic battery:
+#: the aggregator's sits below its arrival rate
+_TRAFFIC_QUOTAS = {"aggregator": (1.0, 30.0)}
+
+
+def traffic_trace(
+    seed: int = 0, duration_ms: float = 1000.0, multiplier: float = 4.0
+) -> ScenarioTrace:
+    """The traffic battery: 4x overload plus a concurrent shard outage.
+
+    A 10×10 grid served by 4 *unreplicated* shards, shard 0 down from
+    400 to 700 ms (so the outage genuinely degrades answers), and the
+    :func:`~repro.gateway.traffic.overload_mix` traffic at
+    ``multiplier``: three Zipf tenant populations in the millions, the
+    rush-hour curve as ``flash_crowd`` rows and a fault burst whose
+    forbidden sets concentrate in a ball around a drawn center.  A
+    64-entry label cache, smaller than the working set, keeps the
+    backend the bottleneck, so the overload is real; the aggregator's
+    quota sits below its arrival rate, so all three shed reasons
+    occur.  Rows that would start at or after ``duration_ms`` are left
+    out.  Deterministic in ``seed``.
+    """
+    mix = overload_mix(multiplier)
+    timed: list[tuple[float, ScenarioEvent]] = []
+    cycle = sum(phase.duration_ms for phase in mix.phases)
+    start = 0.0
+    while start < duration_ms:
+        # the curve repeats every cycle; phases at the base rate are gaps
+        at = start
+        for phase in mix.phases:
+            if at < duration_ms and phase.rate_multiplier != 1.0:
+                timed.append((at, ScenarioEvent(
+                    at, "flash_crowd", multiplier=phase.rate_multiplier,
+                    duration_ms=min(phase.duration_ms, duration_ms - at),
+                )))
+            at += phase.duration_ms
+        start += cycle
+    for at, kind in ((400.0, "shard_down"), (700.0, "shard_recover")):
+        if at < duration_ms:
+            timed.append((at, ScenarioEvent(at, kind, shard=0)))
+    timed.sort(key=lambda pair: pair[0])
+    tenants = []
+    for tenant in mix.tenants:
+        quota_rate, quota_burst = _TRAFFIC_QUOTAS.get(tenant.name, (None, None))
+        tenants.append(TraceTenant(
+            tenant.name, weight=tenant.weight, num_users=tenant.num_users,
+            fault_rate=tenant.fault_rate, max_faults=tenant.max_faults,
+            deadline_ms=tenant.deadline_ms, quota_rate=quota_rate,
+            quota_burst=quota_burst,
+        ))
+    (burst,) = mix.bursts
+    return ScenarioTrace(
+        name="traffic",
+        graph_spec="grid:10x10",
+        duration_ms=duration_ms,
+        seed=seed,
+        base_rate_per_ms=mix.base_rate_per_ms,
+        zipf_exponent=mix.zipf_exponent,
+        num_shards=4,
+        replication=1,
+        tenants=tuple(tenants),
+        events=tuple(event for _, event in timed),
+        cache_capacity=64,
+        gateway=TraceGateway(tenant_queue=24, quota_rate=2.0, quota_burst=40.0),
+        burst=TraceBurst(
+            at_ms=burst.start_ms, duration_ms=burst.duration_ms,
+            radius=burst.radius, fault_rate=burst.burst_fault_rate,
+        ),
+        slo=TraceSLO(
+            p99_ms=400.0, shed_rate=0.9, goodput=0.05, fairness=3.0,
+            service_fraction=0.5,
+        ),
+    )

@@ -63,23 +63,44 @@ Event taxonomy (virtual milliseconds throughout):
     one explicit, deterministic query (``s``, ``t``, optional
     ``faults`` / ``edge_faults``) injected at the event time — the
     replayable witness a worst-``F`` search commits.
+
+Version 2 adds what the generated serve-chaos schedules and the
+traffic battery need (``docs/scenarios.md`` lists which generator uses
+each feature), and nothing else:
+
+* **scripted rows** ``> <kind> k=v ...`` — no timestamp; they run in
+  file order in one loop task, each after the previous one finished.
+  A trace's rows are all timed or all scripted;
+* kinds ``shard_slow`` (``latency_ms``), ``shard_flaky``
+  (``probability``), ``shard_corrupt`` (``fraction``) and
+  ``rollout_crash`` (``edge``), timed or scripted;
+* scripted-only kinds ``query`` (a synchronous call to the service,
+  bypassing the gateway; ``exact=1`` marks a query that must be
+  answered exactly) and ``advance`` (a ``duration_ms`` gap);
+* header values ``cache``, ``hedging``, ``service_deadline_ms``,
+  ``gateway``, ``burst`` and ``slo``, per-tenant quotas, and
+  ``rate 0`` (no open-loop traffic, so no ``burst``, tenant rows,
+  outages or flash crowds either).
+
+A trace that uses none of them serializes as ``v1``, so every v1 file
+re-serializes byte-identically with the same CRC.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.exceptions import ScenarioError
 
-#: the format magic + schema version of this writer
-SCHEMA_VERSION = 1
+#: the format magic and the newest schema version this reader speaks
+SCHEMA_VERSION = 2
 MAGIC = "repro-scenario"
 
 #: every event kind the format knows, with its field table:
 #: ``field name -> (type tag, required, default)``.  Type tags:
 #: ``int`` / ``num`` / ``edge`` (``a-b``) / ``ints`` (``1,2,3``) /
-#: ``edges`` (``1-2,3-4``).
+#: ``edges`` (``1-2,3-4``) / ``flag`` (``1``, written only when set).
 EVENT_FIELDS: dict[str, tuple[tuple[str, str, bool, object], ...]] = {
     "ball_outage": (
         ("center", "int", True, None),
@@ -115,18 +136,49 @@ EVENT_FIELDS: dict[str, tuple[tuple[str, str, bool, object], ...]] = {
         ("faults", "ints", False, ()),
         ("edge_faults", "edges", False, ()),
     ),
+    # -- v2 ------------------------------------------------------------------
+    "shard_slow": (
+        ("shard", "int", True, None),
+        ("latency_ms", "num", True, None),
+    ),
+    "shard_flaky": (
+        ("shard", "int", True, None),
+        ("probability", "num", True, None),
+    ),
+    "shard_corrupt": (
+        ("shard", "int", True, None),
+        ("fraction", "num", True, None),
+    ),
+    "rollout_crash": (("edge", "edge", True, None),),
+    "query": (
+        ("s", "int", True, None),
+        ("t", "int", True, None),
+        ("faults", "ints", False, ()),
+        ("edge_faults", "edges", False, ()),
+        ("exact", "flag", False, False),
+    ),
+    "advance": (("duration_ms", "num", True, None),),
 }
 
 EVENT_KINDS = frozenset(EVENT_FIELDS)
 
+#: the kinds a v1 file may carry
+V1_KINDS = frozenset({
+    "ball_outage", "outage", "flash_crowd", "maintenance", "shard_down",
+    "shard_recover", "shard_crash", "shard_restart", "rollout_begin",
+    "rollout_commit", "rollout_abort", "probe",
+})
+
+#: kinds only a scripted (``>``) row may carry
+SCRIPT_ONLY_KINDS = frozenset({"query", "advance"})
+
+#: kinds only a timed (``@``) row may carry: windows and gateway probes
+TIMED_ONLY_KINDS = frozenset({
+    "ball_outage", "outage", "flash_crowd", "maintenance", "probe",
+})
+
 #: kinds that open a fault window over graph vertices
 OUTAGE_KINDS = frozenset({"ball_outage", "outage"})
-
-#: header directives in canonical emission order (``tenant`` rows follow)
-_HEADER_ORDER = (
-    "name", "graph", "seed", "duration_ms", "window_ms",
-    "rate", "zipf", "shards", "replication",
-)
 
 _TENANT_FIELDS: tuple[tuple[str, str], ...] = (
     ("weight", "num"),
@@ -134,7 +186,14 @@ _TENANT_FIELDS: tuple[tuple[str, str], ...] = (
     ("fault_rate", "num"),
     ("max_faults", "int"),
     ("deadline_ms", "num"),
+    ("quota_rate", "num"),
+    ("quota_burst", "num"),
 )
+
+#: what a v1 trace replays with: a 256-entry label cache, hedged reads
+#: and a 120 ms service deadline
+V1_CACHE_CAPACITY = 256
+V1_SERVICE_DEADLINE_MS = 120.0
 
 
 def _fmt_num(value: float) -> str:
@@ -153,7 +212,11 @@ def _name_ok(name: str) -> bool:
 
 @dataclass(frozen=True)
 class TraceTenant:
-    """One tenant row of a trace header (mirrors ``TenantProfile``)."""
+    """One tenant row of a trace header (mirrors ``TenantProfile``).
+
+    ``quota_rate`` / ``quota_burst`` (v2, set together) override the
+    gateway's token bucket for this tenant.
+    """
 
     name: str
     weight: float = 1.0
@@ -161,6 +224,8 @@ class TraceTenant:
     fault_rate: float = 0.05
     max_faults: int = 3
     deadline_ms: float | None = None
+    quota_rate: float | None = None
+    quota_burst: float | None = None
 
     def __post_init__(self) -> None:
         problem = tenant_problem(self)
@@ -183,19 +248,118 @@ def tenant_problem(tenant: TraceTenant) -> str | None:
         )
     if tenant.max_faults < 1:
         return f"tenant max_faults must be >= 1, got {tenant.max_faults}"
-    if tenant.deadline_ms is not None and tenant.deadline_ms <= 0:
-        return (
-            f"tenant deadline_ms must be positive, "
-            f"got {_fmt_num(tenant.deadline_ms)}"
-        )
+    for name in ("deadline_ms", "quota_rate", "quota_burst"):
+        value = getattr(tenant, name)
+        if value is not None and value <= 0:
+            return f"tenant {name} must be positive, got {_fmt_num(value)}"
+    if (tenant.quota_rate is None) != (tenant.quota_burst is None):
+        return "tenant quota_rate and quota_burst go together"
+    return None
+
+
+@dataclass(frozen=True)
+class TraceGateway:
+    """The ``gateway`` header (v2): waiting-room and quota knobs.
+
+    ``tenant_queue`` bounds each tenant's share of the waiting room
+    (None: only the global bound); ``quota_rate`` / ``quota_burst``
+    are the token bucket of every tenant without its own quota.
+    """
+
+    tenant_queue: int | None = None
+    quota_rate: float = 0.5
+    quota_burst: float = 25.0
+
+
+@dataclass(frozen=True)
+class TraceBurst:
+    """The ``burst`` header (v2): a ball outage with a drawn center.
+
+    The traffic generator draws the center from its own random stream
+    when the run starts, and each request's fault count is capped by
+    its tenant — the traffic battery's burst.  As a header value it may
+    open at or after ``duration_ms``: the draw still happens.
+    """
+
+    at_ms: float
+    duration_ms: float
+    radius: int
+    fault_rate: float
+
+
+@dataclass(frozen=True)
+class TraceSLO:
+    """The ``slo`` header (v2): thresholds only a declaring trace is gated on.
+
+    ``p99_ms`` bounds the gateway's p99 latency, ``shed_rate`` the
+    shed fraction, ``goodput`` is the floor on the exact fraction,
+    ``fairness`` bounds the served-cost ratio among backlogged tenants
+    and ``service_fraction`` is each busy tenant's served-cost floor.
+    """
+
+    p99_ms: float
+    shed_rate: float
+    goodput: float
+    fairness: float
+    service_fraction: float
+
+
+#: every ``k=v`` header-group field, in canonical order: ``(type tag,
+#: lowest allowed, highest allowed or None, lowest excluded)``
+_GROUP_FIELDS: dict[type, dict[str, tuple[str, float, float | None, bool]]] = {
+    TraceGateway: {
+        "tenant_queue": ("int", 1, None, False),
+        "quota_rate": ("num", 0, None, True),
+        "quota_burst": ("num", 0, None, True),
+    },
+    TraceBurst: {
+        "at_ms": ("num", 0, None, False),
+        "duration_ms": ("num", 0, None, True),
+        "radius": ("int", 0, None, False),
+        "fault_rate": ("num", 0, 1, False),
+    },
+    TraceSLO: {
+        "p99_ms": ("num", 0, None, True),
+        "shed_rate": ("num", 0, 1, False),
+        "goodput": ("num", 0, 1, False),
+        "fairness": ("num", 1, None, False),
+        "service_fraction": ("num", 0, 1, False),
+    },
+}
+
+_GROUPS: dict[str, type] = {
+    "gateway": TraceGateway, "burst": TraceBurst, "slo": TraceSLO,
+}
+
+
+def _group_problem(directive: str, group: object) -> str | None:
+    """The first out-of-range value of a ``gateway``/``burst``/``slo`` line."""
+    for name, (_, low, high, exclusive) in _GROUP_FIELDS[type(group)].items():
+        value = getattr(group, name)
+        if value is None:
+            continue  # an unset option
+        if value < low or (exclusive and value == low) or (
+            high is not None and value > high
+        ):
+            bounds = f"{'(' if exclusive else '['}{low}, " + (
+                f"{high}]" if high is not None else "inf)"
+            )
+            return (
+                f"{directive} {name} must be in {bounds}, "
+                f"got {_fmt_num(value)}"
+            )
     return None
 
 
 @dataclass(frozen=True)
 class ScenarioEvent:
-    """One timestamped trace row; ``kind`` selects which fields apply."""
+    """One trace row; ``kind`` selects which fields apply.
 
-    at_ms: float
+    ``at_ms`` is the timestamp of a timed (``@``) row, or None for a
+    scripted (``>``) row.
+    """
+
+    at_ms: float | None
     kind: str
     center: int | None = None
     radius: int | None = None
@@ -212,6 +376,10 @@ class ScenarioEvent:
     faults: tuple[int, ...] = ()
     edge_faults: tuple[tuple[int, int], ...] = ()
     vertices: tuple[int, ...] = ()
+    latency_ms: float | None = None
+    probability: float | None = None
+    fraction: float | None = None
+    exact: bool | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in EVENT_FIELDS:
@@ -228,8 +396,13 @@ class ScenarioEvent:
         if problem is not None:
             raise ScenarioError(problem)
 
+    @property
+    def scripted(self) -> bool:
+        """True for a scripted (``>``) row, which has no timestamp."""
+        return self.at_ms is None
+
     def end_ms(self) -> float:
-        """Where this event's window closes (its timestamp if windowless)."""
+        """Where this timed event's window closes (its time if windowless)."""
         if self.kind in OUTAGE_KINDS or self.kind == "flash_crowd":
             return self.at_ms + self.duration_ms
         if self.kind == "maintenance":
@@ -239,7 +412,12 @@ class ScenarioEvent:
 
 def event_problem(event: ScenarioEvent) -> str | None:
     """The first thing wrong with ``event``, or None when it is valid."""
-    if event.at_ms < 0:
+    if event.at_ms is None:
+        if event.kind in TIMED_ONLY_KINDS:
+            return f"{event.kind} needs a timestamp (write '@<time> ...')"
+    elif event.kind in SCRIPT_ONLY_KINDS:
+        return f"{event.kind} is a scripted row (write '> {event.kind} ...')"
+    elif event.at_ms < 0:
         return f"event time must be >= 0, got {_fmt_num(event.at_ms)}"
     spec = EVENT_FIELDS[event.kind]
     declared = {name for name, _, _, _ in spec}
@@ -249,6 +427,7 @@ def event_problem(event: ScenarioEvent) -> str | None:
     for name in (
         "center", "radius", "duration_ms", "fault_rate", "max_faults",
         "multiplier", "window_ms", "shard", "edge", "s", "t",
+        "latency_ms", "probability", "fraction", "exact",
     ):
         if name not in declared and getattr(event, name) is not None:
             return f"{event.kind} does not take field {name!r}"
@@ -298,14 +477,23 @@ def _event_range_problem(event: ScenarioEvent) -> str | None:
             return "maintenance shard ids must be >= 0"
     if event.shard is not None and event.shard < 0:
         return f"{kind} shard must be >= 0, got {event.shard}"
-    if kind == "probe":
+    if event.latency_ms is not None and event.latency_ms <= 0:
+        return (
+            f"{kind} latency_ms must be positive, "
+            f"got {_fmt_num(event.latency_ms)}"
+        )
+    for name in ("probability", "fraction"):
+        value = getattr(event, name)
+        if value is not None and not 0.0 < value <= 1.0:
+            return f"{kind} {name} must be in (0, 1], got {_fmt_num(value)}"
+    if kind in ("probe", "query"):
         forbidden = set(event.faults)
-        if event.s == event.t:
+        if kind == "probe" and event.s == event.t:
             return "probe endpoints must differ"
         if event.s in forbidden or event.t in forbidden:
-            return "probe endpoint is inside its own forbidden set"
+            return f"{kind} endpoint is inside its own forbidden set"
         if len(forbidden) != len(event.faults):
-            return "probe faults must be distinct"
+            return f"{kind} faults must be distinct"
     return None
 
 
@@ -318,7 +506,9 @@ class ScenarioTrace:
     ``window_ms`` (the report-timeseries bucket) defaults to an eighth
     of the duration; an empty ``tenants`` tuple resolves to one
     default tenant — so two traces that mean the same thing compare,
-    serialize and checksum identically.
+    serialize and checksum identically.  The fields after ``events``
+    are the v2 header values; their defaults are what a v1 trace
+    replays with.
     """
 
     name: str
@@ -332,6 +522,13 @@ class ScenarioTrace:
     window_ms: float | None = None
     tenants: tuple[TraceTenant, ...] = ()
     events: tuple[ScenarioEvent, ...] = ()
+    #: label-cache entries, or None for the plain resilient client
+    cache_capacity: int | None = V1_CACHE_CAPACITY
+    hedging: bool = True
+    service_deadline_ms: float = V1_SERVICE_DEADLINE_MS
+    gateway: TraceGateway = TraceGateway()
+    burst: TraceBurst | None = None
+    slo: TraceSLO | None = None
 
     def __post_init__(self) -> None:
         if self.window_ms is None:
@@ -348,6 +545,25 @@ class ScenarioTrace:
         return replace(self, seed=seed)
 
 
+def trace_version(trace: ScenarioTrace) -> int:
+    """1 when ``trace`` uses no v2 feature, else 2."""
+    v2 = (
+        trace.base_rate_per_ms == 0
+        or trace.cache_capacity != V1_CACHE_CAPACITY
+        or not trace.hedging
+        or trace.service_deadline_ms != V1_SERVICE_DEADLINE_MS
+        or trace.gateway != TraceGateway()
+        or trace.burst is not None
+        or trace.slo is not None
+        or any(tenant.quota_rate is not None for tenant in trace.tenants)
+        or any(
+            event.scripted or event.kind not in V1_KINDS
+            for event in trace.events
+        )
+    )
+    return 2 if v2 else 1
+
+
 def trace_problem(trace: ScenarioTrace) -> str | None:
     """The first graph-independent problem with ``trace``, or None."""
     if not _name_ok(trace.name):
@@ -360,8 +576,8 @@ def trace_problem(trace: ScenarioTrace) -> str | None:
         )
     if trace.window_ms <= 0:
         return f"window_ms must be positive, got {_fmt_num(trace.window_ms)}"
-    if trace.base_rate_per_ms <= 0:
-        return f"rate must be positive, got {_fmt_num(trace.base_rate_per_ms)}"
+    if trace.base_rate_per_ms < 0:
+        return f"rate must be >= 0, got {_fmt_num(trace.base_rate_per_ms)}"
     if trace.zipf_exponent < 0:
         return f"zipf must be >= 0, got {_fmt_num(trace.zipf_exponent)}"
     if trace.num_shards < 1:
@@ -371,31 +587,75 @@ def trace_problem(trace: ScenarioTrace) -> str | None:
             f"replication must be in [1, shards={trace.num_shards}], "
             f"got {trace.replication}"
         )
+    if trace.cache_capacity is not None and trace.cache_capacity < 1:
+        return f"cache must be >= 1 or none, got {trace.cache_capacity}"
+    if trace.service_deadline_ms <= 0:
+        return (
+            "service_deadline_ms must be positive, "
+            f"got {_fmt_num(trace.service_deadline_ms)}"
+        )
+    for directive in ("gateway", "burst", "slo"):
+        group = getattr(trace, directive)
+        problem = None if group is None else _group_problem(directive, group)
+        if problem is not None:
+            return problem
     names = [tenant.name for tenant in trace.tenants]
     if len(set(names)) != len(names):
         return f"duplicate tenant names: {sorted(names)}"
+    if trace.base_rate_per_ms == 0:
+        problem = _no_traffic_problem(trace)
+        if problem is not None:
+            return problem
+    return _events_problem(trace)
+
+
+def _no_traffic_problem(trace: ScenarioTrace) -> str | None:
+    """``rate 0`` turns open-loop traffic off: nothing may shape it."""
+    if trace.burst is not None:
+        return "burst shapes open-loop traffic, but rate 0 has none"
+    if trace.tenants != (TraceTenant("default"),):
+        return "tenant rows shape open-loop traffic, but rate 0 has none"
+    for index, event in enumerate(trace.events):
+        if event.kind in OUTAGE_KINDS or event.kind == "flash_crowd":
+            return (
+                f"event {index} ({event.kind}) shapes open-loop traffic, "
+                "but rate 0 has none"
+            )
+    return None
+
+
+def _events_problem(trace: ScenarioTrace) -> str | None:
     previous = 0.0
     rollout_pending = False
     for index, event in enumerate(trace.events):
-        if event.at_ms < previous:
+        if event.scripted != trace.events[0].scripted:
+            # the two streams would interleave at replay, so no file
+            # order could say which row runs first
             return (
-                f"event {index} ({event.kind}) at t={_fmt_num(event.at_ms)} "
-                f"is out of order (previous event at t={_fmt_num(previous)})"
+                f"event {index} ({event.kind}): a trace's rows are all "
+                "timed ('@') or all scripted ('>'), never both"
             )
-        previous = event.at_ms
-        if event.at_ms >= trace.duration_ms:
-            return (
-                f"event {index} ({event.kind}) at t={_fmt_num(event.at_ms)} "
-                f"is past the scenario duration "
-                f"{_fmt_num(trace.duration_ms)}"
-            )
-        if event.kind == "rollout_begin":
+        if event.at_ms is not None:
+            if event.at_ms < previous:
+                return (
+                    f"event {index} ({event.kind}) at "
+                    f"t={_fmt_num(event.at_ms)} is out of order (previous "
+                    f"event at t={_fmt_num(previous)})"
+                )
+            previous = event.at_ms
+            if event.at_ms >= trace.duration_ms:
+                return (
+                    f"event {index} ({event.kind}) at "
+                    f"t={_fmt_num(event.at_ms)} is past the scenario "
+                    f"duration {_fmt_num(trace.duration_ms)}"
+                )
+        if event.kind in ("rollout_begin", "rollout_crash"):
             if rollout_pending:
                 return (
-                    f"event {index}: rollout_begin while a rollout is "
+                    f"event {index}: {event.kind} while a rollout is "
                     "already staged"
                 )
-            rollout_pending = True
+            rollout_pending = event.kind == "rollout_begin"
         elif event.kind in ("rollout_commit", "rollout_abort"):
             if not rollout_pending:
                 return f"event {index}: {event.kind} without a rollout_begin"
@@ -420,15 +680,18 @@ def _serialize_value(tag: str, value: object) -> str:
         return ",".join(str(v) for v in value)
     if tag == "edges":
         return ",".join(f"{a}-{b}" for a, b in value)
+    if tag == "flag":
+        return "1"
     raise ScenarioError(f"unknown field type tag {tag!r}")
 
 
 def _event_line(event: ScenarioEvent) -> str:
-    parts = [f"@{_fmt_num(event.at_ms)}", event.kind]
+    head = ">" if event.at_ms is None else f"@{_fmt_num(event.at_ms)}"
+    parts = [head, event.kind]
     for name, tag, _, _ in EVENT_FIELDS[event.kind]:
         value = getattr(event, name)
-        if value == () and tag in ("ints", "edges"):
-            continue  # canonical rule: omit empty list fields
+        if (value == () and tag in ("ints", "edges")) or value is False:
+            continue  # canonical rule: omit empty lists and unset flags
         parts.append(f"{name}={_serialize_value(tag, value)}")
     return " ".join(parts)
 
@@ -442,14 +705,46 @@ def _tenant_line(tenant: TraceTenant) -> str:
         f"fault_rate={_fmt_num(tenant.fault_rate)}",
         f"max_faults={tenant.max_faults}",
     ]
-    if tenant.deadline_ms is not None:
-        parts.append(f"deadline_ms={_fmt_num(tenant.deadline_ms)}")
+    for name in ("deadline_ms", "quota_rate", "quota_burst"):
+        value = getattr(tenant, name)
+        if value is not None:
+            parts.append(f"{name}={_fmt_num(value)}")
     return " ".join(parts)
+
+
+def _group_line(directive: str, group: object) -> str:
+    parts = [directive]
+    for name, (tag, _, _, _) in _GROUP_FIELDS[type(group)].items():
+        value = getattr(group, name)
+        if value is not None:
+            parts.append(f"{name}={_serialize_value(tag, value)}")
+    return " ".join(parts)
+
+
+def _v2_header_lines(trace: ScenarioTrace) -> list[str]:
+    """The v2 header values that differ from what a v1 trace replays with."""
+    lines = []
+    if trace.cache_capacity != V1_CACHE_CAPACITY:
+        capacity = trace.cache_capacity
+        lines.append(f"cache {'none' if capacity is None else capacity}")
+    if not trace.hedging:
+        lines.append("hedging off")
+    if trace.service_deadline_ms != V1_SERVICE_DEADLINE_MS:
+        lines.append(
+            f"service_deadline_ms {_fmt_num(trace.service_deadline_ms)}"
+        )
+    if trace.gateway != TraceGateway():
+        lines.append(_group_line("gateway", trace.gateway))
+    for directive in ("burst", "slo"):
+        group = getattr(trace, directive)
+        if group is not None:
+            lines.append(_group_line(directive, group))
+    return lines
 
 
 def _canonical_body(trace: ScenarioTrace) -> str:
     lines = [
-        f"{MAGIC} v{SCHEMA_VERSION}",
+        f"{MAGIC} v{trace_version(trace)}",
         f"name {trace.name}",
         f"graph {trace.graph_spec}",
         f"seed {trace.seed}",
@@ -460,6 +755,7 @@ def _canonical_body(trace: ScenarioTrace) -> str:
         f"shards {trace.num_shards}",
         f"replication {trace.replication}",
     ]
+    lines.extend(_v2_header_lines(trace))
     for tenant in trace.tenants:
         lines.append(_tenant_line(tenant))
     for event in trace.events:
@@ -489,6 +785,9 @@ _PARSE_DEFAULTS: dict[str, object] = {
     "zipf": 1.1,
     "shards": 4,
     "replication": 2,
+    "cache": V1_CACHE_CAPACITY,
+    "hedging": True,
+    "service_deadline_ms": V1_SERVICE_DEADLINE_MS,
 }
 
 
@@ -513,11 +812,27 @@ def _parse_scalar(tag: str, text: str, line: int, fld: str) -> object:
                 _parse_scalar("edge", piece, line, fld)
                 for piece in text.split(",")
             )
+        if tag == "flag":
+            if text not in ("0", "1"):
+                raise ValueError("expected 0 or 1")
+            return text == "1"
+        if tag == "cache":
+            return None if text == "none" else int(text)
+        if tag == "switch":
+            if text not in ("on", "off"):
+                raise ValueError("expected 'on' or 'off'")
+            return text == "on"
     except ValueError as exc:
         raise ScenarioError(
             f"cannot parse {text!r} as {tag}: {exc}", line=line, field=fld
         ) from exc
     raise ScenarioError(f"unknown field type tag {tag!r}", line=line)
+
+
+_SCALAR_TAGS = {
+    "seed": "int", "shards": "int", "replication": "int",
+    "cache": "cache", "hedging": "switch",
+}
 
 
 def _split_pairs(
@@ -538,20 +853,27 @@ def _split_pairs(
     return pairs
 
 
+def _check_known(
+    pairs: dict[str, str], known, line: int, context: str
+) -> None:
+    for key in sorted(pairs):
+        if key not in known:
+            raise ScenarioError(
+                f"{context} field {key!r} "
+                f"(known: {', '.join(sorted(known)) or 'none'})",
+                line=line,
+                field=key,
+            )
+
+
 def _parse_tenant(tokens: list[str], line: int) -> TraceTenant:
     if not tokens:
         raise ScenarioError("tenant directive needs a name", line=line)
     name, *rest = tokens
     pairs = _split_pairs(rest, line, "tenant")
-    known = {fld for fld, _ in _TENANT_FIELDS}
-    for key in sorted(pairs):
-        if key not in known:
-            raise ScenarioError(
-                f"unknown tenant field {key!r} "
-                f"(known: {', '.join(sorted(known))})",
-                line=line,
-                field=key,
-            )
+    _check_known(
+        pairs, {fld for fld, _ in _TENANT_FIELDS}, line, "unknown tenant"
+    )
     values: dict[str, object] = {}
     for fld, tag in _TENANT_FIELDS:
         if fld in pairs:
@@ -564,37 +886,56 @@ def _parse_tenant(tokens: list[str], line: int) -> TraceTenant:
             fault_rate=values.get("fault_rate", 0.05),
             max_faults=values.get("max_faults", 3),
             deadline_ms=values.get("deadline_ms"),
+            quota_rate=values.get("quota_rate"),
+            quota_burst=values.get("quota_burst"),
         )
     except ScenarioError as exc:
         raise ScenarioError(str(exc), line=line) from exc
 
 
-def _parse_event(body: str, line: int) -> ScenarioEvent:
-    tokens = body.split()
-    if len(tokens) < 2:
+def _parse_group(directive: str, tokens: list[str], line: int) -> object:
+    cls = _GROUPS[directive]
+    spec = _GROUP_FIELDS[cls]
+    pairs = _split_pairs(tokens, line, directive)
+    _check_known(pairs, spec, line, f"unknown {directive}")
+    values = {
+        name: _parse_scalar(tag, pairs[name], line, name)
+        for name, (tag, _, _, _) in spec.items() if name in pairs
+    }
+    try:
+        return cls(**values)
+    except TypeError as exc:
         raise ScenarioError(
-            "event line needs '@<time> <kind> [k=v ...]'", line=line
+            f"{directive} needs every field of {', '.join(spec)}", line=line
+        ) from exc
+
+
+def _parse_event(content: str, line: int) -> ScenarioEvent:
+    scripted = content.startswith(">")
+    tokens = content[1:].split() if scripted else content.split()
+    if len(tokens) < (1 if scripted else 2):
+        raise ScenarioError(
+            "event line needs '@<time> <kind> [k=v ...]' or "
+            "'> <kind> [k=v ...]'",
+            line=line,
         )
-    at_text = tokens[0][1:]
-    at_ms = _parse_scalar("num", at_text, line, "time")
-    kind = tokens[1]
+    if scripted:
+        at_ms = None
+    else:
+        at_ms = _parse_scalar("num", tokens.pop(0)[1:], line, "time")
+    kind = tokens[0]
     if kind not in EVENT_FIELDS:
         raise ScenarioError(
             f"unknown event kind {kind!r} "
             f"(known: {', '.join(sorted(EVENT_KINDS))})",
             line=line,
         )
-    pairs = _split_pairs(tokens[2:], line, "event")
+    pairs = _split_pairs(tokens[1:], line, "event")
     spec = EVENT_FIELDS[kind]
-    known = {name for name, _, _, _ in spec}
-    for key in sorted(pairs):
-        if key not in known:
-            raise ScenarioError(
-                f"{kind} does not take field {key!r} "
-                f"(known: {', '.join(sorted(known)) or 'none'})",
-                line=line,
-                field=key,
-            )
+    _check_known(
+        pairs, {name for name, _, _, _ in spec}, line,
+        f"{kind} does not take",
+    )
     values: dict[str, object] = {"at_ms": at_ms, "kind": kind}
     for name, tag, required, _ in spec:
         if name in pairs:
@@ -607,6 +948,29 @@ def _parse_event(body: str, line: int) -> ScenarioEvent:
         return ScenarioEvent(**values)
     except ScenarioError as exc:
         raise ScenarioError(str(exc), line=line) from exc
+
+
+def _parse_version(header: str, line: int) -> int:
+    magic, _, version_text = header.partition(" ")
+    if magic != MAGIC or not version_text.startswith("v"):
+        raise ScenarioError(
+            f"bad magic {header!r} (want '{MAGIC} v1' or "
+            f"'{MAGIC} v{SCHEMA_VERSION}')",
+            line=line,
+        )
+    try:
+        version = int(version_text[1:])
+    except ValueError as exc:
+        raise ScenarioError(
+            f"bad schema version {version_text!r}", line=line
+        ) from exc
+    if not 1 <= version <= SCHEMA_VERSION:
+        raise ScenarioError(
+            f"unsupported schema version {version} "
+            f"(this reader speaks v1 and v{SCHEMA_VERSION})",
+            line=line,
+        )
+    return version
 
 
 def parse_trace(text: str) -> ScenarioTrace:
@@ -626,26 +990,10 @@ def parse_trace(text: str) -> ScenarioTrace:
     if not significant:
         raise ScenarioError("empty scenario file", line=1)
     line, header = significant[0]
-    magic, _, version_text = header.partition(" ")
-    if magic != MAGIC or not version_text.startswith("v"):
-        raise ScenarioError(
-            f"bad magic {header!r} (want '{MAGIC} v{SCHEMA_VERSION}')",
-            line=line,
-        )
-    try:
-        version = int(version_text[1:])
-    except ValueError as exc:
-        raise ScenarioError(
-            f"bad schema version {version_text!r}", line=line
-        ) from exc
-    if version != SCHEMA_VERSION:
-        raise ScenarioError(
-            f"unsupported schema version {version} "
-            f"(this reader speaks v{SCHEMA_VERSION})",
-            line=line,
-        )
+    version = _parse_version(header, line)
 
     scalars: dict[str, object] = dict(_PARSE_DEFAULTS)
+    groups: dict[str, object] = {}
     seen: set[str] = set()
     name: str | None = None
     graph_spec: str | None = None
@@ -655,7 +1003,7 @@ def parse_trace(text: str) -> ScenarioTrace:
     for line, content in significant[1:]:
         if declared_crc is not None:
             raise ScenarioError("content after the crc footer", line=line)
-        if content.startswith("@"):
+        if content.startswith(("@", ">")):
             events.append(_parse_event(content, line))
             continue
         directive, *tokens = content.split()
@@ -680,45 +1028,35 @@ def parse_trace(text: str) -> ScenarioTrace:
         if directive == "tenant":
             tenants.append(_parse_tenant(tokens, line))
             continue
-        if directive in ("name", "graph"):
-            if len(tokens) != 1:
-                raise ScenarioError(
-                    f"{directive} directive wants exactly one value",
-                    line=line,
-                )
-            if directive in seen:
-                raise ScenarioError(
-                    f"duplicate directive {directive!r}", line=line
-                )
-            seen.add(directive)
-            if directive == "name":
-                name = tokens[0]
-            else:
-                graph_spec = tokens[0]
-            continue
-        if directive in scalars:
-            if len(tokens) != 1:
-                raise ScenarioError(
-                    f"{directive} directive wants exactly one value",
-                    line=line,
-                )
-            if directive in seen:
-                raise ScenarioError(
-                    f"duplicate directive {directive!r}", line=line
-                )
-            seen.add(directive)
-            tag = "int" if directive in ("seed", "shards", "replication") \
-                else "num"
-            scalars[directive] = _parse_scalar(
-                tag, tokens[0], line, directive
+        if directive not in scalars and directive not in _GROUPS and \
+                directive not in ("name", "graph"):
+            raise ScenarioError(
+                f"unknown directive {directive!r} "
+                f"(known: graph, name, tenant, crc, "
+                f"{', '.join(sorted([*_PARSE_DEFAULTS, *_GROUPS]))})",
+                line=line,
             )
+        if directive in seen:
+            raise ScenarioError(
+                f"duplicate directive {directive!r}", line=line
+            )
+        seen.add(directive)
+        if directive in _GROUPS:
+            groups[directive] = _parse_group(directive, tokens, line)
             continue
-        raise ScenarioError(
-            f"unknown directive {directive!r} "
-            f"(known: graph, name, tenant, crc, "
-            f"{', '.join(sorted(_PARSE_DEFAULTS))})",
-            line=line,
-        )
+        if len(tokens) != 1:
+            raise ScenarioError(
+                f"{directive} directive wants exactly one value", line=line
+            )
+        if directive == "name":
+            name = tokens[0]
+        elif directive == "graph":
+            graph_spec = tokens[0]
+        else:
+            scalars[directive] = _parse_scalar(
+                _SCALAR_TAGS.get(directive, "num"), tokens[0], line,
+                directive,
+            )
 
     final_line = significant[-1][0]
     if name is None:
@@ -746,9 +1084,22 @@ def parse_trace(text: str) -> ScenarioTrace:
             window_ms=scalars["window_ms"],
             tenants=tuple(tenants),
             events=tuple(events),
+            cache_capacity=scalars["cache"],
+            hedging=scalars["hedging"],
+            service_deadline_ms=scalars["service_deadline_ms"],
+            gateway=groups.get("gateway", TraceGateway()),
+            burst=groups.get("burst"),
+            slo=groups.get("slo"),
         )
     except ScenarioError as exc:
         raise ScenarioError(str(exc), line=final_line) from exc
+    if trace_version(trace) != version:
+        raise ScenarioError(
+            f"file declares v{version} but its content is "
+            f"v{trace_version(trace)} (v2 features need 'v2', and a file "
+            "without them is 'v1')",
+            line=final_line,
+        )
     actual = trace_crc(trace)
     if actual != declared_crc:
         raise ScenarioError(

@@ -4,8 +4,8 @@ The paper's query guarantee is one inequality,
 ``d_{G\\F}(s, t) ≤ δ ≤ (1+ε)·d_{G\\F}(s, t)``, and the serving tier adds
 one more rule: a degraded answer may certify only a valid lower bound.
 :class:`Judge` states both once, together with the serving rules the
-full-stack runners share, so scenario replays, the traffic battery and
-serve-chaos schedules all rule on an answer the same way:
+scenario runner applies to every replay — library scenarios, the
+generated traffic battery and generated serve-chaos schedules alike:
 
 * **exact** — no missing labels; agrees with the truth on
   reachability; ``d_true ≤ δ ≤ stretch·d_true + 1e-9`` (so ``δ = 0``
@@ -18,6 +18,8 @@ serve-chaos schedules all rule on an answer the same way:
 * an answer from a label generation the judge was never told about is
   a violation — each answer is judged against the graph of the
   generation that produced it (:meth:`Judge.record`);
+* a query marked exact (a scenario's ``query ... exact=1`` row: a
+  probe after every shard healed) must be answered exactly;
 * gateway outcomes only: a shed carries a reason from
   :data:`~repro.service.frontend.SHED_REASONS` and no backend answer; a
   served outcome lands within ``deadline + 2·attempt_timeout_ms + 1``
@@ -30,7 +32,7 @@ faults); the whole distance map is cached, so every ``t`` and the
 fault-free baseline of a detour column are read from it.
 
 The judge returns a :class:`Verdict` — the broken rules, the measured
-stretch and the checks it spent; each runner keeps its own report.
+stretch and the checks it spent; the runner keeps the report.
 """
 
 from __future__ import annotations
@@ -110,17 +112,33 @@ class Judge:
     # -- verdicts -----------------------------------------------------------
 
     def judge_answer(
-        self, answer, s: int, t: int, vertex_faults=(), edge_faults=()
+        self, answer, s: int, t: int, vertex_faults=(), edge_faults=(),
+        exact_required: bool = False,
     ) -> Verdict:
-        """Rule on one backend answer (a ``QueryOutcome``) to ``(s, t, F)``."""
+        """Rule on one backend answer (a ``QueryOutcome``) to ``(s, t, F)``.
+
+        ``exact_required`` marks a query the healed tier must answer
+        exactly; any other status breaks that rule.
+        """
         problem = _status_problem(
             answer.status, answer.reason, _ANSWER_STATUSES
         )
         if problem is not None:
             return Verdict((problem,))
-        return self._against_truth(
+        verdict = self._against_truth(
             answer.status, answer, s, t, vertex_faults, edge_faults
         )
+        if exact_required and answer.status != "exact":
+            missing = ", ".join(str(m) for m in answer.missing)
+            return Verdict(
+                verdict.problems + (
+                    f"marked exact but answered {answer.status}: "
+                    f"{answer.reason} ({missing})",
+                ),
+                verdict.stretch,
+                verdict.checks,
+            )
+        return verdict
 
     def judge_request(
         self, outcome, default_deadline_ms: float, attempt_timeout_ms: float

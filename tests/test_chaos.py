@@ -255,103 +255,3 @@ class TestCorruptionAcceptance:
         report = fuzz_database(blob, PROBES, trials=1000, seed=0)
         assert report.trials == 1000
         assert report.ok, report.silent_wrong[:10]
-
-
-class TestFaultPlanJson:
-    """The canonical schema-versioned plan document round-trip."""
-
-    def rich_plan(self) -> FaultPlan:
-        return (
-            FaultPlan(name="rich", seed=11, drop_probability=0.25)
-            .fail_vertex(3)
-            .fail_edge(0, 1)
-            .propagate(2)
-            .send(0, 5)
-            .partition([(2, 3), (4, 3)])
-            .heal_partition([(2, 3), (3, 4)])
-            .shard_down(0)
-            .shard_slow(1, 12.5)
-            .shard_flaky(2, 0.5)
-            .shard_recover(0)
-            .rollout_begin(4, 5)
-            .rollout_commit()
-            .query(0, 8, faults=(3,), fault_edges=((1, 2),))
-            .advance(50.0)
-        )
-
-    def test_round_trip_is_byte_identical(self):
-        plan = self.rich_plan()
-        text = plan.to_json()
-        clone = FaultPlan.from_json(text)
-        assert clone.to_json() == text
-        assert clone.name == "rich"
-        assert clone.seed == 11
-        assert clone.drop_probability == 0.25
-        assert [e.kind for e in clone.events] \
-            == [e.kind for e in plan.events]
-
-    def test_document_is_canonical(self):
-        import json
-
-        payload = json.loads(self.rich_plan().to_json())
-        assert payload["schema"] == "repro/fault-plan@1"
-        # keys are sorted at every level
-        assert list(payload) == sorted(payload)
-        for row in payload["events"]:
-            assert list(row) == sorted(row)
-
-    def test_default_fields_are_omitted(self):
-        import json
-
-        payload = json.loads(FaultPlan().propagate().to_json())
-        (row,) = payload["events"]
-        assert row == {"kind": "propagate"}  # rounds=1 omitted
-
-    def test_invalid_json_rejected(self):
-        with pytest.raises(QueryError, match="not valid JSON"):
-            FaultPlan.from_json("{nope")
-
-    def test_non_object_document_rejected(self):
-        with pytest.raises(QueryError, match="must be a JSON object"):
-            FaultPlan.from_json("[1, 2]")
-
-    def test_unknown_schema_rejected(self):
-        with pytest.raises(QueryError, match="unknown plan schema"):
-            FaultPlan.from_json(
-                '{"schema": "repro/fault-plan@9", "events": []}'
-            )
-
-    def test_unknown_top_level_field_rejected(self):
-        with pytest.raises(QueryError, match="unknown plan field 'extra'"):
-            FaultPlan.from_json(
-                '{"schema": "repro/fault-plan@1", "extra": 1, "events": []}'
-            )
-
-    def test_unknown_event_kind_names_index_and_known_kinds(self):
-        doc = (
-            '{"schema": "repro/fault-plan@1", '
-            '"events": [{"kind": "fail_vertex", "vertex": 0}, '
-            '{"kind": "explode"}]}'
-        )
-        with pytest.raises(QueryError) as err:
-            FaultPlan.from_json(doc)
-        message = str(err.value)
-        assert "event 1" in message
-        assert "explode" in message
-        assert "fail_vertex" in message  # known kinds listed
-
-    def test_unknown_event_field_rejected(self):
-        doc = (
-            '{"schema": "repro/fault-plan@1", '
-            '"events": [{"kind": "send", "s": 0, "t": 1, "colour": 3}]}'
-        )
-        with pytest.raises(QueryError, match="event 0: unknown field"):
-            FaultPlan.from_json(doc)
-
-    def test_malformed_edge_rejected(self):
-        doc = (
-            '{"schema": "repro/fault-plan@1", '
-            '"events": [{"kind": "fail_edge", "edge": [1]}]}'
-        )
-        with pytest.raises(QueryError, match="must be a \\[a, b\\] pair"):
-            FaultPlan.from_json(doc)

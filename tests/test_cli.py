@@ -215,9 +215,9 @@ class TestTrafficCommand:
         argv = ["traffic", "--seed", "1", "--duration-ms", "120"]
         assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "repro_traffic_shed_rate" in out
+        assert "repro_scenario_p99_total_ms" in out
         assert "repro_gateway_requests_total{" in out
-        assert "# traffic battery seed=1: OK" in out
+        assert "# scenario traffic seed=1: OK" in out
 
     def test_traffic_json_is_deterministic(self, capsys):
         import json
@@ -232,6 +232,22 @@ class TestTrafficCommand:
         payload = json.loads(one)
         assert payload["ok"] is True
         assert payload["submitted"] > 0
+
+    def test_traffic_is_a_thin_alias_of_scenario_run(self, tmp_path, capsys):
+        # the generated trace, written to a file, replays to the very
+        # report `repro traffic` prints for the same arguments
+        from repro.scenario import serialize_trace, traffic_trace
+
+        path = tmp_path / "traffic.scenario"
+        path.write_text(
+            serialize_trace(traffic_trace(seed=2, duration_ms=120.0)),
+            encoding="utf-8",
+        )
+        assert main(["scenario", "run", str(path), "--format", "json"]) == 0
+        replayed = capsys.readouterr().out
+        assert main(["traffic", "--seed", "2", "--duration-ms", "120",
+                     "--format", "json"]) == 0
+        assert capsys.readouterr().out == replayed
 
     def test_traffic_json_matches_committed_golden(self, capsys):
         # regenerate (only after a deliberate behaviour change) with

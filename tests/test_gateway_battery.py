@@ -1,7 +1,9 @@
 """Acceptance battery for the overload-resilient gateway.
 
-The headline guarantees under 4x offered overload with a concurrent
-shard outage and a fault burst:
+The traffic battery is a generated scenario trace
+(:func:`repro.scenario.traffic_trace`) replayed by the one
+:class:`~repro.scenario.ScenarioRunner`.  The headline guarantees under
+4x offered overload with a concurrent shard outage and a fault burst:
 
 * every non-exact outcome carries an explicit ``DegradationReason`` —
   no silent timeouts, no silent wrong answers (exact answers are
@@ -15,13 +17,20 @@ the expensive double-run identity checks carry the ``chaos`` marker.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from repro.gateway import standard_traffic_battery
 from repro.obs.export import render_prometheus
 from repro.obs.registry import Registry
+from repro.scenario import compile_trace, run_trace, traffic_trace
+from repro.scenario.runner import ScenarioRunner
 from repro.service import SHED_REASONS
+
+
+def battery(seed, duration_ms, obs=None):
+    return run_trace(traffic_trace(seed=seed, duration_ms=duration_ms),
+                     obs=obs)
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +38,7 @@ def smoke_report():
     # 500 virtual ms reaches the outage window (400-700 ms) and the
     # fault burst (450-700 ms), so degradations and all shed paths
     # are exercised, at roughly half the full battery's wall cost
-    return standard_traffic_battery(seed=0, duration_ms=500.0)
+    return battery(seed=0, duration_ms=500.0)
 
 
 class TestSmokeRun:
@@ -48,13 +57,16 @@ class TestSmokeRun:
         assert all(n > 0 for n in smoke_report.shed_by_reason.values())
 
     def test_every_served_outcome_was_judged(self, smoke_report):
-        # one structural judgment per outcome (sheds included) plus
-        # one ground-truth check per served (non-shed) request
+        # one structural judgment per outcome (sheds included), one
+        # ground-truth check per served (non-shed) request, one health
+        # check per applied action and one breaker-attribution check
         served = smoke_report.exact + smoke_report.degraded
         assert served > 0
+        assert smoke_report.events_applied == 1  # shard 0 down at 400 ms
         assert (
             smoke_report.checks_performed
             == smoke_report.submitted + served
+            + smoke_report.events_applied + 1
         )
 
     def test_shed_accounting_is_complete(self, smoke_report):
@@ -88,17 +100,15 @@ class TestSmokeRun:
 
 class TestDeterminism:
     def test_same_seed_same_fingerprint(self):
-        first = standard_traffic_battery(seed=3, duration_ms=250.0)
-        second = standard_traffic_battery(seed=3, duration_ms=250.0)
+        first = battery(seed=3, duration_ms=250.0)
+        second = battery(seed=3, duration_ms=250.0)
         assert first.ok, first.violations[:10]
-        assert json.dumps(first.to_dict(), sort_keys=True) == json.dumps(
-            second.to_dict(), sort_keys=True
-        )
+        assert first.to_json() == second.to_json()
         assert first.fingerprint == second.fingerprint
 
     def test_different_seed_different_stream(self):
-        first = standard_traffic_battery(seed=3, duration_ms=250.0)
-        other = standard_traffic_battery(seed=4, duration_ms=250.0)
+        first = battery(seed=3, duration_ms=250.0)
+        other = battery(seed=4, duration_ms=250.0)
         assert other.ok, other.violations[:10]
         assert first.fingerprint != other.fingerprint
 
@@ -106,14 +116,12 @@ class TestDeterminism:
 class TestExport:
     def test_slo_gauges_land_in_prometheus_text(self):
         obs = Registry()
-        report = standard_traffic_battery(
-            seed=1, duration_ms=250.0, obs=obs
-        )
+        report = battery(seed=1, duration_ms=250.0, obs=obs)
         text = render_prometheus(obs)
-        assert "repro_traffic_p99_total_ms" in text
-        assert "repro_traffic_shed_rate" in text
-        assert "repro_traffic_goodput_fraction" in text
-        assert "repro_traffic_violations_total" in text
+        assert "repro_scenario_p99_total_ms" in text
+        assert "repro_scenario_goodput_fraction" in text
+        assert "repro_scenario_fairness_ratio" in text
+        assert "repro_scenario_violations_total" in text
         # gateway-level families ride along on the same registry
         assert "repro_gateway_requests_total" in text
         assert report.ok, report.violations[:10]
@@ -122,7 +130,7 @@ class TestExport:
 @pytest.mark.chaos
 class TestFullBattery:
     def test_full_second_at_4x_overload_is_clean(self):
-        report = standard_traffic_battery(seed=0, duration_ms=1000.0)
+        report = battery(seed=0, duration_ms=1000.0)
         assert report.ok, report.violations[:10]
         assert report.submitted > 3000
         expected = {str(reason) for reason in SHED_REASONS}
@@ -130,19 +138,21 @@ class TestFullBattery:
         assert report.fairness_ratio <= 3.0
 
     def test_full_run_is_bit_identical(self):
-        first = standard_traffic_battery(seed=0, duration_ms=1000.0)
-        second = standard_traffic_battery(seed=0, duration_ms=1000.0)
-        assert json.dumps(first.to_dict(), sort_keys=True) == json.dumps(
-            second.to_dict(), sort_keys=True
-        )
+        first = battery(seed=0, duration_ms=1000.0)
+        second = battery(seed=0, duration_ms=1000.0)
+        assert first.to_json() == second.to_json()
 
     def test_coalescing_and_cache_change_work_not_answers(self):
-        baseline = standard_traffic_battery(seed=2, duration_ms=400.0)
-        stripped = standard_traffic_battery(
-            seed=2, duration_ms=400.0, use_cache=False, coalescing=False
-        )
+        trace = traffic_trace(seed=2, duration_ms=400.0)
+        baseline = run_trace(trace)
+        compiled = compile_trace(replace(trace, cache_capacity=None))
+        stripped = ScenarioRunner(
+            compiled,
+            gateway_config=replace(compiled.gateway, coalescing=False),
+        ).run()
         assert baseline.ok, baseline.violations[:10]
         assert stripped.ok, stripped.violations[:10]
+        assert stripped.cache == {} and stripped.coalesced == 0
         # same offered stream either way; correctness never depends
         # on the optimisations being on
         assert baseline.submitted == stripped.submitted

@@ -6,8 +6,7 @@ import math
 
 import pytest
 
-from repro.chaos.plan import ChaosEvent, FaultPlan
-from repro.chaos.service_runner import run_service_plan
+from repro.chaos.plan import ChaosEvent
 from repro.durability.fs import SimulatedFS
 from repro.exceptions import (
     GraphError,
@@ -42,6 +41,12 @@ from repro.rollout.manifest import (
     STATE_COMMITTED,
     STATE_RETIRED,
     STATE_STAGING,
+)
+from repro.scenario import (
+    ScenarioEvent,
+    ScenarioTrace,
+    recovery_probes,
+    run_trace,
 )
 from repro.service.store import ShardedLabelStore
 
@@ -271,44 +276,62 @@ class TestChaosRolloutEvents:
         with pytest.raises(QueryError):
             ChaosEvent(kind="rollout_crash")
 
-    def test_scripted_commit_schedule(self):
-        g = grid_graph(6, 6)
-        plan = (
-            FaultPlan(seed=7, name="rollout-commit")
-            .query(0, 35)
-            .rollout_begin(0, 1)
-            .query(0, 35)  # judged against the old graph while staged
-            .rollout_commit()
-            .query(0, 1)  # judged against the new graph
-            .query(5, 30)
+    @staticmethod
+    def replay(seed, *rows):
+        """Scripted rollout rows and queries, serve-chaos style, on grid:6x6.
+
+        The schedule ends with the healed tier's check: two breaker
+        cooldowns, then three probes that must be answered exactly.
+        """
+        trace = ScenarioTrace(
+            name="rollout", graph_spec="grid:6x6", duration_ms=600.0,
+            seed=seed, base_rate_per_ms=0.0, cache_capacity=None,
+            service_deadline_ms=150.0,
+            events=(
+                *(ScenarioEvent(None, kind, **fields)
+                  for kind, fields in rows),
+                *recovery_probes(36, seed),
+            ),
         )
-        report = run_service_plan(g, plan)
+        return run_trace(trace)
+
+    def test_scripted_commit_schedule(self):
+        report = self.replay(
+            7,
+            ("query", dict(s=0, t=35)),
+            ("rollout_begin", dict(edge=(0, 1))),
+            ("query", dict(s=0, t=35)),  # judged against the old graph
+            ("rollout_commit", {}),
+            ("query", dict(s=0, t=1)),  # judged against the new graph
+            ("query", dict(s=5, t=30)),
+        )
         assert report.ok, report.violations
+        assert report.events_applied == 2
+        assert report.queries == 4 + 3
 
     def test_scripted_abort_schedule(self):
-        g = grid_graph(6, 6)
-        plan = (
-            FaultPlan(seed=8, name="rollout-abort")
-            .rollout_begin(0, 6)
-            .query(0, 6)
-            .rollout_abort()
-            .query(0, 6)
+        report = self.replay(
+            8,
+            ("rollout_begin", dict(edge=(0, 6))),
+            ("query", dict(s=0, t=6)),
+            ("rollout_abort", {}),
+            ("query", dict(s=0, t=6)),
         )
-        report = run_service_plan(g, plan)
         assert report.ok, report.violations
+        assert report.queries == 2 + 3
 
     @pytest.mark.parametrize("seed", [100, 101, 102])
     def test_rollout_crash_recovers_one_version(self, seed):
-        g = grid_graph(6, 6)
-        plan = (
-            FaultPlan(seed=seed, name=f"rollout-crash-{seed}")
-            .query(3, 20)
-            .rollout_crash(2, 3)
-            .query(3, 20)
-            .query(0, 35)
+        report = self.replay(
+            seed,
+            ("query", dict(s=3, t=20)),
+            ("rollout_crash", dict(edge=(2, 3))),
+            ("query", dict(s=3, t=20)),
+            ("query", dict(s=0, t=35)),
         )
-        report = run_service_plan(g, plan)
         assert report.ok, report.violations
+        assert report.queries == 3 + 3
+        assert report.exact >= 3  # the tier answers exactly once healed
 
 
 class TestRolloutBattery:

@@ -1,5 +1,7 @@
 """Tests for the scenario-trace format: parse, validate, serialize."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,14 @@ from repro.scenario import (
     parse_trace,
     serialize_trace,
     trace_crc,
+)
+from repro.scenario import random_shard_plan, traffic_trace
+from repro.scenario.trace import (
+    V1_KINDS,
+    TraceBurst,
+    TraceGateway,
+    TraceSLO,
+    trace_version,
 )
 from repro.service.frontend import SHED_REASONS, DegradationReason
 
@@ -294,11 +304,167 @@ class TestValidation:
                           num_shards=2, replication=3)
 
     def test_event_kinds_frozen(self):
-        assert EVENT_KINDS == frozenset({
+        assert V1_KINDS == frozenset({
             "ball_outage", "outage", "flash_crowd", "maintenance",
             "shard_down", "shard_recover", "shard_crash", "shard_restart",
             "rollout_begin", "rollout_commit", "rollout_abort", "probe",
         })
+        assert EVENT_KINDS == V1_KINDS | {
+            "shard_slow", "shard_flaky", "shard_corrupt", "rollout_crash",
+            "query", "advance",
+        }
+
+
+def rich_v2_trace() -> ScenarioTrace:
+    """Every v2 feature at once: header values, new kinds, scripted rows.
+
+    :func:`timed_v2_trace` carries the new kinds as timed rows instead,
+    since one trace's rows are all timed or all scripted.
+    """
+    return ScenarioTrace(
+        name="rich-v2",
+        graph_spec="grid:6x6",
+        duration_ms=500.0,
+        seed=3,
+        base_rate_per_ms=0.25,
+        tenants=(
+            TraceTenant("default", quota_rate=1.0, quota_burst=10.0),
+            TraceTenant("batch"),
+        ),
+        events=(
+            ScenarioEvent(None, "shard_slow", shard=1, latency_ms=40.0),
+            ScenarioEvent(None, "query", s=0, t=35, faults=(14,),
+                          edge_faults=((0, 1),)),
+            ScenarioEvent(None, "shard_flaky", shard=2, probability=0.3),
+            ScenarioEvent(None, "advance", duration_ms=60.0),
+            ScenarioEvent(None, "shard_corrupt", shard=3, fraction=0.25),
+            ScenarioEvent(None, "rollout_crash", edge=(0, 1)),
+            ScenarioEvent(None, "query", s=5, t=5, exact=True),
+        ),
+        cache_capacity=None,
+        hedging=False,
+        service_deadline_ms=150.0,
+        gateway=TraceGateway(tenant_queue=8, quota_rate=2.0,
+                             quota_burst=40.0),
+        burst=TraceBurst(at_ms=600.0, duration_ms=50.0, radius=1,
+                         fault_rate=0.5),
+        slo=TraceSLO(p99_ms=400.0, shed_rate=0.9, goodput=0.05,
+                     fairness=3.0, service_fraction=0.5),
+    )
+
+
+def timed_v2_trace() -> ScenarioTrace:
+    """The new v2 kinds as timed rows, in an otherwise v1 trace."""
+    return ScenarioTrace(
+        name="timed-v2", graph_spec="grid:6x6", duration_ms=500.0, seed=3,
+        events=(
+            ScenarioEvent(at_ms=50.0, kind="shard_slow", shard=1,
+                          latency_ms=40.0),
+            ScenarioEvent(at_ms=60.0, kind="shard_flaky", shard=2,
+                          probability=0.3),
+            ScenarioEvent(at_ms=70.0, kind="shard_corrupt", shard=3,
+                          fraction=0.25),
+            ScenarioEvent(at_ms=100.0, kind="rollout_crash", edge=(0, 1)),
+        ),
+    )
+
+
+class TestVersion2:
+    def test_v2_round_trip_is_byte_identical(self):
+        text = serialize_trace(rich_v2_trace())
+        assert text.startswith("repro-scenario v2\n")
+        assert "\n> query s=5 t=5 exact=1\n" in text
+        assert "\ncache none\nhedging off\nservice_deadline_ms 150\n" in text
+        parsed = parse_trace(text)
+        assert parsed == rich_v2_trace()
+        assert serialize_trace(parsed) == text
+
+    def test_timed_v2_kinds_round_trip(self):
+        text = serialize_trace(timed_v2_trace())
+        assert text.startswith("repro-scenario v2\n")
+        assert "\n@100 rollout_crash edge=0-1\n" in text
+        assert parse_trace(text) == timed_v2_trace()
+        assert serialize_trace(parse_trace(text)) == text
+
+    def test_traces_without_v2_features_stay_v1(self):
+        assert serialize_trace(rich_trace()).startswith("repro-scenario v1\n")
+        plain = replace(rich_v2_trace(), events=(), tenants=(),
+                        cache_capacity=256, hedging=True,
+                        service_deadline_ms=120.0, gateway=TraceGateway(),
+                        burst=None, slo=None)
+        assert trace_version(plain) == 1
+        assert trace_version(replace(plain, base_rate_per_ms=0.0)) == 2
+
+    def test_generated_traces_round_trip(self):
+        for trace in (
+            random_shard_plan("grid:4x4", seed=1, num_events=20),
+            traffic_trace(seed=0, duration_ms=1000.0),
+        ):
+            text = serialize_trace(trace)
+            assert text.startswith("repro-scenario v2\n")
+            assert parse_trace(text) == trace
+
+    def test_declared_version_must_match_the_content(self):
+        text = serialize_trace(rich_trace())
+        _expect_error(text.replace("v1", "v2", 1), "declares v2")
+        v2 = serialize_trace(rich_v2_trace())
+        _expect_error(v2.replace("v2", "v1", 1), "declares v1")
+
+    def test_scripted_and_timed_kinds_stay_apart(self):
+        with pytest.raises(ScenarioError, match="scripted row"):
+            ScenarioEvent(at_ms=10.0, kind="query", s=0, t=1)
+        with pytest.raises(ScenarioError, match="needs a timestamp"):
+            ScenarioEvent(None, "probe", s=0, t=1)
+        with pytest.raises(ScenarioError, match="needs a timestamp"):
+            ScenarioEvent(None, "flash_crowd", multiplier=2.0,
+                          duration_ms=10.0)
+
+    def test_v2_values_are_range_checked(self):
+        with pytest.raises(ScenarioError, match="fraction"):
+            ScenarioEvent(None, "shard_corrupt", shard=0, fraction=0.0)
+        with pytest.raises(ScenarioError, match="latency_ms"):
+            ScenarioEvent(None, "shard_slow", shard=0, latency_ms=0.0)
+        with pytest.raises(ScenarioError, match="fairness"):
+            replace(rich_v2_trace(), slo=replace(rich_v2_trace().slo,
+                                                 fairness=0.5))
+        with pytest.raises(ScenarioError, match="go together"):
+            TraceTenant("x", quota_rate=1.0)
+        with pytest.raises(ScenarioError, match="already staged"):
+            ScenarioTrace(
+                name="x", graph_spec="path:4", duration_ms=10.0,
+                events=(
+                    ScenarioEvent(None, "rollout_begin", edge=(0, 1)),
+                    ScenarioEvent(None, "rollout_crash", edge=(1, 2)),
+                    ScenarioEvent(None, "rollout_commit"),
+                ),
+            )
+
+    def test_timed_and_scripted_rows_do_not_mix(self):
+        # a timed rollout_begin and a scripted commit would interleave
+        # at replay: the commit would run first, with nothing staged
+        with pytest.raises(ScenarioError, match="never both"):
+            ScenarioTrace(
+                name="x", graph_spec="path:4", duration_ms=100.0,
+                events=(
+                    ScenarioEvent(at_ms=50.0, kind="rollout_begin",
+                                  edge=(0, 1)),
+                    ScenarioEvent(None, "rollout_commit"),
+                ),
+            )
+        scripted = serialize_trace(rich_v2_trace())
+        _expect_error(
+            scripted.replace("> advance duration_ms=60",
+                             "@60 shard_down shard=0"),
+            "never both",
+        )
+
+    def test_scripted_rows_parse_and_name_their_line(self):
+        text = (
+            "repro-scenario v2\nname x\ngraph path:4\nduration_ms 100\n"
+            "rate 0\n> query s=0 t=3\n> advance\ncrc 00000000\n"
+        )
+        err = _expect_error(text, "advance needs field 'duration_ms'", line=7)
+        assert err.field == "duration_ms"
 
 
 class TestDegradationReasonFrozen:

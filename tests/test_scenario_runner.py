@@ -1,11 +1,12 @@
 """Tests for scenario compilation and full-stack replay."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from repro.chaos.plan import FaultPlan
 from repro.exceptions import ScenarioError
+from repro.gateway import GatewayConfig, QuotaPolicy, TrafficGenerator
 from repro.obs import Registry, render_prometheus
 from repro.scenario import (
     ScenarioEvent,
@@ -18,8 +19,10 @@ from repro.scenario import (
     run_trace,
     scenario_paths,
     serialize_trace,
+    traffic_trace,
 )
 from repro.scenario.compile import PROBE_TENANT
+from repro.scenario.trace import TraceBurst, TraceSLO
 
 #: replay reports of the committed library, one ``<name>.json`` each;
 #: regenerate (only after a deliberate behaviour change) with
@@ -53,10 +56,20 @@ def small_trace(**overrides) -> ScenarioTrace:
 
 class TestCompile:
     def test_outage_resolves_ball(self):
+        # B(12, 1) on grid:5x5: every fault drawn in the 40-120 ms window
+        # lies inside the ball, and the window does draw faults
         compiled = compile_trace(small_trace())
-        (window,) = compiled.outages
-        assert 12 in window.vertices
-        assert set(window.vertices) == {7, 11, 12, 13, 17}
+        (burst,) = compiled.traffic.bursts
+        assert (burst.center, burst.radius) == (12, 1)
+        stream = TrafficGenerator(
+            compiled.graph, compiled.traffic, seed=3
+        ).generate(200.0)
+        inside = [
+            set(timed.request.vertex_faults) for timed in stream
+            if 40.0 <= timed.at_ms < 120.0
+        ]
+        assert any(inside)
+        assert set().union(*inside) <= {7, 11, 12, 13, 17}
 
     def test_flash_crowd_tiles_duration(self):
         trace = small_trace(events=(
@@ -114,13 +127,86 @@ class TestCompile:
         with pytest.raises(ScenarioError, match="reserved"):
             compile_trace(trace)
 
-    def test_fault_plan_lowering_round_trips_as_json(self):
-        plan = compile_trace(small_trace()).fault_plan()
-        clone = FaultPlan.from_json(plan.to_json())
-        assert clone.to_json() == plan.to_json()
-        kinds = {event.kind for event in plan.events}
-        assert "query" in kinds  # probes + seeded in-window queries
-        assert "shard_down" in kinds
+    def test_maintenance_sweep_must_end_within_the_run(self):
+        # 850 + 2 x 100 = 1050 > 900: the second shard's window would be
+        # cut off, leaving shard 0 down and shard 1 never touched
+        trace = ScenarioTrace(
+            name="late-sweep", graph_spec="grid:4x4", duration_ms=900.0,
+            events=(ScenarioEvent(at_ms=850.0, kind="maintenance",
+                                  shards=(0, 1), window_ms=100.0),),
+        )
+        with pytest.raises(ScenarioError, match="after the scenario") as err:
+            compile_trace(trace)
+        assert err.value.field == "window_ms"
+        # a sweep that ends exactly at the duration still compiles
+        compile_trace(replace(trace, duration_ms=1050.0))
+
+    def test_scripted_rows_keep_file_order(self):
+        trace = small_trace(base_rate_per_ms=0.0, events=(
+            ScenarioEvent(None, "shard_down", shard=0),
+            ScenarioEvent(None, "query", s=0, t=24, exact=True),
+            ScenarioEvent(None, "shard_slow", shard=1, latency_ms=40.0),
+            ScenarioEvent(None, "advance", duration_ms=30.0),
+            ScenarioEvent(None, "shard_corrupt", shard=2, fraction=0.5),
+        ))
+        compiled = compile_trace(trace)
+        assert compiled.traffic is None  # rate 0: no open-loop traffic
+        assert compiled.actions == () and compiled.probes == ()
+        rows = [(r.event.kind, r.action and r.action.kind)
+                for r in compiled.script]
+        assert rows == [
+            ("shard_down", "shard_down"),
+            ("query", None),
+            ("shard_slow", "shard_slow"),
+            ("advance", None),
+            ("shard_corrupt", "shard_corrupt"),
+        ]
+        assert compiled.script[4].action.probability == 0.5
+
+    @pytest.mark.parametrize("shaping, what", [
+        (dict(events=(ScenarioEvent(at_ms=40.0, kind="ball_outage",
+                                    center=12, radius=1,
+                                    duration_ms=80.0),)),
+         "event 0 (ball_outage)"),
+        (dict(events=(ScenarioEvent(at_ms=40.0, kind="outage",
+                                    vertices=(11, 12), duration_ms=80.0),)),
+         "event 0 (outage)"),
+        (dict(events=(ScenarioEvent(at_ms=50.0, kind="flash_crowd",
+                                    multiplier=3.0, duration_ms=60.0),)),
+         "event 0 (flash_crowd)"),
+        (dict(events=(), burst=TraceBurst(at_ms=10.0, duration_ms=50.0,
+                                          radius=1, fault_rate=0.5)),
+         "burst"),
+        (dict(events=(), tenants=(TraceTenant("batch"),)), "tenant rows"),
+        (dict(events=(), tenants=(
+            TraceTenant("default", quota_rate=1.0, quota_burst=10.0),
+        )), "tenant rows"),
+    ])
+    def test_rate_zero_rejects_traffic_shaping(self, shaping, what):
+        # with no open-loop traffic these would replay as if absent
+        with pytest.raises(ScenarioError, match="but rate 0 has none") \
+                as err:
+            compile_trace(small_trace(base_rate_per_ms=0.0, **shaping))
+        assert what in str(err.value)
+        # the same trace with traffic compiles
+        compile_trace(small_trace(**shaping))
+
+    def test_gateway_header_and_quotas_lower_to_the_config(self):
+        trace = traffic_trace(seed=0, duration_ms=150.0)
+        gateway = compile_trace(trace).gateway
+        assert gateway.per_tenant_capacity == 24
+        assert gateway.default_quota == QuotaPolicy(2.0, 40.0)
+        assert dict(gateway.tenant_quotas) == {
+            "aggregator": QuotaPolicy(1.0, 30.0)
+        }
+        # a v1 trace replays behind the default gateway
+        assert compile_trace(small_trace()).gateway == GatewayConfig()
+
+    def test_drawn_burst_lowers_without_a_center(self):
+        compiled = compile_trace(traffic_trace(seed=0, duration_ms=150.0))
+        (burst,) = compiled.traffic.bursts
+        assert burst.center is None and burst.max_faults is None
+        assert (burst.start_ms, burst.duration_ms) == (450.0, 250.0)
 
 
 class TestReplay:
@@ -131,9 +217,11 @@ class TestReplay:
         assert report.probes == 1
         assert report.exact + report.degraded + report.shed \
             == report.submitted
-        # one judgment per outcome plus one truth check per served one
+        # one judgment per outcome, one truth check per served one, one
+        # health check per applied action and one breaker check
         assert report.checks_performed \
-            == report.submitted + report.exact + report.degraded
+            == report.submitted + report.exact + report.degraded \
+            + report.events_applied + 1
 
     def test_replay_is_byte_deterministic(self):
         first = run_trace(small_trace())
@@ -185,7 +273,45 @@ class TestReplay:
         text = render_prometheus(obs)
         assert "repro_scenario_availability" in text
         assert "repro_scenario_worst_detour" in text
-        assert "repro_scenario_events_total" in text
+        assert "repro_chaos_events_total" in text
+
+
+class TestScriptedRows:
+    def test_a_query_delays_the_rows_after_it(self):
+        # every shard slow: the first query alone takes > 30 ms, so the
+        # second one starts in a later 10 ms window although no gap
+        # separates them
+        rows = [
+            ScenarioEvent(None, "shard_slow", shard=shard, latency_ms=40.0)
+            for shard in range(4)
+        ] + [
+            ScenarioEvent(None, "query", s=0, t=24),
+            ScenarioEvent(None, "query", s=4, t=20),
+            ScenarioEvent(None, "advance", duration_ms=5.0),
+        ]
+        report = run_trace(small_trace(
+            base_rate_per_ms=0.0, window_ms=10.0, events=tuple(rows),
+        ))
+        assert report.ok, report.violations
+        assert report.queries == 2 and report.submitted == 2
+        assert report.windows[0].submitted == 1
+        assert sum(row.submitted for row in report.windows[3:]) == 1
+        assert report.events_applied == 4
+
+    def test_runner_invariants_hold_on_a_v1_replay(self):
+        report = run_trace(small_trace())
+        assert report.ok, report.violations
+        # shard 0 went down and came back: two health checks, and the
+        # breakers were checked once
+        assert report.events_applied == 2
+        assert report.client["attempts"] > 0
+
+    def test_slo_gate_is_opt_in(self):
+        assert run_trace(small_trace()).ok
+        strict = TraceSLO(p99_ms=0.001, shed_rate=1.0, goodput=0.0,
+                          fairness=1000.0, service_fraction=0.0)
+        report = run_trace(small_trace(slo=strict))
+        assert any(v.startswith("SLO: p99") for v in report.violations)
 
 
 class TestLibrary:

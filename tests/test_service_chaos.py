@@ -1,23 +1,55 @@
-"""Tests for the shard-level chaos DSL and the service chaos runner.
+"""Serve-chaos schedules: shard actions and queries as scenario traces.
 
-The fast smoke subset runs in the default test run; the full acceptance
-battery (20 mixed shard-fault schedules) carries the ``chaos`` marker.
+Serve-chaos schedules are v2 scenario traces of scripted rows
+(:func:`repro.scenario.random_shard_plan`), replayed by the one
+:class:`~repro.scenario.ScenarioRunner`.  The fast smoke subset runs in
+the default test run; the full acceptance battery (20 mixed shard-fault
+schedules) carries the ``chaos`` marker.
 """
 
 import pytest
 
 from repro.chaos import (
     ChaosEvent,
-    FaultPlan,
     NETWORK_EVENT_KINDS,
     SERVICE_EVENT_KINDS,
-    ServiceChaosRunner,
-    random_shard_plan,
-    run_service_plan,
-    service_standard_suite,
 )
-from repro.exceptions import QueryError
-from repro.graphs.generators import cycle_graph, grid_graph
+from repro.exceptions import QueryError, ScenarioError
+from repro.scenario import (
+    ScenarioEvent,
+    ScenarioTrace,
+    compile_trace,
+    random_shard_plan,
+    recovery_probes,
+    run_trace,
+    serve_chaos_suite,
+)
+from repro.scenario.compile import build_graph
+from repro.scenario.runner import ScenarioRunner
+
+
+def row(kind, **fields):
+    return ScenarioEvent(None, kind, **fields)
+
+
+def schedule(graph_spec, rows, seed, num_shards=4, replication=2):
+    """A serve-chaos style trace: scripted rows, no open-loop traffic.
+
+    Like every generated schedule it ends with the healed tier's check:
+    two breaker cooldowns, then three probes that must be exact.
+    """
+    closing = recovery_probes(build_graph(graph_spec).num_vertices, seed)
+    return ScenarioTrace(
+        name="scripted", graph_spec=graph_spec, duration_ms=1100.0,
+        seed=seed, base_rate_per_ms=0.0, num_shards=num_shards,
+        replication=replication, events=(*rows, *closing),
+        cache_capacity=None, service_deadline_ms=150.0,
+    )
+
+
+def replay(trace):
+    runner = ScenarioRunner(compile_trace(trace))
+    return runner, runner.run()
 
 
 class TestShardEventDSL:
@@ -39,44 +71,25 @@ class TestShardEventDSL:
         with pytest.raises(QueryError):
             ChaosEvent(kind="shard_corrupt", shard=0, probability=0.0)
         with pytest.raises(QueryError):
-            ChaosEvent(kind="query", s=0)  # no t
+            ChaosEvent(kind="query", s=0)  # a scripted row, not an action
         with pytest.raises(QueryError):
-            ChaosEvent(kind="advance")  # no latency
-
-    def test_fluent_builders_chain(self):
-        plan = (
-            FaultPlan(seed=3)
-            .shard_down(0)
-            .shard_slow(1, latency_ms=80.0)
-            .shard_flaky(2, probability=0.5)
-            .shard_corrupt(3, fraction=0.25)
-            .query(0, 5, faults=(2,), fault_edges=[(4, 3)])
-            .advance(100.0)
-            .shard_recover(0)
-        )
-        kinds = [e.kind for e in plan]
-        assert kinds == [
-            "shard_down", "shard_slow", "shard_flaky", "shard_corrupt",
-            "query", "advance", "shard_recover",
-        ]
-        query = plan.events[4]
-        assert query.fault_edges == ((3, 4),)  # orientation normalized
+            ChaosEvent(kind="advance")  # a scripted row, not an action
 
     def test_random_shard_plan_deterministic(self):
-        graph = grid_graph(4, 4)
-        a = random_shard_plan(graph, seed=11, num_events=30)
-        b = random_shard_plan(graph, seed=11, num_events=30)
-        assert a.events == b.events
-        assert a.seed == b.seed
-        c = random_shard_plan(graph, seed=12, num_events=30)
+        a = random_shard_plan("grid:4x4", seed=11, num_events=30)
+        b = random_shard_plan("grid:4x4", seed=11, num_events=30)
+        assert a == b
+        c = random_shard_plan("grid:4x4", seed=12, num_events=30)
         assert a.events != c.events
 
     def test_random_shard_plan_events_valid(self):
-        graph = grid_graph(4, 4)
-        plan = random_shard_plan(graph, num_shards=3, seed=2, num_events=50)
+        trace = random_shard_plan(
+            "grid:4x4", num_shards=3, seed=2, num_events=50
+        )
         down: set[int] = set()
-        for event in plan:
-            assert event.kind in SERVICE_EVENT_KINDS
+        for event in trace.events:
+            assert event.scripted
+            assert event.kind in SERVICE_EVENT_KINDS | {"query", "advance"}
             if event.kind == "shard_down":
                 assert event.shard not in down  # no double-down
                 down.add(event.shard)
@@ -89,20 +102,22 @@ class TestShardEventDSL:
         assert not down  # stabilize tail healed everything
 
     def test_stabilize_tail_ends_with_probes(self):
-        graph = grid_graph(4, 4)
-        plan = random_shard_plan(graph, seed=4, num_events=20)
-        tail = plan.events[-5:]
+        trace = random_shard_plan("grid:4x4", seed=4, num_events=20)
+        tail = trace.events[-9:]
         assert tail[0].kind == "advance"
-        assert all(e.kind == "query" for e in tail[1:])
+        assert all(e.kind == "query" and not e.exact for e in tail[1:5])
+        # the healed tier's check: two cooldowns, three exact probes
+        assert tail[5:] == recovery_probes(16, trace.seed)
+        assert tail[5].kind == "advance" and tail[5].duration_ms == 500.0
+        assert all(e.kind == "query" and e.exact for e in tail[6:])
 
     def test_random_plans_exercise_crash_and_restart(self):
-        graph = grid_graph(4, 4)
         kinds: set[str] = set()
         for seed in range(8):
-            plan = random_shard_plan(graph, seed=seed, num_events=40)
-            kinds |= {e.kind for e in plan}
+            trace = random_shard_plan("grid:4x4", seed=seed, num_events=40)
+            kinds |= {e.kind for e in trace.events}
             crashed: set[int] = set()
-            for event in plan:
+            for event in trace.events:
                 if event.kind == "shard_crash":
                     crashed.add(event.shard)
                 elif event.kind in ("shard_restart", "shard_recover"):
@@ -115,25 +130,19 @@ class TestShardEventDSL:
 class TestServiceChaosRunner:
     def test_scripted_outage_window(self):
         """Down both replicas of a vertex, query, recover, query again."""
-        graph = grid_graph(4, 4)
-        plan = (
-            FaultPlan(seed=5, name="scripted outage")
-            .query(0, 15)
-            .shard_down(0)
-            .shard_down(1)
-            .query(0, 15)  # vertex 0 lives on shards {0, 1}: degraded
-            .shard_recover(0)
-            .shard_recover(1)
-            .advance(600.0)
-            .query(0, 15)
-        )
-        runner = ServiceChaosRunner(
-            graph, plan, num_shards=4, replication=2
-        )
-        report = runner.run()
+        runner, report = replay(schedule("grid:4x4", [
+            row("query", s=0, t=15),
+            row("shard_down", shard=0),
+            row("shard_down", shard=1),
+            row("query", s=0, t=15),  # vertex 0 lives on shards {0, 1}
+            row("shard_recover", shard=0),
+            row("shard_recover", shard=1),
+            row("advance", duration_ms=600.0),
+            row("query", s=0, t=15),
+        ], seed=5))
         assert report.ok, report.violations
-        assert report.exact_answers >= 2 + runner._final_probes
-        assert report.degraded_answers == 1
+        assert report.exact >= 2 + 3
+        assert report.degraded == 1
         assert runner.service.store.all_healthy()
 
     def test_scripted_crash_restart_window(self):
@@ -144,98 +153,85 @@ class TestServiceChaosRunner:
         shard's labels round-trip through the WAL + snapshot on the way
         back, and post-restart probes must match the pristine answers.
         """
-        graph = grid_graph(4, 4)
-        plan = (
-            FaultPlan(seed=6, name="scripted crash/restart")
-            .query(0, 15)
-            .shard_crash(0)
-            .shard_crash(1)
-            .query(0, 15)  # vertex 0 lives on shards {0, 1}: degraded
-            .shard_restart(0)
-            .shard_restart(1)
-            .advance(600.0)
-            .query(0, 15)
-            .query(3, 12)
-        )
-        runner = ServiceChaosRunner(
-            graph, plan, num_shards=4, replication=2
-        )
-        report = runner.run()
+        runner, report = replay(schedule("grid:4x4", [
+            row("query", s=0, t=15),
+            row("shard_crash", shard=0),
+            row("shard_crash", shard=1),
+            row("query", s=0, t=15),  # vertex 0 lives on shards {0, 1}
+            row("shard_restart", shard=0),
+            row("shard_restart", shard=1),
+            row("advance", duration_ms=600.0),
+            row("query", s=0, t=15),
+            row("query", s=3, t=12),
+        ], seed=6))
         assert report.ok, report.violations
-        assert report.exact_answers >= 3 + runner._final_probes
-        assert report.degraded_answers == 1
+        assert report.exact >= 3 + 3
+        assert report.degraded == 1
         assert runner.service.store.all_healthy()
 
     def test_crash_then_recover_event_requires_restart_semantics(self):
         """A mixed schedule interleaving crashes with classic faults."""
-        graph = cycle_graph(12)
-        plan = (
-            FaultPlan(seed=7, name="mixed crash + slow")
-            .shard_slow(2, latency_ms=40.0)
-            .shard_crash(0)
-            .query(1, 7)
-            .shard_restart(0)
-            .shard_recover(2)
-            .advance(600.0)
-            .query(1, 7)
-        )
-        report = run_service_plan(graph, plan, num_shards=3, replication=2)
+        report = run_trace(schedule("cycle:12", [
+            row("shard_slow", shard=2, latency_ms=40.0),
+            row("shard_crash", shard=0),
+            row("query", s=1, t=7),
+            row("shard_restart", shard=0),
+            row("shard_recover", shard=2),
+            row("advance", duration_ms=600.0),
+            row("query", s=1, t=7),
+        ], seed=7, num_shards=3))
         assert report.ok, report.violations
+        assert report.queries == 2 + 3
 
     def test_smoke_schedules_zero_violations(self):
         for seed in (1, 2):
-            graph = grid_graph(4, 4)
-            plan = random_shard_plan(
-                graph, num_shards=4, num_events=25, seed=seed
+            trace = random_shard_plan(
+                "grid:4x4", num_shards=4, num_events=25, seed=seed
             )
-            report = run_service_plan(graph, plan, replication=2)
+            runner, report = replay(trace)
             assert report.ok, report.violations
             assert report.queries > 0
-            # the metrics snapshot covers plan queries and probes alike
-            assert report.metrics["queries"] == report.queries
+            # the service counted every scripted query, probes included
+            assert runner.service.metrics.queries == report.queries
 
     def test_unreplicated_outage_degrades_not_lies(self):
-        graph = cycle_graph(12)
-        plan = (
-            FaultPlan(seed=9, name="unreplicated outage")
-            .shard_down(0)
-            .query(0, 6)
-            .query(1, 7)
-            .shard_recover(0)
-            .advance(600.0)
-        )
-        report = run_service_plan(
-            graph, plan, num_shards=3, replication=1
-        )
+        report = run_trace(schedule("cycle:12", [
+            row("shard_down", shard=0),
+            row("query", s=0, t=6),
+            row("query", s=1, t=7),
+            row("shard_recover", shard=0),
+            row("advance", duration_ms=600.0),
+        ], seed=9, num_shards=3, replication=1))
         assert report.ok, report.violations
-        assert report.degraded_answers >= 1
+        assert report.degraded >= 1
+        assert report.queries == 2 + 3
 
     def test_runner_rejects_network_events(self):
-        graph = grid_graph(4, 4)
-        plan = FaultPlan(seed=1).fail_vertex(3)
-        report = run_service_plan(graph, plan)
-        assert not report.ok
-        assert "not a serving-tier event" in report.violations[0]
+        # a trace cannot carry network-simulator events at all
+        with pytest.raises(ScenarioError, match="unknown event kind"):
+            row("fail_vertex", s=3)
 
     def test_report_summary_mentions_counts(self):
-        graph = grid_graph(4, 4)
-        plan = random_shard_plan(graph, seed=6, num_events=20)
-        report = run_service_plan(graph, plan)
+        report = run_trace(random_shard_plan("grid:4x4", seed=6,
+                                             num_events=20))
         text = report.summary()
-        assert "queries" in text and "breaker trips" in text
+        assert "requests" in text and "breaker trips" in text
 
 
 @pytest.mark.chaos
 class TestServiceAcceptanceBattery:
-    """ISSUE acceptance: 20 seeded schedules, zero invariant violations."""
+    """20 seeded schedules over the standard matrix, zero violations."""
 
     def test_standard_suite_clean(self):
-        reports = service_standard_suite(num_schedules=20, num_events=60,
-                                         seed=0)
+        reports = [
+            run_trace(trace)
+            for trace in serve_chaos_suite(num_schedules=20, num_events=60,
+                                           seed=0)
+        ]
         assert len(reports) == 20
         violations = [v for r in reports for v in r.violations]
         assert violations == []
         # the battery must actually exercise both outcomes and recovery
-        assert sum(r.degraded_answers for r in reports) > 0
-        assert sum(r.exact_answers for r in reports) > 0
+        assert sum(r.degraded for r in reports) > 0
+        assert sum(r.exact for r in reports) > 0
         assert all(r.queries > 0 for r in reports)
