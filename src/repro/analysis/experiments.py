@@ -42,7 +42,8 @@ from repro.graphs.generators import (
     road_like_graph,
     sample_family_graph,
 )
-from repro.labeling.encoding import encoded_bit_length
+from repro.labeling.construction import LabelBuilder
+from repro.labeling.encoding import encode_label
 from repro.labeling.failure_free import FailureFreeLabeling
 from repro.labeling.scheme import ForbiddenSetLabeling, LabelingOptions
 from repro.oracle.oracle import ForbiddenSetDistanceOracle
@@ -339,32 +340,67 @@ def run_e6(quick: bool = True) -> list[Table]:
 # ---------------------------------------------------------------------------
 
 def run_e7(quick: bool = True) -> list[Table]:
-    """Preprocessing and per-label construction time versus n."""
-    sizes = (64, 144, 256) if quick else (64, 256, 1024, 1600)
+    """Preprocessing, per-label build and encode time, and the full table."""
+    sizes = {
+        "grid": (64, 144, 256) if quick else (64, 256, 1024, 1600),
+        # diameter n - 1 > r_{c+1} = 88 at eps = 1: past the whole-graph
+        # regime, where a label's balls no longer cover the graph
+        "path": (128, 256) if quick else (256, 1024, 2048, 4096),
+    }
     table = Table(
         title="E7: construction time vs n (claim: polynomial preprocessing)",
-        columns=["family", "n", "global_s", "ms/label", "net_levels"],
-        notes="global = net hierarchy + per-level net adjacency; labels are "
-        "materialized lazily on top",
+        columns=[
+            "family",
+            "n",
+            "global_s",
+            "build ms/label",
+            "encode ms/label",
+            "table_s",
+            "net_levels",
+        ],
     )
-    for n in sizes:
-        side = int(math.isqrt(n))
-        graph = grid_graph(side, side)
-        start = time.perf_counter()
-        scheme = ForbiddenSetLabeling(graph, epsilon=1.0)
-        global_elapsed = time.perf_counter() - start
-        sample = list(range(0, graph.num_vertices, max(1, graph.num_vertices // 8)))
-        start = time.perf_counter()
-        for v in sample:
-            scheme.label(v)
-        label_elapsed = time.perf_counter() - start
-        table.add_row(
-            family="grid",
-            n=graph.num_vertices,
-            global_s=global_elapsed,
-            **{"ms/label": 1000 * label_elapsed / len(sample)},
-            net_levels=len(list(scheme.params.levels())),
-        )
+    budget_s = 60.0
+    fits: dict[str, int] = {}
+    for family, family_sizes in sizes.items():
+        for size in family_sizes:
+            graph = _FAMILIES[family](size)
+            n = graph.num_vertices
+            start = time.perf_counter()
+            builder = LabelBuilder(graph, epsilon=1.0)
+            global_elapsed = time.perf_counter() - start
+            sample = list(range(0, n, max(1, n // 8)))
+            build = encode = 0.0
+            for v in sample:
+                start = time.perf_counter()
+                label = builder.build_label(v)
+                middle = time.perf_counter()
+                encode_label(label)
+                build += middle - start
+                encode += time.perf_counter() - middle
+            table_s = global_elapsed + n * (build + encode) / len(sample)
+            if table_s <= budget_s:
+                fits[family] = max(fits.get(family, 0), n)
+            table.add_row(
+                family=family,
+                n=n,
+                global_s=global_elapsed,
+                **{
+                    "build ms/label": 1000 * build / len(sample),
+                    "encode ms/label": 1000 * encode / len(sample),
+                },
+                table_s=table_s,
+                net_levels=len(list(builder.params.levels())),
+            )
+    largest = ", ".join(
+        f"{family} {fits.get(family, 'none')}" for family in sizes
+    )
+    table.notes = (
+        "global = net hierarchy + per-level net adjacency; build and "
+        "encode are per label over 8 sampled labels; table_s = global + "
+        "n x (build + encode), the projected time to build and encode "
+        f"every label; largest n whose table fits in {budget_s:.0f} s: "
+        f"{largest}"
+    )
     return [table]
 
 

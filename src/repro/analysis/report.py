@@ -59,8 +59,12 @@ _CLAIMS = {
     ),
     "E7": (
         "Theorem 2.1: labels computable in polynomial time.",
-        "global preprocessing seconds and ms/label grow polynomially "
-        "(near-linearly at these sizes).",
+        "global preprocessing seconds and the build and encode ms per "
+        "label grow polynomially; table_s projects building and encoding "
+        "every label, and the note names per family the largest n whose "
+        "table fits in 60 s.  Every grid row (diameter <= 78) is in the "
+        "whole-graph regime at eps = 1; every path row (diameter n - 1 > "
+        "88 = r_{c+1}) is past it.",
     ),
     "E8": (
         "Theorem 2.7: routing with stretch 1+eps and the same table "

@@ -1,12 +1,18 @@
 """Construction of forbidden-set labels (Theorem 2.1, "Labels" paragraph).
 
-The builder precomputes, once per level ``i ∈ I``, the *net adjacency*:
-for every net-point ``p ∈ N_{i-c-1}``, the distances to all other
-net-points of the same net within ``λ_i`` (one bounded BFS per net-point).
-A vertex label is then materialized with one bounded BFS per level from
-the vertex itself (radius ``r_i``), which finds the sketch vertices
-``N_{i-c-1} ∩ B(v, r_i)`` with their distances; the stored virtual edges
-are read off the net adjacency restricted to those points.
+The builder precomputes, once per level ``i ∈ I``, the *net adjacency*
+as one row per net-point ``p ∈ N_{i-c-1}``: ``{(p, q): d_G(p, q)}`` for
+every net-point ``q > p`` of the same net within ``λ_i`` (one bounded
+BFS per net-point), plus one row of graph edges per vertex.  A vertex
+label is then materialized with one bounded BFS per level from the vertex
+itself (radius ``r_i``), which finds the sketch vertices
+``N_{i-c-1} ∩ B(v, r_i)`` with their distances, and
+:func:`assemble_level` splices the level's edges out of those points'
+rows: a point within ``r_i - λ_i`` of ``v`` takes its whole row, since
+the triangle inequality puts every far end inside ``B(v, r_i)``; only
+the rows of boundary points are filtered.  Labels share the rows' key
+tuples, and every dict keeps the insertion order of a pair-by-pair
+assembly (the kernel scans edges in that order).
 
 This lazy materialization keeps memory proportional to the *global*
 structures rather than ``n`` full labels, while each produced
@@ -32,6 +38,10 @@ from repro.graphs.graph import Graph
 from repro.labeling.label import LevelLabel, VertexLabel
 from repro.labeling.params import ParamSchedule
 from repro.nets.hierarchy import NetHierarchy
+
+#: per point ``p``: ``{(p, q): weight}`` for far ends ``q > p``, each
+#: weight at least ``d(p, q)``
+Rows = dict[int, dict[tuple[int, int], int]]
 
 
 @dataclass(frozen=True)
@@ -80,30 +90,37 @@ class LabelBuilder:
             raise LabelingError("provided hierarchy has too few levels")
         self.hierarchy = hierarchy
         self._scratch = BfsScratch(graph)
-        # per level i: {p: {q: d_G(p,q)}} for net-points p, q of N_{i-c-1}
-        # with d_G(p,q) <= lam_i   (q != p)
-        self._net_adjacency: dict[int, dict[int, dict[int, int]]] = {}
+        # per vertex p: {(p, q): 1} for the graph edges to q > p
+        self._graph_rows: Rows = {
+            p: {(p, q): 1 for q in graph.neighbors(p) if q > p}
+            for p in graph.vertices()
+        }
+        # per level i: the rows of the net-points p of N_{i-c-1}
+        self._net_adjacency: dict[int, Rows] = {}
         for i in self.params.levels():
             self._net_adjacency[i] = self._build_net_adjacency(i)
 
     # -- global structures --------------------------------------------------
 
-    def _build_net_adjacency(self, i: int) -> dict[int, dict[int, int]]:
+    def _build_net_adjacency(self, i: int) -> Rows:
+        """``{p: {(p, q): d_G(p, q)}}`` over net-points ``q > p`` within ``λ_i``.
+
+        With ``low_level="unit"`` the lowest level's rows are the graph
+        edges instead.
+        """
+        if i == self.params.c + 1 and self.options.low_level == "unit":
+            # N_0 = V(G): length-1 virtual edges are the graph edges
+            return self._graph_rows
         net = self.hierarchy.net(self.params.net_level(i))
         lam = self.params.lam(i)
-        unit_only = i == self.params.c + 1 and self.options.low_level == "unit"
-        adjacency: dict[int, dict[int, int]] = {}
-        for p in net:
-            if unit_only:
-                # N_0 = V(G): length-1 virtual edges are the graph edges
-                adjacency[p] = {q: 1 for q in self._graph.neighbors(p)}
-                continue
-            adjacency[p] = {
-                q: d
+        return {
+            p: {
+                (p, q): d
                 for q, d in self._scratch.items(p, radius=lam)
-                if q != p and q in net
+                if q > p and q in net
             }
-        return adjacency
+            for p in net
+        }
 
     # -- label materialization -------------------------------------------------
 
@@ -124,35 +141,76 @@ class LabelBuilder:
 
     def _build_level(self, vertex: int, i: int) -> LevelLabel:
         params = self.params
+        radius = params.r(i)
         net = self.hierarchy.net(params.net_level(i))
-        lam = params.lam(i)
-        points = self._scratch.restricted(vertex, params.r(i), net)
+        points = self._scratch.restricted(vertex, radius, net)
         points[vertex] = 0  # v is always a sketch vertex of H_i(v)
-        edges: dict[tuple[int, int], int] = {}
-        adjacency = self._net_adjacency[i]
-        for p in points:
-            nbrs = adjacency.get(p)
-            if not nbrs:
-                continue
-            for q, weight in nbrs.items():
-                if q > p and q in points:
-                    edges[(p, q)] = weight
-        # edges between v and the net-points (construction text: "and also
-        # between v and the net-points"); if v is itself a net-point these
-        # are already present with identical weights
-        for p, dist in points.items():
-            if p != vertex and dist <= lam:
-                key = (vertex, p) if vertex < p else (p, vertex)
-                edges.setdefault(key, dist)
-        # at the lowest level, record the actual graph edges inside the
-        # ball ("L(v) stores all edges in the original graph G that are in
-        # B_{c+1}(v)") — these back the decoder's unit-edge clause
-        graph_edges: dict[tuple[int, int], int] = {}
-        if i == params.c + 1:
-            for p in points:
-                for q in self._graph.neighbors(p):
-                    if q > p and q in points:
-                        graph_edges[(p, q)] = 1
-        return LevelLabel(
-            level=i, points=points, edges=edges, graph_edges=graph_edges
+        lowest = i == params.c + 1
+        return assemble_level(
+            i, vertex, points, params.lam(i), radius, self._net_adjacency[i],
+            self._graph_rows if lowest else None, 1,
         )
+
+
+def assemble_level(
+    level: int,
+    vertex: int,
+    points: dict[int, int],
+    lam: int,
+    radius: int,
+    rows: Rows,
+    graph_rows: Rows | None,
+    graph_reach: int,
+) -> LevelLabel:
+    """The fragment ``H_i(v)`` of ``vertex`` over its sketch vertices ``points``.
+
+    ``points`` maps every net-point within ``radius = r_i`` of ``vertex``
+    (and ``vertex`` itself) to its distance.  The virtual edges are every
+    row entry of ``rows`` (weights at most ``lam = λ_i``) whose far end
+    is a point, then the edges between ``vertex`` and its points within
+    ``λ_i`` ("and also between v and the net-points"; present already,
+    with the same weight, when ``vertex`` is a net-point).  At the lowest
+    level, ``graph_rows`` (edge weights at most ``graph_reach``) give the
+    actual graph edges inside the ball ("L(v) stores all edges in the
+    original graph G that are in B_{c+1}(v)"), which back the decoder's
+    unit-edge clause.
+    """
+    edges: dict[tuple[int, int], int] = {}
+    _splice(edges, points, rows, radius - lam)
+    for p, dist in points.items():
+        if p != vertex and dist <= lam:
+            key = (vertex, p) if vertex < p else (p, vertex)
+            edges.setdefault(key, dist)
+    graph_edges: dict[tuple[int, int], int] = {}
+    if graph_rows is not None:
+        _splice(graph_edges, points, graph_rows, radius - graph_reach)
+    return LevelLabel(
+        level=level, points=points, edges=edges, graph_edges=graph_edges
+    )
+
+
+def _splice(
+    out: dict[tuple[int, int], int],
+    points: dict[int, int],
+    rows: Rows,
+    inner: int,
+) -> None:
+    """Add to ``out``, point by point, each row entry whose far end is a point.
+
+    A point within ``inner`` (the ball radius minus the rows' largest
+    weight) takes its whole row by one ``dict.update``: every far end
+    lies within the ball radius of the owner, and the rows hold only
+    members of the level's net, so it is a point.  Boundary rows are
+    filtered entry by entry.  Either way ``out`` gets the entries in row
+    order, point after point.
+    """
+    for p, dist in points.items():
+        row = rows.get(p)
+        if not row:
+            continue
+        if dist <= inner:
+            out.update(row)
+        else:
+            for key, weight in row.items():
+                if key[1] in points:
+                    out[key] = weight

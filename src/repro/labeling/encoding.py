@@ -21,12 +21,21 @@ The codec works a field at a time: :func:`_write_level` renders each
 point and edge record of a level as ``'0'``/``'1'`` text and appends the
 level in one call, and :func:`_read_level` parses each record from the
 reader's text in one bounds-checked step (see :mod:`repro.util.bitio`).
+
+A level's edge section — both edge maps as index/index/γ(weight)
+records — depends only on the sorted point ids and the edges, and in the
+whole-graph regime every label of a graph repeats it.  The writer renders
+each distinct section once and splices the text into every label that
+repeats it (:class:`_SectionMemo`, bounded by
+:data:`SECTION_MEMO_RECORDS`); a hit must equal a snapshot of what was
+rendered, so the bytes are exactly those of rendering every section.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+import threading
 
 from repro.exceptions import EncodingError
 from repro.labeling.label import LevelLabel, VertexLabel
@@ -190,19 +199,36 @@ def _write_label(writer: BitWriter, label: VertexLabel) -> None:
 
 def _write_level(writer: BitWriter, level_label: LevelLabel) -> None:
     distances = level_label.points
-    points = sorted(distances)
-    index_width = max(1, (len(points) - 1).bit_length()) if points else 1
-    index_spec = f"0{index_width}b"
+    points = tuple(sorted(distances))
     parts = [gamma_bits(len(points) + 1)]
-    index_bits: dict[int, str] = {}
     previous = -1
-    for index, point in enumerate(points):
+    for point in points:
         gap = gamma_bits(point - previous)  # >= 1
         parts.append(gap + gamma_bits(distances[point] + 1))
-        index_bits[point] = format(index, index_spec)
         previous = point
+    edges, graph_edges = level_label.edges, level_label.graph_edges
+    section = _SECTIONS.get(points, edges, graph_edges)
+    if section is None:
+        section = _render_section(points, edges, graph_edges)
+        _SECTIONS.put(points, edges, graph_edges, section)
+    parts.append(section)
+    writer.write_text("".join(parts))
+
+
+def _render_section(
+    points: tuple[int, ...],
+    edges: dict[tuple[int, int], int],
+    graph_edges: dict[tuple[int, int], int],
+) -> str:
+    """Both edge maps of a level as count-prefixed index/index/γ records."""
+    index_width = max(1, (len(points) - 1).bit_length()) if points else 1
+    index_spec = f"0{index_width}b"
+    index_bits = {
+        point: format(index, index_spec) for index, point in enumerate(points)
+    }
+    parts: list[str] = []
     weight_bits: dict[int, str] = {}
-    for edge_map in (level_label.edges, level_label.graph_edges):
+    for edge_map in (edges, graph_edges):
         parts.append(gamma_bits(len(edge_map) + 1))
         for edge in sorted(edge_map):
             x, y = edge
@@ -217,7 +243,84 @@ def _write_level(writer: BitWriter, level_label: LevelLabel) -> None:
             if w_bits is None:
                 w_bits = weight_bits[weight] = gamma_bits(weight)
             parts.append(x_bits + y_bits + w_bits)
-    writer.write_text("".join(parts))
+    return "".join(parts)
+
+
+#: the most edge records the section memo holds at once: room for the
+#: sections that every label of a whole-graph table repeats (one per
+#: level; 3,376 records at level c+1 on road:9x9:1) next to the
+#: per-owner sections passing through.  A held record costs one slot of
+#: a snapshot dict (40-46 bytes on CPython 3.11; the key tuples are the
+#: labels' own) plus its text, ``2⌈log₂ |points|⌉ + 2⌊log₂ w⌋ + 1``
+#: characters: at most about 1.8 MB in all for levels of fewer than 2^16
+#: points and weights below 2^16.  A larger section is rendered and not
+#: held.
+SECTION_MEMO_RECORDS = 1 << 14
+
+
+class _SectionMemo:
+    """Rendered edge sections by sorted point tuple, least recently used out.
+
+    In the whole-graph regime every label of a graph repeats each level's
+    edge section (same points, same edges), so it is rendered once and
+    its text spliced into every label after.  An entry keeps a snapshot
+    of the content it rendered, and a hit must equal it: a different or
+    since-mutated edge map misses and is rendered afresh.  A section that
+    raises while rendering is never stored.  The memo is bounded by the
+    records it holds, and a table scan larger than that bound evicts its
+    one-off sections before a later scan reaches them, so a second build
+    of such a table starts as cold as the first.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self._capacity = capacity
+        self._records = 0
+        self._entries: dict[tuple[int, ...], tuple[dict, dict, str]] = {}
+        # encode_label may run on several threads; the LRU move and the
+        # record count are read-modify-write steps
+        self._lock = threading.Lock()
+
+    def get(
+        self,
+        points: tuple[int, ...],
+        edges: dict[tuple[int, int], int],
+        graph_edges: dict[tuple[int, int], int],
+    ) -> str | None:
+        """The held text of this exact section, or ``None``."""
+        entries = self._entries
+        with self._lock:
+            entry = entries.get(points)
+            if entry is None or entry[0] != edges or entry[1] != graph_edges:
+                return None
+            entries[points] = entries.pop(points)  # now the most recent
+        return entry[2]
+
+    def put(
+        self,
+        points: tuple[int, ...],
+        edges: dict[tuple[int, int], int],
+        graph_edges: dict[tuple[int, int], int],
+        text: str,
+    ) -> None:
+        """Hold ``text`` with snapshots of the maps it was rendered from."""
+        size = len(edges) + len(graph_edges)
+        if size > self._capacity:
+            return
+        entry = (dict(edges), dict(graph_edges), text)
+        size = len(entry[0]) + len(entry[1])
+        entries = self._entries
+        with self._lock:
+            old = entries.pop(points, None)
+            if old is not None:
+                self._records -= len(old[0]) + len(old[1])
+            while self._records + size > self._capacity:
+                evicted = entries.pop(next(iter(entries)))
+                self._records -= len(evicted[0]) + len(evicted[1])
+            entries[points] = entry
+            self._records += size
+
+
+_SECTIONS = _SectionMemo(SECTION_MEMO_RECORDS)
 
 
 def _read_level(reader: BitReader, level: int) -> LevelLabel:

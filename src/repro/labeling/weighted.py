@@ -39,7 +39,7 @@ from repro.graphs.weighted import (
     log2_ceil,
     weighted_distances,
 )
-from repro.labeling.construction import LabelingOptions
+from repro.labeling.construction import LabelingOptions, Rows, assemble_level
 from repro.labeling.decoder import FaultSet, QueryResult, decode_distance
 from repro.labeling.label import LevelLabel, VertexLabel
 from repro.labeling.params import ParamSchedule, c_for_epsilon, lam_for_level
@@ -82,31 +82,37 @@ class WeightedForbiddenSetLabeling:
         self._hierarchy = WeightedNetHierarchy(
             graph, top_level=max(net_top_needed, log_d)
         )
-        self._net_adjacency: dict[int, dict[int, dict[int, int]]] = {}
+        # per vertex p: {(p, q): w} for the graph edges to q > p; real
+        # edges carry their true weight, whatever it is — they must stay
+        # usable next to faults even when heavier than lam
+        self._graph_rows: Rows = {
+            p: {(p, q): w for q, w in graph.neighbors(p) if q > p}
+            for p in graph.vertices()
+        }
+        self._graph_reach = graph.max_weight()
+        self._net_adjacency: dict[int, Rows] = {}
         for i in self.params.levels():
             self._net_adjacency[i] = self._build_net_adjacency(i)
         self._labels: dict[int, VertexLabel] = {}
 
     # -- construction -----------------------------------------------------
 
-    def _build_net_adjacency(self, i: int) -> dict[int, dict[int, int]]:
+    def _build_net_adjacency(self, i: int) -> Rows:
         net = self._hierarchy.net(self.params.net_level(i))
         lam = self.params.lam(i)
-        unit_only = (
-            i == self.params.c + 1 and self.options.low_level == "unit"
-        )
-        adjacency: dict[int, dict[int, int]] = {}
-        for p in net:
-            if unit_only:
-                adjacency[p] = {
-                    q: w for q, w in self._graph.neighbors(p) if w <= lam
-                }
-                continue
-            ball = weighted_distances(self._graph, p, radius=lam)
-            adjacency[p] = {
-                q: d for q, d in ball.items() if q != p and q in net and d <= lam
+        if i == self.params.c + 1 and self.options.low_level == "unit":
+            return {
+                p: {key: w for key, w in self._graph_rows[p].items() if w <= lam}
+                for p in net
             }
-        return adjacency
+        return {
+            p: {
+                (p, q): d
+                for q, d in weighted_distances(self._graph, p, radius=lam).items()
+                if q > p and q in net
+            }
+            for p in net
+        }
 
     def label(self, vertex: int) -> VertexLabel:
         """The label ``L(vertex)`` (materialized lazily, cached)."""
@@ -132,34 +138,15 @@ class WeightedForbiddenSetLabeling:
 
     def _build_level(self, vertex: int, i: int) -> LevelLabel:
         params = self.params
+        radius = params.r(i)
         net = self._hierarchy.net(params.net_level(i))
-        lam = params.lam(i)
-        ball = weighted_distances(self._graph, vertex, radius=params.r(i))
+        ball = weighted_distances(self._graph, vertex, radius=radius)
         points = {x: d for x, d in ball.items() if x in net}
         points[vertex] = 0
-        edges: dict[tuple[int, int], int] = {}
-        adjacency = self._net_adjacency[i]
-        for p in points:
-            nbrs = adjacency.get(p)
-            if not nbrs:
-                continue
-            for q, weight in nbrs.items():
-                if q > p and q in points:
-                    edges[(p, q)] = weight
-        for p, dist in points.items():
-            if p != vertex and dist <= lam:
-                key = (vertex, p) if vertex < p else (p, vertex)
-                edges.setdefault(key, dist)
-        graph_edges: dict[tuple[int, int], int] = {}
-        if i == params.c + 1:
-            # real edges carry their true weight, whatever it is — they
-            # must stay usable next to faults even when heavier than lam
-            for p in points:
-                for q, weight in self._graph.neighbors(p):
-                    if q > p and q in points:
-                        graph_edges[(p, q)] = weight
-        return LevelLabel(
-            level=i, points=points, edges=edges, graph_edges=graph_edges
+        lowest = i == params.c + 1
+        return assemble_level(
+            i, vertex, points, params.lam(i), radius, self._net_adjacency[i],
+            self._graph_rows if lowest else None, self._graph_reach,
         )
 
     # -- queries ------------------------------------------------------------

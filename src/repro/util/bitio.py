@@ -28,6 +28,10 @@ from repro.exceptions import EncodingError
 #: the message of every read that runs off the end of the stream
 PAST_END = "read past end of bit stream"
 
+#: ``str.translate`` table that deletes ``'0'`` and ``'1'``: bit text
+#: translates to ``""``
+_DROP_BITS = str.maketrans("", "", "01")
+
 
 def gamma_bits(value: int) -> str:
     """The Elias gamma code of ``value >= 1`` as ``'0'``/``'1'`` text.
@@ -109,9 +113,10 @@ class BitWriter:
 
         The label codec renders a whole level this way (fields from
         :func:`gamma_bits` and ``format(index, "0{w}b")``); any other
-        character is an :class:`EncodingError`.
+        character is an :class:`EncodingError`.  The check is one
+        ``str.translate`` that deletes every ``'0'`` and ``'1'``.
         """
-        if bits.strip("01"):
+        if bits.translate(_DROP_BITS):
             raise EncodingError("bit text may hold only '0' and '1'")
         self._parts.append(bits)
         self._length += len(bits)

@@ -113,3 +113,9 @@ def test_production_never_imports_the_reference_codec():
     """``tests/reference_codec.py`` is test-only: no ``repro`` module loads it."""
     loaded = _reference_modules_loaded_by_production()
     assert not [name for name in loaded if name.endswith("reference_codec")]
+
+
+def test_production_never_imports_the_reference_builder():
+    """``tests/reference_builder.py`` is test-only: no ``repro`` module loads it."""
+    loaded = _reference_modules_loaded_by_production()
+    assert not [name for name in loaded if name.endswith("reference_builder")]

@@ -3,14 +3,17 @@
 Production reads and writes labels a field at a time over ``'0'``/``'1'``
 text (:mod:`repro.util.bitio`, :mod:`repro.labeling.encoding`).  The
 bit-at-a-time codec it replaced lives on in ``tests/reference_codec.py``.
-This module checks three things against that reference:
+This module checks four things against that reference:
 
 * bit I/O — hypothesis-generated sequences of every ``write_*`` call give
   the same bytes and bit counts, and read back to the same values and
   ``bits_remaining``;
-* real labels — every label of five graph families at three ε encodes to
+* real labels — every label of six graph families at three ε encodes to
   the same bytes and bit length, through both label codecs, and decodes
   to an equal label; routing headers encode and decode the same;
+* the section memo — a repeated edge section is rendered once, and a
+  label whose edges changed in place, or that shares only its points
+  with an earlier one, still gets the reference's bytes;
 * corrupt input — seeded bit flips, truncations and appended or
   overwritten bytes make the production decoder raise (within
   ``DECODE_ERRORS``) exactly when the reference raises, and otherwise
@@ -19,7 +22,8 @@ This module checks three things against that reference:
 The reference can drift together with the code, so the bytes are also
 pinned by sha256 in ``tests/golden/label_codec.json``: the concatenated
 encodings of every family at every ε, the connectivity codec on
-``grid:6x6`` and the ``.fsdl`` that ``repro build grid:6x6`` writes.
+``grid:6x6`` and the ``.fsdl`` that ``repro build`` writes for
+``grid:6x6`` and ``path:96`` (past ``r_{c+1}``).
 Regenerate that file only for an intentional format change::
 
     PYTHONPATH=src python -m tests.test_codec_differential \\
@@ -35,6 +39,7 @@ import json
 import random
 import struct
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -73,6 +78,10 @@ FAMILIES = [
         lambda: gen.road_like_graph(9, 9, seed=1),
     ),
     ("tree:40:3", ForbiddenSetLabeling, lambda: gen.random_tree(40, seed=3)),
+    # diameter 95 > r_{c+1} = 88 at ε = 1: the only family whose labels
+    # do not all cover the whole graph (labels 7-88 do at level c+1, the
+    # end labels do not); at ε = 0.5 and 0.1 it is whole-graph again
+    ("path:96", ForbiddenSetLabeling, lambda: gen.path_graph(96)),
     (
         "weighted-road:5x5:4",
         WeightedForbiddenSetLabeling,
@@ -87,6 +96,10 @@ CASES = [(name, epsilon) for name, _, _ in FAMILIES for epsilon in EPSILONS]
 #: the family and ε the connectivity codec and ``repro build`` are pinned at
 BUILD_SPEC = "grid:6x6"
 BUILD_EPSILON = 1.0
+
+#: every ``(spec, ε)`` whose ``repro build`` output is pinned: the grid in
+#: the whole-graph regime and the path past r_{c+1}
+BUILDS = [(BUILD_SPEC, BUILD_EPSILON), ("path:96", 1.0)]
 
 
 def family_labels(name: str, epsilon: float) -> list:
@@ -338,6 +351,126 @@ def test_every_prefix_of_a_label_gets_the_reference_verdict():
         ), size
 
 
+# -- the section memo -----------------------------------------------------------
+#
+# The encoder renders a level's edge section once and splices the text into
+# every label that repeats it.  Each test below fails against a memo keyed
+# on the point tuple alone; the first and third also fail against one that
+# holds the labels' own dicts instead of snapshots.
+
+
+def _reference_bytes(label) -> bytes:
+    writer = reference.BitWriter()
+    reference._write_label(writer, label)
+    return writer.getvalue()
+
+
+def test_reencoding_after_an_in_place_weight_change_matches_the_reference():
+    label = family_labels("grid:6x6", 1.0)[14]
+    before = encode_label(label)
+    level = min(label.levels)
+    edge = next(iter(label.levels[level].edges))
+    label.levels[level].edges[edge] += 1  # as tests/test_verification.py does
+    after = encode_label(label)
+    assert after == _reference_bytes(label)
+    assert after != before
+
+
+def test_labels_with_the_same_points_and_other_weights_match_the_reference():
+    """G and G minus one edge: same level-(c+1) points, different weights."""
+    graph = gen.grid_graph(6, 6)
+    smaller = graph.subgraph_without(removed_edges=[(14, 15)])
+    full = ForbiddenSetLabeling(graph, epsilon=1.0).label(0)
+    cut = ForbiddenSetLabeling(smaller, epsilon=1.0).label(0)
+    low = min(full.levels)
+    assert sorted(full.levels[low].points) == sorted(cut.levels[low].points)
+    assert full.levels[low].edges.keys() == cut.levels[low].edges.keys()
+    assert full.levels[low].edges != cut.levels[low].edges
+    for label in (full, cut, full, cut):
+        assert encode_label(label) == _reference_bytes(label)
+
+
+def test_a_level_that_raised_raises_again():
+    label = family_labels("grid:6x6", 1.0)[3]
+    encode_label(label)  # its sections are held now
+    level = label.levels[min(label.levels)]
+    level.edges[(0, 10**6)] = 1  # an endpoint missing from the points
+    with pytest.raises(EncodingError):
+        _reference_bytes(label)
+    for _ in range(2):
+        with pytest.raises(EncodingError):
+            encode_label(label)
+
+
+def test_section_memo_evicts_the_least_recent_within_its_record_bound():
+    memo = encoding._SectionMemo(capacity=7)
+    edge_maps = {
+        key: ({(key, key + 1): 1, (key, key + 2): 2}, {(key, key + 1): 1})
+        for key in range(3)
+    }
+    for key in (0, 1):
+        memo.put((key,), *edge_maps[key], f"{key}")
+    assert memo.get((0,), *edge_maps[0]) == "0"  # 1 is now the oldest
+    memo.put((2,), *edge_maps[2], "2")  # three records each: 1 goes
+    assert [memo.get((key,), *edge_maps[key]) for key in range(3)] == [
+        "0", None, "2",
+    ]
+    edges, graph_edges = edge_maps[2]
+    edges[(2, 9)] = 3  # the held copy is a snapshot
+    assert memo.get((2,), edges, graph_edges) is None
+    memo.put((2,), edges, graph_edges, "bigger")  # 4 records, replaces "2"
+    assert memo.get((2,), edges, graph_edges) == "bigger"
+    assert memo.get((0,), *edge_maps[0]) == "0"  # 3 + 4 records fit
+    wide = {(9, 10 + k): 1 for k in range(8)}
+    memo.put((9,), wide, {}, "too wide")  # 8 records > capacity: not held
+    assert memo.get((9,), wide, {}) is None
+    assert memo.get((2,), edges, graph_edges) == "bigger"
+
+
+def test_threads_sharing_the_memo_get_the_reference_bytes(monkeypatch):
+    """Threads that fight over the same point tuples keep the memo whole."""
+    graph = gen.grid_graph(5, 5)
+    smaller = graph.subgraph_without(removed_edges=[(6, 7)])
+    labels = [
+        ForbiddenSetLabeling(g, epsilon=1.0).label(v)
+        for g in (graph, smaller)
+        for v in (0, 12)
+    ]
+    expected = [_reference_bytes(label) for label in labels]
+    # room for about one label's sections, so puts evict all the time
+    memo = encoding._SectionMemo(capacity=500)
+    monkeypatch.setattr(encoding, "_SECTIONS", memo)
+    problems: list = []
+
+    def work(seed: int) -> None:
+        rng = random.Random(seed)
+        try:
+            for _ in range(60):
+                k = rng.randrange(len(labels))
+                if encode_label(labels[k]) != expected[k]:
+                    problems.append(k)
+        # what unguarded bookkeeping raises when threads interleave
+        except (EncodingError, KeyError, RuntimeError, StopIteration) as exc:
+            problems.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=work, args=(seed,)) for seed in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not problems
+    held = sum(len(entry[0]) + len(entry[1]) for entry in memo._entries.values())
+    assert memo._records == held <= 500
+
+
 # -- the format golden ---------------------------------------------------------
 
 
@@ -348,14 +481,13 @@ def _sha256(chunks) -> str:
     return digest.hexdigest()
 
 
-def cli_build_digest(directory: Path) -> str:
-    """sha256 of the ``.fsdl`` that ``repro build`` writes for ``BUILD_SPEC``."""
+def cli_build_digest(directory: Path, spec: str, epsilon: float) -> str:
+    """sha256 of the ``.fsdl`` that ``repro build spec -e epsilon`` writes."""
     from repro.cli import main
 
     path = directory / "golden.fsdl"
     with contextlib.redirect_stdout(io.StringIO()):
-        status = main(["build", BUILD_SPEC, "-e", str(BUILD_EPSILON),
-                       "-o", str(path)])
+        status = main(["build", spec, "-e", str(epsilon), "-o", str(path)])
     assert status == 0
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -378,7 +510,8 @@ def compute_golden(directory: Path) -> dict:
         "encode_label": labels,
         "encode_connectivity_label": connectivity,
         "repro build": {
-            f"{BUILD_SPEC} -e {BUILD_EPSILON}": cli_build_digest(directory)
+            f"{spec} -e {epsilon}": cli_build_digest(directory, spec, epsilon)
+            for spec, epsilon in BUILDS
         },
     }
 

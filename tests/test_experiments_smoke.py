@@ -3,7 +3,14 @@ slow ones run through ``pytest benchmarks/``)."""
 
 import pytest
 
-from repro.analysis.experiments import run_e3, run_e8, run_e9, run_e12, run_e14
+from repro.analysis.experiments import (
+    run_e3,
+    run_e7,
+    run_e8,
+    run_e9,
+    run_e12,
+    run_e14,
+)
 from repro.analysis.report import _CLAIMS, generate_report
 from repro.analysis.experiments import EXPERIMENTS
 
@@ -15,6 +22,16 @@ class TestFastExperiments:
         for a, b in zip(rows, rows[1:]):
             if b["c(eps)"] > a["c(eps)"]:
                 assert b["max_bits"] > a["max_bits"]
+
+    def test_e7_projects_the_full_table_per_family(self):
+        (table,) = run_e7(quick=True)
+        assert {row["family"] for row in table.rows} == {"grid", "path"}
+        for row in table.rows:
+            per_label = row["build ms/label"] + row["encode ms/label"]
+            assert row["table_s"] == pytest.approx(
+                row["global_s"] + row["n"] * per_label / 1000
+            )
+        assert "largest n whose table fits in 60 s: grid " in table.notes
 
     def test_e8_has_size_columns(self):
         (table,) = run_e8(quick=True)
