@@ -20,7 +20,7 @@ import math
 import time
 
 from repro.analysis.labelstats import label_size_summary
-from repro.analysis.stretch import evaluate_stretch
+from repro.analysis.stretch import StretchReport, evaluate_stretch
 from repro.analysis.tables import Table
 from repro.baselines.apsp import ApspOracle
 from repro.baselines.exact import ExactRecomputeOracle
@@ -50,6 +50,7 @@ from repro.oracle.oracle import ForbiddenSetDistanceOracle
 from repro.routing.scheme import ForbiddenSetRouting
 from repro.util.rng import make_rng
 from repro.workloads.queries import (
+    Query,
     adversarial_queries,
     clustered_fault_queries,
     random_queries,
@@ -705,18 +706,17 @@ def run_e12(quick: bool = True) -> list[Table]:
     for eps in (0.5, 1.0, 2.0):
         ff = FailureFreeLabeling(ff_graph, epsilon=eps)
         exact_ff = ExactRecomputeOracle(ff_graph)
-        worst = 1.0
+        ff_report = StretchReport(stretch_bound=1 + eps)
         rng = make_rng(8)
         for _ in range(40):
             s, t = rng.sample(range(ff_graph.num_vertices), 2)
-            d_true = exact_ff.query(s, t)
-            worst = max(worst, ff.query(s, t) / d_true)
+            ff_report.record(exact_ff.query(s, t), ff.query(s, t))
         ff_table.add_row(
             eps=eps,
             n=ff_graph.num_vertices,
-            max_stretch=worst,
+            max_stretch=ff_report.max_stretch,
             bound=1 + eps,
-            ok=worst <= 1 + eps + 1e-9,
+            ok=ff_report.clean,
         )
     return [table, ff_table]
 
@@ -765,35 +765,24 @@ def run_e13(quick: bool = True) -> list[Table]:
             scheme = ForbiddenSetLabeling(
                 graph, epsilon=eps, options=LabelingOptions(low_level="unit")
             )
-            exact = ExactRecomputeOracle(graph)
             rng = make_rng(13)
-            worst, total, finite, violations = 1.0, 0.0, 0, 0
+            queries = []
             for _ in range(num_queries):
                 s = rng.randrange(0, 40 * circumference)
                 t = rng.randrange(n - 40 * circumference, n)
                 faults = [v for v in rng.sample(range(n), 4) if v not in (s, t)]
-                d_true = exact.query(s, t, vertex_faults=faults)
-                d_hat = scheme.query(s, t, vertex_faults=faults).distance
-                if math.isinf(d_true) or math.isinf(d_hat):
-                    if math.isinf(d_true) != math.isinf(d_hat):
-                        violations += 1
-                    continue
-                finite += 1
-                stretch = d_hat / d_true
-                total += stretch
-                worst = max(worst, stretch)
-                if d_hat < d_true or stretch > scheme.stretch_bound() + 1e-9:
-                    violations += 1
+                queries.append(Query(s=s, t=t, vertex_faults=tuple(faults)))
+            report = evaluate_stretch(graph, scheme, queries)
             table.add_row(
                 length=length,
                 circumference=circumference,
                 n=n,
                 eps=eps,
-                queries=finite,
-                max_stretch=worst,
-                mean_stretch=total / finite if finite else 1.0,
+                queries=report.num_finite,
+                max_stretch=report.max_stretch,
+                mean_stretch=report.mean_stretch,
                 bound=scheme.stretch_bound(),
-                violations=violations,
+                violations=report.violations + report.connectivity_mismatches,
             )
     return [table]
 
@@ -838,37 +827,27 @@ def run_e14(quick: bool = True) -> list[Table]:
             for u, v in base.edges():
                 graph.add_edge(u, v, rng.randint(1, max_weight))
             scheme = WeightedForbiddenSetLabeling(graph, epsilon=eps)
-            bound = scheme.stretch_bound()
+            report = StretchReport(stretch_bound=scheme.stretch_bound())
             n = graph.num_vertices
-            worst, total, finite = 1.0, 0.0, 0
-            violations = mismatches = 0
             for _ in range(queries_per):
                 s, t = rng.sample(range(n), 2)
                 faults = [v for v in rng.sample(range(n), 4) if v not in (s, t)]
-                d_true = weighted_distances_avoiding(graph, s, faults).get(
-                    t, math.inf
+                report.record(
+                    weighted_distances_avoiding(graph, s, faults).get(
+                        t, math.inf
+                    ),
+                    scheme.query(s, t, vertex_faults=faults).distance,
                 )
-                d_hat = scheme.query(s, t, vertex_faults=faults).distance
-                if math.isinf(d_true) or math.isinf(d_hat):
-                    if math.isinf(d_true) != math.isinf(d_hat):
-                        mismatches += 1
-                    continue
-                finite += 1
-                stretch = d_hat / d_true if d_true else 1.0
-                total += stretch
-                worst = max(worst, stretch)
-                if d_hat < d_true or stretch > bound + 1e-9:
-                    violations += 1
             table.add_row(
                 W_max=max_weight,
                 eps=eps,
                 n=n,
-                queries=finite,
-                max_stretch=worst,
-                mean_stretch=total / finite if finite else 1.0,
-                bound=bound,
-                violations=violations,
-                conn_mismatch=mismatches,
+                queries=report.num_finite,
+                max_stretch=report.max_stretch,
+                mean_stretch=report.mean_stretch,
+                bound=report.stretch_bound,
+                violations=report.violations,
+                conn_mismatch=report.connectivity_mismatches,
             )
     return [table]
 

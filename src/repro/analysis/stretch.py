@@ -2,7 +2,10 @@
 
 The central verification loop of the reproduction: run a query workload
 through a scheme and through :class:`ExactRecomputeOracle`, and check
-the ``(1+ε)`` sandwich on every answer.
+the ``(1+ε)`` sandwich on every answer with
+:func:`repro.service.judge.check_guarantee`.  The truth is uncached on
+purpose: a workload rarely repeats an ``(s, F)``, and a cache would
+keep one distance map per query.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from typing import Iterable
 
 from repro.baselines.exact import ExactRecomputeOracle
 from repro.graphs.graph import Graph
+from repro.service.judge import REACHABILITY, check_guarantee
 from repro.workloads.queries import Query
 
 
@@ -45,6 +49,29 @@ class StretchReport:
         """No violations and no connectivity mismatches."""
         return self.violations == 0 and self.connectivity_mismatches == 0
 
+    def record(
+        self, d_true: float, d_hat: float, query: Query | None = None,
+        keep_samples: int = 0,
+    ) -> None:
+        """Classify one answer through the one statement of the guarantee."""
+        breach, stretch = check_guarantee(d_hat, d_true, self.stretch_bound)
+        self.num_queries += 1
+        if breach == REACHABILITY:
+            self.connectivity_mismatches += 1
+            return
+        if math.isinf(d_true):
+            return
+        self.num_finite += 1
+        stretch = 1.0 if stretch is None else stretch
+        self.sum_stretch += stretch
+        if breach is not None:
+            self.violations += 1
+        if stretch > self.max_stretch:
+            self.max_stretch = stretch
+            self.worst_query = query
+        if len(self.samples) < keep_samples:
+            self.samples.append((query, d_true, d_hat))
+
 
 def evaluate_stretch(
     graph: Graph,
@@ -75,20 +102,7 @@ def evaluate_stretch(
             vertex_faults=query.vertex_faults,
             edge_faults=query.edge_faults,
         )
-        d_hat = getattr(answer, "distance", answer)
-        report.num_queries += 1
-        if math.isinf(d_true) or math.isinf(d_hat):
-            if math.isinf(d_true) != math.isinf(d_hat):
-                report.connectivity_mismatches += 1
-            continue
-        report.num_finite += 1
-        stretch = d_hat / d_true if d_true > 0 else 1.0
-        report.sum_stretch += stretch
-        if d_hat < d_true - 1e-9 or stretch > stretch_bound + 1e-9:
-            report.violations += 1
-        if stretch > report.max_stretch:
-            report.max_stretch = stretch
-            report.worst_query = query
-        if len(report.samples) < keep_samples:
-            report.samples.append((query, d_true, d_hat))
+        report.record(
+            d_true, getattr(answer, "distance", answer), query, keep_samples
+        )
     return report

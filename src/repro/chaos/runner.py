@@ -10,15 +10,15 @@ even under hostile timing:
   report real failures);
 * **truth bookkeeping** — the simulator's ground truth matches the
   shadow truth the runner derives from the event stream alone;
-* **real routes** — a delivered packet's route is an actual path of
-  surviving edges between its endpoints, crossing no truly failed
-  router or link;
-* **delivery = connectivity** — a packet is delivered *iff* its
-  endpoints are connected in the true surviving graph (views under-
-  approximate the truth, so a local "unreachable" verdict is exact);
-* **stretch under full awareness** — once ``awareness() == 1.0``, hops
-  obey the scheme's ``(1+eps)`` stretch bound against the true
-  surviving distance;
+* **every packet passes the judge** — :meth:`Judge.judge_route
+  <repro.service.judge.Judge.judge_route>` rules on each delivery
+  against BFS truth on the surviving graph: a real route of surviving
+  edges between the endpoints, delivery exactly when they are connected
+  (views under-approximate the truth, so a local "unreachable" verdict
+  is exact), never fewer hops than the true distance, and — once
+  ``awareness() == 1.0`` — the scheme's ``(1+eps)`` stretch bound;
+* **failed endpoints** — a send from or to a failed router is rejected
+  loudly, never routed;
 * **bounded re-queries** — a packet re-plans at most
   ``O(|F|)`` times (each replan is charged to a discovery or to a
   fact that invalidated the current plan).
@@ -29,7 +29,6 @@ failures; :attr:`ChaosReport.ok` summarizes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from typing import TYPE_CHECKING
@@ -37,8 +36,8 @@ from typing import TYPE_CHECKING
 from repro.chaos.plan import ChaosEvent, FaultPlan
 from repro.exceptions import QueryError, RoutingError
 from repro.graphs.graph import Graph
-from repro.graphs.traversal import bfs_distances_avoiding
 from repro.routing.network_sim import NetworkSimulator
+from repro.service.judge import Judge
 from repro.util.rng import make_rng
 
 if TYPE_CHECKING:
@@ -104,7 +103,7 @@ class ChaosRunner:
         self._sim = NetworkSimulator(
             graph, epsilon=epsilon, probe_on_failure=probe_on_failure
         )
-        self._stretch_bound = self._sim._labeling.stretch_bound()
+        self._judge = Judge(graph, self._sim.routing.stretch_bound())
         self._rng = make_rng(plan.seed)
         self._shadow_v: set[int] = set()
         self._shadow_e: set[tuple[int, int]] = set()
@@ -168,12 +167,6 @@ class ChaosRunner:
                 "Invariant violations recorded by chaos runners.",
             ).inc()
 
-    def _true_distance(self, s: int, t: int) -> float:
-        dist = bfs_distances_avoiding(
-            self._graph, s, self._shadow_v, self._shadow_e
-        )
-        return dist.get(t, math.inf)
-
     def _checked_send(self, index: int, event: ChaosEvent) -> None:
         report = self._report
         s, t = event.s, event.t
@@ -189,7 +182,6 @@ class ChaosRunner:
                     index, f"send({s}, {t}) accepted a failed endpoint"
                 )
             return
-        d_true = self._true_distance(s, t)
         fully_aware = self._sim.awareness() == 1.0
         fault_count = len(self._shadow_v) + len(self._shadow_e)
         try:
@@ -202,18 +194,19 @@ class ChaosRunner:
         report.max_requeries = max(report.max_requeries, delivery.requeries)
         report.total_discoveries += delivery.discoveries
 
-        if delivery.delivered != (not math.isinf(d_true)):
-            self._violation(
-                index,
-                f"send({s}, {t}): delivered={delivery.delivered} but true "
-                f"distance is {d_true} — crossed or invented a cut",
-            )
-            return
-        report.checks_performed += 1
+        verdict = self._judge.judge_route(
+            delivery, s, t, self._shadow_v, self._shadow_e, aware=fully_aware
+        )
+        for problem in verdict.problems:
+            self._violation(index, f"send({s}, {t}): {problem}")
+        report.checks_performed += verdict.checks
         if delivery.delivered:
-            self._check_route(index, s, t, delivery, d_true, fully_aware)
+            report.packets_delivered += 1
         else:
             report.packets_undeliverable += 1
+        if fully_aware and verdict.stretch is not None:
+            report.stretch_samples += 1
+            report.worst_stretch = max(report.worst_stretch, verdict.stretch)
         bound = 2 * (fault_count + 1) + _REQUERY_SLACK
         if delivery.requeries > bound:
             self._violation(
@@ -221,64 +214,6 @@ class ChaosRunner:
                 f"send({s}, {t}): {delivery.requeries} re-queries exceeds "
                 f"bound {bound} for {fault_count} faults",
             )
-        report.checks_performed += 1
-
-    def _check_route(
-        self, index, s, t, delivery, d_true: float, fully_aware: bool
-    ) -> None:
-        report = self._report
-        report.packets_delivered += 1
-        route = delivery.route
-        if not route or route[0] != s or route[-1] != t:
-            self._violation(
-                index, f"send({s}, {t}): route endpoints are {route[:1]}"
-                f"...{route[-1:]}"
-            )
-            return
-        for u, v in zip(route, route[1:]):
-            if not self._graph.has_edge(u, v):
-                self._violation(
-                    index, f"send({s}, {t}): hop ({u}, {v}) is not an edge"
-                )
-                return
-            if (min(u, v), max(u, v)) in self._shadow_e:
-                self._violation(
-                    index, f"send({s}, {t}): hop ({u}, {v}) crosses a "
-                    "failed link"
-                )
-                return
-        crossed = set(route) & self._shadow_v
-        if crossed:
-            self._violation(
-                index,
-                f"send({s}, {t}): route visits failed routers {sorted(crossed)}",
-            )
-            return
-        report.checks_performed += 1
-        hops = delivery.hops
-        if hops != len(route) - 1:
-            self._violation(
-                index, f"send({s}, {t}): hops={hops} but route has "
-                f"{len(route) - 1} edges"
-            )
-        if hops < d_true:
-            self._violation(
-                index,
-                f"send({s}, {t}): {hops} hops beats the true distance "
-                f"{d_true} — route cannot be real",
-            )
-        if fully_aware:
-            report.stretch_samples += 1
-            if d_true > 0:
-                stretch = hops / d_true
-                report.worst_stretch = max(report.worst_stretch, stretch)
-                if stretch > self._stretch_bound + 1e-9:
-                    self._violation(
-                        index,
-                        f"send({s}, {t}): stretch {stretch:.3f} exceeds "
-                        f"{self._stretch_bound:.3f} at full awareness "
-                        f"(hops={hops}, true={d_true})",
-                    )
         report.checks_performed += 1
 
     def _check_consistency(self, index: int, event: ChaosEvent) -> None:

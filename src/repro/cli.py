@@ -317,12 +317,17 @@ def cmd_rollout(args: argparse.Namespace) -> int:
     unless ``--remove`` names the edge), validates it byte-for-byte
     against a full rebuild, then stages and commits it as a new
     generation on a simulated-disk store — spot-checking queries on
-    both sides of the commit.
+    both sides of the commit: ``d(a, b)`` across the removed edge is
+    decoded from the store's bytes at generation 0 and again at
+    generation 1 (through the serving tier, which stamps the generation
+    it read), and the one judge rules on each answer against that
+    generation's graph.  Exit code 1 on a violation.
     """
     from repro.durability.fs import SimulatedFS
-    from repro.graphs.traversal import bfs_distances
     from repro.rollout import GraphChange, IncrementalRelabeler, RolloutCoordinator
     from repro.rollout.battery import _pick_removable_edge
+    from repro.service import QueryService
+    from repro.service.judge import Judge
     from repro.service.store import ShardedLabelStore
 
     graph = parse_graph_spec(args.graph)
@@ -344,21 +349,28 @@ def cmd_rollout(args: argparse.Namespace) -> int:
         relabeler.encoded_labels(), num_shards=args.shards, seed=args.seed
     )
     store.attach_durability(fs, "rollout-demo")
+    service = QueryService(store, relabeler.stretch_bound)
+    judge = Judge(graph, relabeler.stretch_bound)
+    judge.record(1, plan.new_graph)
     coordinator = RolloutCoordinator(store)
     coordinator.stage(1, plan.encoded_labels())
     print(f"staged:    generation 1 on {args.shards} shard(s) "
           f"(committed is still {store.committed_version})")
+    ok = _rollout_spot_check(service, judge, *edge)
     coordinator.commit(1)
     print("committed: generation 1 is live")
+    ok = _rollout_spot_check(service, judge, *edge) and ok
+    return 0 if ok else 1
 
-    a, b = edge
-    truth = bfs_distances(plan.new_graph, a).get(b, math.inf)
-    shard = store.replicas(a)[0]
-    served = store.fetch(shard, a).data is not None
-    print(f"check:     d({a}, {b}) without the edge = {truth} "
-          f"(stretch bound {relabeler.stretch_bound:.2f}); "
-          f"shard {shard} serves vertex {a}: {served}")
-    return 0
+
+def _rollout_spot_check(service, judge, a: int, b: int) -> bool:
+    """Serve ``d(a, b)`` from the committed generation's bytes; judge it."""
+    outcome = service.query(a, b)
+    verdict = judge.judge_answer(outcome, a, b, exact_required=True)
+    print(f"check:     generation {outcome.version}: d({a}, {b}) = "
+          f"{outcome.distance} decoded from the store — "
+          + ("OK" if verdict.ok else "; ".join(verdict.problems)))
+    return verdict.ok
 
 
 def cmd_rollout_battery(args: argparse.Namespace) -> int:

@@ -20,8 +20,10 @@ of by sampling:
      not at all;
    - every recovered payload is byte-identical to the pristine encoded
      label and still decodes;
-   - seeded probe queries answered from recovered labels stay within
-     the scheme's ``(1 + ε)`` bound of BFS ground truth.
+   - seeded probe queries answered from recovered labels pass the one
+     judge (:meth:`Judge.judge_distance
+     <repro.service.judge.Judge.judge_distance>`): the scheme's
+     ``stretch_bound()`` against BFS ground truth.
 
 Any deviation is recorded as a violation; the battery never stops
 early, so one run reports every broken kill-point at once.
@@ -29,7 +31,6 @@ early, so one run reports every broken kill-point at once.
 
 from __future__ import annotations
 
-import math
 import zlib
 from dataclasses import dataclass, field
 
@@ -38,9 +39,9 @@ from repro.durability.recovery import RecoveryManager
 from repro.durability.table import DurableLabelTable
 from repro.exceptions import DurabilityError, ReproError, SimulatedCrashError
 from repro.graphs.graph import Graph
-from repro.graphs.traversal import bfs_distances
 from repro.labeling.decoder import decode_distance
 from repro.labeling.encoding import decode_label, encode_label
+from repro.service.judge import Judge
 from repro.util.rng import make_rng
 
 #: logical workload operations
@@ -170,7 +171,7 @@ def exhaustive_crash_battery(
     scheme = ForbiddenSetLabeling(graph, epsilon=epsilon)
     vertices = sorted(graph.vertices())
     payloads = {v: encode_label(scheme.label(v)) for v in vertices}
-    ground_truth = {v: bfs_distances(graph, v) for v in vertices}
+    judge = Judge(graph, scheme.stretch_bound())
     ops = build_workload(vertices, seed, churn_rounds=churn_rounds)
     states = prefix_states(ops, payloads)
 
@@ -225,8 +226,7 @@ def exhaustive_crash_battery(
                 )
                 continue
             problems, probed = _check_recovered_labels(
-                recovered, payloads, ground_truth, epsilon,
-                probe_rng, probes_per_crash,
+                recovered, payloads, judge, probe_rng, probes_per_crash
             )
             violations.extend(f"{tag}: {problem}" for problem in problems)
             probe_queries += probed
@@ -250,8 +250,7 @@ def exhaustive_crash_battery(
 def _check_recovered_labels(
     recovered: dict[int, bytes],
     payloads: dict[int, bytes],
-    ground_truth: dict[int, dict[int, int]],
-    epsilon: float,
+    judge: Judge,
     rng,
     probes: int,
 ) -> tuple[list[str], int]:
@@ -276,14 +275,5 @@ def _check_recovered_labels(
     for _ in range(probes):
         s, t = rng.sample(candidates, 2)
         answer = decode_distance(labels[s], labels[t]).distance
-        truth = ground_truth[s].get(t, math.inf)
-        if math.isinf(truth):
-            ok = math.isinf(answer)
-        else:
-            ok = truth <= answer <= (1.0 + epsilon) * truth + 1e-9
-        if not ok:
-            problems.append(
-                f"query {s}->{t}: answered {answer}, BFS truth {truth}, "
-                f"eps={epsilon}"
-            )
+        problems.extend(judge.judge_distance(answer, s, t).problems)
     return problems, probes

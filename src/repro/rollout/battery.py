@@ -5,8 +5,9 @@ any crash, this battery proves the *versioned store* does during a
 blue/green rollout:
 
 1. build base labels for a graph, derive a changed graph (one seeded
-   edge removed) and its incrementally relabeled generation, plus BFS
-   ground truth on **both** graphs;
+   edge removed) and its incrementally relabeled generation, and tell
+   one :class:`~repro.service.judge.Judge` about **both** graphs
+   (generation 0 and generation 1);
 2. run the rollout once uncrashed per schedule (``commit`` and
    ``abort``) to count the filesystem kill-points it crosses;
 3. for every rollout kill-point × crash mode × schedule: rerun on a
@@ -18,9 +19,9 @@ blue/green rollout:
      otherwise (an aborted schedule must always land on 0);
    - **no mixed-version answers**: every replica of every vertex
      serves bytes from that one committed generation, and seeded probe
-     queries decoded from fetched labels stay within the scheme's
-     stretch bound of BFS ground truth *on the committed version's
-     graph*;
+     queries decoded from fetched labels pass the judge
+     (:meth:`~repro.service.judge.Judge.judge_distance`) *on the
+     committed version's graph*;
 4. assert the rollout was **incremental**: the plan's labels byte-match
    a full rebuild, and on a non-global change (a pendant removal on a
    long path) ``repro_labels_rebuilt_total`` stays strictly below the
@@ -32,7 +33,6 @@ early, so one run reports every broken kill-point at once.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from repro.durability.battery import _derive_seed
@@ -45,6 +45,7 @@ from repro.labeling.encoding import decode_label
 from repro.obs.registry import Registry
 from repro.rollout.coordinator import RolloutCoordinator, recover_rollout
 from repro.rollout.incremental import GraphChange, IncrementalRelabeler
+from repro.service.judge import Judge
 from repro.service.store import ShardedLabelStore
 from repro.util.rng import make_rng
 
@@ -168,13 +169,13 @@ def _check_single_version(
 
 def _probe_queries(
     expected: list[bytes],
-    ground_truth: dict[int, dict[int, int]],
-    stretch: float,
+    judge: Judge,
+    version: int,
     rng,
     probes: int,
     tag: str,
 ) -> tuple[list[str], int]:
-    """Seeded decode probes against the committed graph's BFS truth."""
+    """Seeded decode probes, judged on generation ``version``'s graph."""
     problems = []
     candidates = list(range(len(expected)))
     if len(candidates) < 2 or probes <= 0:
@@ -186,16 +187,8 @@ def _probe_queries(
             if v not in labels:
                 labels[v] = decode_label(expected[v])
         answer = decode_distance(labels[s], labels[t]).distance
-        truth = ground_truth[s].get(t, math.inf)
-        if math.isinf(truth):
-            ok = math.isinf(answer)
-        else:
-            ok = truth <= answer <= stretch * truth + 1e-9
-        if not ok:
-            problems.append(
-                f"{tag}: probe {s}->{t} answered {answer}, "
-                f"BFS truth {truth}, stretch {stretch}"
-            )
+        verdict = judge.judge_distance(answer, s, t, version=version)
+        problems.extend(f"{tag}: probe {p}" for p in verdict.problems)
     return problems, probes
 
 
@@ -287,13 +280,8 @@ def exhaustive_rollout_battery(
     plan = relabeler.plan(GraphChange(removed_edges=(removed_edge,)))
     relabeler.validate(plan)  # decode-equivalence vs a full rebuild
     new = plan.encoded_labels()
-    stretch = relabeler.stretch_bound
-    old_truth = {v: bfs_distances(graph, v) for v in graph.vertices()}
-    new_truth = {
-        v: bfs_distances(plan.new_graph, v)
-        for v in plan.new_graph.vertices()
-    }
-    truths = {0: old_truth, 1: new_truth}
+    judge = Judge(graph, relabeler.stretch_bound)
+    judge.record(1, plan.new_graph)
     expected = {0: base, 1: new}
 
     violations: list[str] = []
@@ -384,7 +372,7 @@ def exhaustive_rollout_battery(
         label_checks += checks
         if not problems:
             probe_problems, probed = _probe_queries(
-                expected[committed], truths[committed], stretch,
+                expected[committed], judge, committed,
                 probe_rng, probes_per_crash, tag,
             )
             violations.extend(probe_problems)

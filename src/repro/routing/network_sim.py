@@ -30,10 +30,9 @@ from dataclasses import dataclass, field
 
 from repro.exceptions import QueryError, RoutingError
 from repro.graphs.graph import Graph
-from repro.labeling.decoder import FaultSet, decode_distance
-from repro.labeling.scheme import ForbiddenSetLabeling
+from repro.labeling.decoder import FaultSet
+from repro.routing.scheme import ForbiddenSetRouting
 from repro.routing.simulator import approach_points
-from repro.routing.tables import RoutingTable, build_routing_table
 
 
 @dataclass
@@ -76,20 +75,17 @@ class NetworkSimulator:
         of a failure until a packet bumps into it (the paper's "begin
         routing on a path that is going to be cut" case)."""
         self._graph = graph
-        self._labeling = ForbiddenSetLabeling(graph, epsilon)
+        self._routing = ForbiddenSetRouting(graph, epsilon)
         self._probe_on_failure = probe_on_failure
         self._truth = Knowledge()
         self._views: dict[int, Knowledge] = {
             v: Knowledge() for v in graph.vertices()
         }
-        self._tables: dict[int, RoutingTable] = {}
 
-    def _table(self, vertex: int) -> RoutingTable:
-        cached = self._tables.get(vertex)
-        if cached is None:
-            cached = build_routing_table(self._graph, self._labeling.label(vertex))
-            self._tables[vertex] = cached
-        return cached
+    @property
+    def routing(self) -> ForbiddenSetRouting:
+        """The one routing scheme: labels, tables and the planning decoder."""
+        return self._routing
 
     # -- failure / recovery events ------------------------------------------
 
@@ -242,7 +238,7 @@ class NetworkSimulator:
             raise QueryError("packet endpoint is a failed router")
         ttl = ttl if ttl is not None else 6 * self._graph.num_vertices + 64
         packet_knowledge = self._views[s].copy()
-        approach = approach_points(self._labeling.label(t))
+        approach = approach_points(self._routing.labeling.label(t))
         route = [s]
         current = s
         requeries = 0
@@ -319,19 +315,14 @@ class NetworkSimulator:
     # -- helpers ------------------------------------------------------------------
 
     def _plan(self, s: int, t: int, view: Knowledge):
+        label = self._routing.labeling.label
         faults = FaultSet(
             vertex_labels=[
-                self._labeling.label(f) for f in sorted(view.vertices)
-                if f not in (s, t)
+                label(f) for f in sorted(view.vertices) if f not in (s, t)
             ],
-            edge_labels=[
-                (self._labeling.label(a), self._labeling.label(b))
-                for a, b in sorted(view.edges)
-            ],
+            edge_labels=[(label(a), label(b)) for a, b in sorted(view.edges)],
         )
-        return decode_distance(
-            self._labeling.label(s), self._labeling.label(t), faults
-        )
+        return self._routing.decoder.decode(label(s), label(t), faults)
 
     def _next_hop(
         self,
@@ -349,7 +340,7 @@ class NetworkSimulator:
         failed are rejected (returns ``(None, None)`` to trigger a
         re-query).
         """
-        table = self._table(current)
+        table = self._routing.table(current)
         port = table.port_toward(target)
         if port is not None:
             descent_target = None

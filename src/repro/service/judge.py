@@ -1,15 +1,18 @@
-"""One judge: ground truth and every verdict rule for served answers.
+"""One judge: ground truth and every verdict rule.
 
-The paper's query guarantee is one inequality,
-``d_{G\\F}(s, t) ≤ δ ≤ (1+ε)·d_{G\\F}(s, t)``, and the serving tier adds
-one more rule: a degraded answer may certify only a valid lower bound.
-:class:`Judge` states both once, together with the serving rules the
-scenario runner applies to every replay — library scenarios, the
-generated traffic battery and generated serve-chaos schedules alike:
+The paper's guarantee is one inequality,
+``d_{G\\F}(s, t) ≤ δ ≤ (1+ε)·d_{G\\F}(s, t)`` — Theorem 2.1 for decoded
+distances, Theorem 2.7 for routed hops.  :func:`check_guarantee` states
+it once, and every check in the package calls it: :class:`Judge`'s
+rules below — served answers of the scenario runner (library
+scenarios, the traffic battery, serve-chaos), decoded probes of the
+crash and rollout batteries, ``repro rollout``'s spot checks and the
+network chaos battery's packets — and
+:meth:`~repro.analysis.stretch.StretchReport.record`, which classifies
+the stretch tables (``evaluate_stretch``, E12b, E13, E14).
 
-* **exact** — no missing labels; agrees with the truth on
-  reachability; ``d_true ≤ δ ≤ stretch·d_true + 1e-9`` (so ``δ = 0``
-  when ``d_true = 0``);
+* **exact** — no missing labels; the guarantee (so ``δ = 0`` when
+  ``d_true = 0``);
 * **degraded** — no distance; at least one missing label; the lower
   bound is at most ``d_true``, and an infinite lower bound ("certainly
   unreachable") is allowed only when the truth is infinite;
@@ -25,14 +28,19 @@ generated traffic battery and generated serve-chaos schedules alike:
   served outcome lands within ``deadline + 2·attempt_timeout_ms + 1``
   (the backend may overshoot its budget by one bounded attempt); and
   every submitted request resolves — no dangling future, no missing
-  arrival.
+  arrival;
+* **routes** — a delivered route runs from ``s`` to ``t`` over edges of
+  the generation's graph, avoids every failed router and link, and has
+  ``hops == len(route) − 1``; then ``δ = hops`` (``∞`` if undelivered)
+  passes the guarantee, whose upper side applies only once every live
+  router knows every failure.
 
 Ground truth is one BFS per (generation, ``s``, vertex faults, edge
 faults); the whole distance map is cached, so every ``t`` and the
 fault-free baseline of a detour column are read from it.
 
 The judge returns a :class:`Verdict` — the broken rules, the measured
-stretch and the checks it spent; the runner keeps the report.
+stretch and the checks it spent; the caller keeps the report.
 """
 
 from __future__ import annotations
@@ -47,8 +55,33 @@ from repro.service.frontend import SHED_REASONS
 #: absolute tolerance of the stretch and lower-bound rules
 EPS = 1e-9
 
+#: the two breaches of the guarantee, which the stretch tables count apart
+REACHABILITY = "reachability"
+INEQUALITY = "inequality"
+
 _ANSWER_STATUSES = ("exact", "degraded")
 _GATEWAY_STATUSES = ("exact", "degraded", "shed")
+
+
+def check_guarantee(
+    value: float, d_true: float, bound: float
+) -> tuple[str | None, float | None]:
+    """The paper's guarantee for one answer ``δ = value``, ``d = d_true``.
+
+    ``δ`` and ``d`` are both finite or both infinite (else
+    :data:`REACHABILITY`), and then ``d ≤ δ ≤ bound·d + EPS`` (else
+    :data:`INEQUALITY`; ``bound = math.inf`` keeps only the lower side).
+    Returns ``(breach, stretch)``: None when it holds, and ``δ / d`` for
+    a finite pair with ``d > 0`` (else None).
+    """
+    if math.isinf(value) != math.isinf(d_true):
+        return REACHABILITY, None
+    if math.isinf(d_true):
+        return None, None
+    stretch = value / d_true if d_true > 0 else None
+    if value < d_true or value > bound * d_true + EPS:
+        return INEQUALITY, stretch
+    return None, stretch
 
 
 @dataclass(frozen=True)
@@ -56,9 +89,11 @@ class Verdict:
     """The judge's ruling on one outcome.
 
     ``problems`` lists every rule the outcome broke (empty when it
-    passed); ``stretch`` is ``δ / d_true`` of an exact answer with
-    ``0 < d_true < ∞`` (None otherwise); ``checks`` is 1 for the
-    outcome plus 1 when a served answer was judged against the truth.
+    passed); ``stretch`` is ``δ / d_true`` of an exact answer (or a
+    route's hop count) with ``0 < d_true < ∞`` (None otherwise);
+    ``checks`` is 1 for the outcome plus 1 when a served answer was
+    judged against the truth — for a route, one per rule group it got
+    through (delivery, route, hop count).
     """
 
     problems: tuple[str, ...] = ()
@@ -139,6 +174,61 @@ class Judge:
                 verdict.checks,
             )
         return verdict
+
+    def judge_distance(
+        self, value: float, s: int, t: int, vertex_faults=(),
+        edge_faults=(), version: int = 0,
+    ) -> Verdict:
+        """Rule on one distance decoded outside the serving tier (the
+        crash and rollout batteries' probes): the guarantee alone."""
+        if version not in self._graphs:
+            return Verdict((f"answered from unknown label generation {version}",))
+        d_true = self.distance(version, s, t, vertex_faults, edge_faults)
+        problems, stretch = _guarantee_problems(
+            f"{s}->{t}: answer", value, d_true, self.stretch_bound
+        )
+        return Verdict(problems, stretch)
+
+    def judge_route(
+        self, delivery, s: int, t: int, vertex_faults=(), edge_faults=(),
+        aware: bool = True,
+    ) -> Verdict:
+        """Rule on one routed packet (a ``DeliveryReport``) from ``s`` to
+        ``t`` on generation 0's graph (a network has one).
+
+        The faults are the truly failed routers and links; ``aware`` says
+        every live router knew every failure when the packet left, which
+        is when Theorem 2.7's upper bound applies.
+        """
+        d_true = self.distance(0, s, t, vertex_faults, edge_faults)
+        hops = delivery.hops if delivery.delivered else math.inf
+        bound = self.stretch_bound if aware else math.inf
+        breach, stretch = check_guarantee(hops, d_true, bound)
+        if breach == REACHABILITY:
+            return Verdict((
+                f"delivered={delivery.delivered} but true distance is "
+                f"{d_true} — crossed or invented a cut",
+            ), checks=0)
+        if not delivery.delivered:
+            return Verdict()
+        route = delivery.route
+        problem = _route_problem(
+            self._graphs[0], route, s, t, frozenset(vertex_faults),
+            {(min(a, b), max(a, b)) for a, b in edge_faults},
+        )
+        if problem is not None:
+            return Verdict((problem,))
+        problems = []
+        if hops != len(route) - 1:
+            problems.append(f"hops={hops} but route has {len(route) - 1} edges")
+        if breach == INEQUALITY:
+            problems.append(
+                f"{hops} hops beats the true distance {d_true} — route "
+                "cannot be real" if hops < d_true else
+                f"{hops} hops exceeds {bound:.3f}×{d_true} at full "
+                "awareness — stretch past the scheme's bound"
+            )
+        return Verdict(tuple(problems), stretch, checks=3)
 
     def judge_request(
         self, outcome, default_deadline_ms: float, attempt_timeout_ms: float
@@ -225,21 +315,40 @@ def _exact_problems(
 ) -> tuple[tuple[str, ...], float | None]:
     if answer.missing:
         return ("exact answer with missing labels",), None
-    distance = answer.distance
-    if math.isinf(d_true) != math.isinf(distance):
+    return _guarantee_problems("exact answer", answer.distance, d_true, bound)
+
+
+def _guarantee_problems(
+    subject: str, value: float, d_true: float, bound: float
+) -> tuple[tuple[str, ...], float | None]:
+    breach, stretch = check_guarantee(value, d_true, bound)
+    if breach == REACHABILITY:
         return (
-            f"exact answer {distance} disagrees with true distance {d_true} "
+            f"{subject} {value} disagrees with true distance {d_true} "
             "on reachability",
         ), None
-    if math.isinf(d_true):
-        return (), None
-    stretch = distance / d_true if d_true > 0 else None
-    if distance < d_true or distance > bound * d_true + EPS:
+    if breach == INEQUALITY:
         return (
-            f"exact answer {distance} outside [{d_true}, "
+            f"{subject} {value} outside [{d_true}, "
             f"{bound:.3f}×{d_true}] — silently wrong",
         ), stretch
     return (), stretch
+
+
+def _route_problem(
+    graph: Graph, route, s: int, t: int, failed_v, failed_e
+) -> str | None:
+    if not route or route[0] != s or route[-1] != t:
+        return f"route endpoints are {route[:1]}...{route[-1:]}"
+    for u, v in zip(route, route[1:]):
+        if not graph.has_edge(u, v):
+            return f"hop ({u}, {v}) is not an edge"
+        if (min(u, v), max(u, v)) in failed_e:
+            return f"hop ({u}, {v}) crosses a failed link"
+    crossed = set(route) & failed_v
+    if crossed:
+        return f"route visits failed routers {sorted(crossed)}"
+    return None
 
 
 def _degraded_problems(answer, d_true: float) -> tuple[str, ...]:

@@ -6,12 +6,11 @@ from repro.workloads.queries import (
     clustered_fault_queries,
     random_queries,
 )
-from repro.workloads.scenarios import churn_scenario, road_closure_scenario
+from repro.workloads.scenarios import road_closure_scenario
 
 __all__ = [
     "Query",
     "adversarial_queries",
-    "churn_scenario",
     "clustered_fault_queries",
     "random_queries",
     "road_closure_scenario",

@@ -4,21 +4,18 @@ The paper's application section motivates road networks with closures
 (accidents, maintenance) that appear and clear over time.
 :func:`road_closure_scenario` produces such an event timeline against a
 road-like graph; the ``dynamic_oracle`` example and experiment E10
-replay it.  :func:`churn_scenario` is the hostile counterpart: a seeded
-chaos fault plan (vertex *and* edge churn, lossy flooding, partition
-windows) replayable by :class:`repro.chaos.runner.ChaosRunner`.
+replay it.  Its hostile counterpart is a chaos fault plan:
+:func:`repro.chaos.plan.random_churn_plan` (vertex *and* edge churn,
+lossy flooding, partition windows), replayed by
+:class:`repro.chaos.runner.ChaosRunner`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.graphs.graph import Graph
 from repro.util.rng import RngLike, make_rng
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.chaos.plan import FaultPlan
 
 
 @dataclass(frozen=True)
@@ -69,26 +66,3 @@ def road_closure_scenario(
         s, t = rng.sample(range(n), 2)
         events.append(ClosureEvent(kind="query", s=s, t=t))
     return events
-
-
-def churn_scenario(
-    graph: Graph,
-    num_events: int = 100,
-    seed: RngLike = None,
-    drop_probability: float = 0.0,
-) -> "FaultPlan":
-    """A hostile churn workload as a chaos :class:`~repro.chaos.plan.FaultPlan`.
-
-    Interleaves vertex/edge failures and recoveries, lossy knowledge
-    floods, partition windows and packet sends, deterministically from
-    ``seed``.  Replay it with :func:`repro.chaos.runner.run_plan`, which
-    also checks the delivery/stretch/route invariants.
-    """
-    from repro.chaos.plan import random_churn_plan
-
-    return random_churn_plan(
-        graph,
-        num_events=num_events,
-        seed=seed,
-        drop_probability=drop_probability,
-    )

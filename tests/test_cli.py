@@ -130,6 +130,43 @@ class TestChaosCommands:
         out = capsys.readouterr().out
         assert "0 invariant violation(s)" in out
 
+    def test_chaos_matches_committed_golden(self, capsys):
+        # pins every ChaosReport count, checks_performed included;
+        # regenerate (only after a deliberate behaviour change) with
+        #   PYTHONPATH=src python -m repro chaos --schedules 3 \
+        #     --events 40 --seed 0 > tests/golden/chaos_seed0.txt
+        from pathlib import Path
+
+        golden = Path(__file__).parent / "golden" / "chaos_seed0.txt"
+        argv = ["chaos", "--schedules", "3", "--events", "40", "--seed", "0"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+    def test_rollout_judges_both_generations(self, capsys):
+        assert main(["rollout", "grid:4x4", "--remove", "5-6"]) == 0
+        out = capsys.readouterr().out
+        assert "generation 0: d(5, 6) = 1 decoded from the store — OK" in out
+        assert "generation 1: d(5, 6) = 3 decoded from the store — OK" in out
+
+    def test_rollout_exits_1_on_a_wrong_answer(self, capsys, monkeypatch):
+        from dataclasses import replace
+
+        from repro.service import QueryService
+
+        honest = QueryService.query
+
+        def doubled(self, s, t, *args, **kwargs):
+            outcome = honest(self, s, t, *args, **kwargs)
+            return replace(outcome, distance=2 * outcome.distance)
+
+        # stretch 2 breaks the bound 1.75 on both sides of the commit
+        monkeypatch.setattr(QueryService, "query", doubled)
+        assert main(["rollout", "grid:4x4", "--remove", "5-6"]) == 1
+        out = capsys.readouterr().out
+        assert "generation 0: d(5, 6) = 2 decoded" in out
+        assert "generation 1: d(5, 6) = 6 decoded" in out
+        assert out.count("silently wrong") == 2
+
     def test_serve_chaos_command_on_spec(self, capsys):
         assert main(
             ["serve-chaos", "grid:4x4", "--schedules", "1", "--events", "20",

@@ -45,6 +45,30 @@ class TestBatterySmoke:
         assert report.tmp_files_swept > 0
         assert report.probe_queries > 0
 
+    def test_probe_past_the_stretch_bound_fails(self, monkeypatch):
+        """Stretch 1.9 lies inside 1 + ε = 2 but outside the scheme's
+        ``stretch_bound()`` of 1.75 at ε = 1, which the judge enforces."""
+        import repro.durability.battery as battery
+
+        honest = battery.decode_distance
+
+        def stretched(label_s, label_t, faults=None, tracer=None):
+            result = honest(label_s, label_t, faults, tracer)
+            return type(result)(
+                1.9 * result.distance, result.path, result.sketch_vertices,
+                result.sketch_edges,
+            )
+
+        monkeypatch.setattr(battery, "decode_distance", stretched)
+        report = exhaustive_crash_battery(
+            path_graph(6), epsilon=1.0, seed=1, churn_rounds=1
+        )
+        assert not report.passed
+        assert report.probe_queries > 0
+        assert all(
+            "1.750×" in v and "silently wrong" in v for v in report.violations
+        ), report.violations[:3]
+
     def test_battery_deterministic(self):
         a = exhaustive_crash_battery(path_graph(5), seed=2, churn_rounds=1)
         b = exhaustive_crash_battery(path_graph(5), seed=2, churn_rounds=1)

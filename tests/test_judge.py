@@ -184,6 +184,41 @@ class TestStatusAndGeneration:
         assert "reachability" in new.problems[0]
 
 
+class TestGuarantee:
+    """The one statement of ``d ≤ δ ≤ b·d``, and its two direct callers."""
+
+    @pytest.mark.parametrize("value,d_true,bound,breach,stretch", [
+        (3.0, 2.0, 1.5, None, 1.5),
+        (3.0 + 1e-10, 2.0, 1.5, None, 1.5 + 5e-11),
+        (3.1, 2.0, 1.5, judge_module.INEQUALITY, 1.55),
+        (2.0 - 1e-12, 2.0, 1.5, judge_module.INEQUALITY, 1.0 - 5e-13),
+        (0.0, 0.0, 1.5, None, None),
+        (1.0, 0.0, 1.5, judge_module.INEQUALITY, None),
+        (9.0, 2.0, math.inf, None, 4.5),
+        (math.inf, math.inf, 1.5, None, None),
+        (math.inf, 2.0, 1.5, judge_module.REACHABILITY, None),
+        (2.0, math.inf, 1.5, judge_module.REACHABILITY, None),
+    ])
+    def test_check_guarantee(self, value, d_true, bound, breach, stretch):
+        assert judge_module.check_guarantee(value, d_true, bound) == (
+            breach, stretch
+        )
+
+    def test_judge_distance_uses_the_generation_graph(self):
+        judge = make_judge()
+        judge.record(1, path_graph(4).subgraph_without(removed_edges=[(1, 2)]))
+        assert judge.judge_distance(2.0, 0, 2).ok
+        assert judge.judge_distance(3.0, 0, 2).ok
+        assert "silently wrong" in judge.judge_distance(3.5, 0, 2).problems[0]
+        assert "reachability" in judge.judge_distance(
+            2.0, 0, 2, version=1
+        ).problems[0]
+        assert judge.judge_distance(math.inf, 0, 2, version=1).ok
+        assert judge.judge_distance(2.0, 0, 2, version=5).problems == (
+            "answered from unknown label generation 5",
+        )
+
+
 class TestGateway:
     def test_honest_served_answers_pass(self):
         for inner in (answer(), degraded()):

@@ -346,6 +346,27 @@ class TestRolloutBattery:
         assert report.probe_queries > 0
         assert 0 < report.locality_rebuilt < report.locality_vertices
 
+    def test_resumed_probes_are_judged_on_generation_1(self, monkeypatch):
+        """The full grid:3x3 battery (~1 s) reaches the two kill-points
+        after the commit's manifest replace; the sampled smokes never do."""
+        from repro.service.judge import Judge
+
+        honest = Judge.judge_distance
+        versions = []
+
+        def spy(self, value, s, t, vertex_faults=(), edge_faults=(),
+                version=0):
+            versions.append(version)
+            return honest(self, value, s, t, vertex_faults, edge_faults,
+                          version)
+
+        monkeypatch.setattr(Judge, "judge_distance", spy)
+        report = exhaustive_rollout_battery(grid_graph(3, 3), seed=0)
+        assert report.passed, report.violations[:5]
+        assert report.rollbacks > 0 and report.resumes > 0
+        assert versions.count(1) == 2 * report.resumes
+        assert len(versions) == report.probe_queries
+
     @pytest.mark.chaos
     def test_full_battery(self):
         report = exhaustive_rollout_battery(grid_graph(6, 6), seed=0)
