@@ -25,6 +25,10 @@ of by sampling:
      <repro.service.judge.Judge.judge_distance>`): the scheme's
      ``stretch_bound()`` against BFS ground truth.
 
+One long-lived :class:`~repro.labeling.kernel.KernelDecoder` serves the
+whole run: it loads recovered bytes by content, so each distinct
+payload is parsed once however many crashes recover it.
+
 Any deviation is recorded as a violation; the battery never stops
 early, so one run reports every broken kill-point at once.
 """
@@ -39,8 +43,8 @@ from repro.durability.recovery import RecoveryManager
 from repro.durability.table import DurableLabelTable
 from repro.exceptions import DurabilityError, ReproError, SimulatedCrashError
 from repro.graphs.graph import Graph
-from repro.labeling.decoder import decode_distance
-from repro.labeling.encoding import decode_label, encode_label
+from repro.labeling.encoding import encode_label
+from repro.labeling.kernel import KernelDecoder
 from repro.service.judge import Judge
 from repro.util.rng import make_rng
 
@@ -181,6 +185,7 @@ def exhaustive_crash_battery(
     fs_ops = profile_fs.op_count
 
     probe_rng = make_rng(seed)
+    decoder = KernelDecoder()
     crashes_fired = 0
     torn_truncated = 0
     tmp_swept = 0
@@ -226,7 +231,8 @@ def exhaustive_crash_battery(
                 )
                 continue
             problems, probed = _check_recovered_labels(
-                recovered, payloads, judge, probe_rng, probes_per_crash
+                recovered, payloads, judge, probe_rng, probes_per_crash,
+                decoder,
             )
             violations.extend(f"{tag}: {problem}" for problem in problems)
             probe_queries += probed
@@ -253,10 +259,13 @@ def _check_recovered_labels(
     judge: Judge,
     rng,
     probes: int,
+    decoder: KernelDecoder,
 ) -> tuple[list[str], int]:
     """Byte-equality, decodability and query checks on recovered labels.
 
-    Returns ``(problems, probe_queries_run)``.
+    Every payload is byte-compared, per crash; ``decoder`` then loads it
+    by content, so a payload seen before is not parsed again.  Returns
+    ``(problems, probe_queries_run)``.
     """
     problems = []
     labels = {}
@@ -266,7 +275,7 @@ def _check_recovered_labels(
             problems.append(f"vertex {vertex}: recovered bytes differ")
             continue
         try:
-            labels[vertex] = decode_label(blob)
+            labels[vertex] = decoder.load(blob)
         except ReproError as exc:
             problems.append(f"vertex {vertex}: recovered label broken: {exc}")
     candidates = sorted(labels)
@@ -274,6 +283,6 @@ def _check_recovered_labels(
         return problems, 0
     for _ in range(probes):
         s, t = rng.sample(candidates, 2)
-        answer = decode_distance(labels[s], labels[t]).distance
+        answer = decoder.decode(labels[s], labels[t]).distance
         problems.extend(judge.judge_distance(answer, s, t).problems)
     return problems, probes

@@ -19,8 +19,12 @@ distributed model.
 
 The codec works a field at a time: :func:`_write_level` renders each
 point and edge record of a level as ``'0'``/``'1'`` text and appends the
-level in one call, and :func:`_read_level` parses each record from the
+level in one call, and :func:`read_label` parses each record from the
 reader's text in one bounds-checked step (see :mod:`repro.util.bitio`).
+:func:`read_label` is the one parser of the format: :func:`decode_label`
+builds its dicts from its columns, and the decode kernel's loader
+(:meth:`repro.labeling.kernel.arena.LabelArena.load`) builds flat edge
+columns from them without a label object.
 
 A level's edge section — both edge maps as index/index/γ(weight)
 records — depends only on the sorted point ids and the edges, and in the
@@ -170,18 +174,57 @@ def decode_connectivity_label(data: bytes) -> VertexLabel:
 
 
 def decode_label(data: bytes) -> VertexLabel:
-    """Restore a label serialized by :func:`encode_label`."""
+    """Restore a label serialized by :func:`encode_label`.
+
+    Built from the columns of :func:`read_label`, the parser the decode
+    kernel's loader shares: each edge map is ``dict(zip(keys, weights))``,
+    so a key listed twice (only corrupt bytes do that) keeps its first
+    position and takes its last weight.
+    """
+    (vertex, c, top_level, epsilon), levels = read_label(data)
+    label = VertexLabel(vertex=vertex, epsilon=epsilon, c=c, top_level=top_level)
+    for level, order, dists, ((vx, vy, vw, _), (gx, gy, gw, _)) in levels:
+        label.levels[level] = LevelLabel(
+            level=level,
+            points=dict(zip(order, dists)),
+            edges=dict(zip(zip(vx, vy), vw)),
+            graph_edges=dict(zip(zip(gx, gy), gw)),
+        )
+    return label
+
+
+def read_label(data: bytes, read_edges=None) -> tuple[tuple, list]:
+    """Parse stored label bytes into columns: the one parser of the format.
+
+    Returns ``((vertex, c, top_level, epsilon), levels)`` with one
+    ``(level, order, dists, edges)`` entry per stored level, in stream
+    order: ``order`` lists the level's point ids ascending and ``dists``
+    their distances from the owner.  ``edges`` is what
+    ``read_edges(text, pos, order)`` returns next to the position after
+    the level's edge section — :func:`read_section` itself by default,
+    so ``edges`` holds the virtual then the graph edge map as
+    :func:`read_section` describes.  The decode kernel's loader passes a
+    reader that reuses sections it has parsed before.  Raises only
+    :data:`DECODE_ERRORS`.
+    """
     reader = BitReader(data)
     vertex = reader.read_gamma_nonneg()
     c = reader.read_gamma_nonneg()
     top_level = reader.read_gamma_nonneg()
     (epsilon,) = struct.unpack(">f", reader.read_bits(32).to_bytes(4, "big"))
     num_levels = reader.read_gamma_nonneg()
-    label = VertexLabel(vertex=vertex, epsilon=epsilon, c=c, top_level=top_level)
+    text, pos = reader.cursor()
+    limit = len(text)
+    if read_edges is None:
+        read_edges = read_section
+    levels = []
     for _ in range(num_levels):
-        level = reader.read_gamma_nonneg()
-        label.levels[level] = _read_level(reader, level)
-    return label
+        level, pos = _read_gamma(text, pos, limit)
+        num_points, pos = _read_gamma(text, pos, limit)
+        order, dists, pos = _read_points(text, pos, limit, num_points - 1)
+        edges, pos = read_edges(text, pos, order)
+        levels.append((level - 1, order, dists, edges))
+    return (vertex, c, top_level, epsilon), levels
 
 
 def _write_label(writer: BitWriter, label: VertexLabel) -> None:
@@ -323,19 +366,30 @@ class _SectionMemo:
 _SECTIONS = _SectionMemo(SECTION_MEMO_RECORDS)
 
 
-def _read_level(reader: BitReader, level: int) -> LevelLabel:
-    # Each record is parsed straight off the reader's text: a gamma code
-    # is the run of zeros up to the next "1" (found by str.find) and a
-    # payload as wide as that run, so every field ends at a computed
-    # offset that is checked against the stream end before it is read.
-    num_points = reader.read_gamma_nonneg()
-    text, pos = reader.cursor()
-    limit = len(text)
+# Each record is parsed straight off the bit text: a gamma code is the run
+# of zeros up to the next "1" (found by str.find) and a payload as wide as
+# that run, so every field ends at a computed offset that is checked
+# against the stream end before it is read.
+
+
+def _read_gamma(text: str, pos: int, limit: int) -> tuple[int, int]:
+    """The gamma-coded value at ``pos`` and the position after it."""
+    one = text.find("1", pos)
+    end = 2 * one - pos + 1
+    if one < 0 or end > limit:
+        raise EncodingError(PAST_END)
+    return int(text[one:end], 2), end
+
+
+def _read_points(
+    text: str, pos: int, limit: int, count: int
+) -> tuple[list[int], list[int], int]:
+    """``count`` gap/distance point records: ids ascending, distances."""
     find = text.find
-    points: dict[int, int] = {}
     order: list[int] = []
+    dists: list[int] = []
     point = -1
-    for _ in range(num_points):
+    for _ in range(count):
         one = find("1", pos)
         end = 2 * one - pos + 1
         if one < 0 or end > limit:
@@ -345,28 +399,47 @@ def _read_level(reader: BitReader, level: int) -> LevelLabel:
         pos = 2 * one - end + 1
         if one < 0 or pos > limit:
             raise EncodingError(PAST_END)
-        points[point] = int(text[one:pos], 2) - 1
         order.append(point)
-    reader.seek(pos)
-    index_width = max(1, (num_points - 1).bit_length()) if num_points else 1
-    edge_maps: list[dict[tuple[int, int], int]] = []
+        dists.append(int(text[one:pos], 2) - 1)
+    return order, dists, pos
+
+
+def read_section(text: str, pos: int, order: list[int]) -> tuple[tuple, int]:
+    """A level's edge section at ``pos``, and the position after it.
+
+    The section is both edge maps, virtual then graph, each a count and
+    index/index/γ(weight) records with indices into ``order``.  Each map
+    comes back as ``(xs, ys, ws, ordered)``: endpoint ids and weights in
+    stream order, and whether the index pairs strictly ascend, as every
+    valid encoding lists them — so ``ordered`` means no key repeats.
+    What it reads depends only on ``order`` and the bits it consumes.
+    """
+    limit = len(text)
+    find = text.find
+    width = max(1, (len(order) - 1).bit_length()) if order else 1
+    span = 2 * width
+    mask = (1 << width) - 1
+    maps = []
     for _ in range(2):
-        num_edges = reader.read_gamma_nonneg()
-        pos = reader.cursor()[1]
-        edge_map: dict[tuple[int, int], int] = {}
-        for _ in range(num_edges):
-            mid = pos + index_width
-            stop = mid + index_width
+        count, pos = _read_gamma(text, pos, limit)
+        xs: list[int] = []
+        ys: list[int] = []
+        ws: list[int] = []
+        ordered = True
+        last = -1
+        for _ in range(count - 1):
+            stop = pos + span
             one = find("1", stop)  # -1 as well when stop is past the end
             end = 2 * one - stop + 1
             if one < 0 or end > limit:
                 raise EncodingError(PAST_END)
-            x = order[int(text[pos:mid], 2)]
-            y = order[int(text[mid:stop], 2)]
-            edge_map[(x, y)] = int(text[one:end], 2)
+            pair = int(text[pos:stop], 2)
+            if pair <= last:
+                ordered = False
+            last = pair
+            xs.append(order[pair >> width])
+            ys.append(order[pair & mask])
+            ws.append(int(text[one:end], 2))
             pos = end
-        reader.seek(pos)
-        edge_maps.append(edge_map)
-    return LevelLabel(
-        level=level, points=points, edges=edge_maps[0], graph_edges=edge_maps[1]
-    )
+        maps.append((xs, ys, ws, ordered))
+    return tuple(maps), pos

@@ -1,11 +1,11 @@
-"""Label arena: flat int-array fragments, interned once per label load.
+"""Label arena: flat int-array fragments, built once per label.
 
 An object-graph decoder re-walks every label's nested dicts on every query:
 ``label.levels[i].edges.items()`` yields a tuple per edge, protected
 balls are rebuilt as per-query dicts, and the merge keys the sketch
-edges by ``(x, y)`` tuples.  The arena does that object-graph walk
-**once per label load** and keeps the result as three flat edge
-columns, so the per-query engine touches nothing but int arrays:
+edges by ``(x, y)`` tuples.  The arena does that work **once per
+label** and keeps the result as three flat edge columns, so the
+per-query engine touches nothing but int arrays:
 
 * one concatenated edge sequence per label, in the exact scan order of
   the reference decoder (levels ascending; per level, graph edges then
@@ -18,23 +18,37 @@ columns, so the per-query engine touches nothing but int arrays:
   owner-checkability of each endpoint (Lemma 2.3's conservative owner
   rule) — follows from the segment and the label's owner, so none of
   them is stored per edge;
-* per-label **protected-ball bitmaps** — for each level row, a
-  byte-per-vertex membership table of ``PB_i(v) = B(v, λ_i)`` — built
-  lazily the first time a label is used as a fault, then reused by
-  every subsequent query naming that fault.
+* per-level **ball points** (each point id with its distance from the
+  owner), from which the **protected-ball bitmaps** — for each level
+  row, a byte-per-vertex membership table of ``PB_i(v) = B(v, λ_i)`` —
+  are built lazily the first time a label is used as a fault, then
+  reused by every subsequent query naming that fault.
 
 The columns exist once, in the representation of the arena's mode:
 numpy arrays (int32 endpoints and weights, 12 bytes per edge) when the
 owning decoder runs the numpy fast path, plain lists otherwise.
-Interning builds them with bulk C-level calls over each level's dicts
-(``map(itemgetter(0), …)``, ``np.fromiter``), never a per-edge Python
-loop.
 
-Interning is keyed by object identity: the arena pins a strong
-reference to every interned :class:`~repro.labeling.label.VertexLabel`,
-so a handle stays valid for the arena's lifetime and re-interning the
-same object is a dict probe.  :meth:`LabelArena.reset` drops everything
-when a serving tier wants to bound memory across label generations.
+Fragments come from two doors:
+
+* :meth:`LabelArena.load` takes a label's **stored bytes** straight to a
+  fragment through :func:`repro.labeling.encoding.read_label`, the
+  format's one parser; no :class:`~repro.labeling.label.VertexLabel`
+  and no per-edge tuple or dict is built.  Its one content-keyed cache
+  reuses work at two levels: a whole label, keyed by its bytes, and a
+  level's edge section, keyed by its point order and its exact bit text
+  (a held section matches when the text at the read position starts
+  with it; parsing is deterministic, so a match reads exactly the
+  records it read before, and fragments share that section's arrays).
+  In the whole-graph regime every label of a graph repeats most of its
+  edge sections, so a table parses each of them once.
+* :meth:`LabelArena.intern` flattens a label object, keyed by object
+  identity (the arena pins a strong reference to it, so the key stays
+  valid), for callers that hold labels rather than bytes.
+
+:meth:`LabelArena.reset` drops everything when a serving tier wants to
+bound memory across label generations.  A fragment a caller still
+holds stays usable: the decoder re-admits it into the arena under a new
+handle.
 """
 
 from __future__ import annotations
@@ -44,6 +58,7 @@ from operator import itemgetter
 from typing import Any
 
 from repro.exceptions import QueryError
+from repro.labeling.encoding import read_label, read_section
 from repro.labeling.label import VertexLabel
 from repro.labeling.params import lam_for_level
 
@@ -60,51 +75,61 @@ _second = itemgetter(1)
 
 
 class Fragment:
-    """One interned label: flat scan-order edge columns plus fault data.
+    """One label in flat form: scan-order edge columns plus fault data.
 
     ``ex`` / ``ey`` / ``ew`` are the edge endpoints and weights in scan
     order — numpy arrays in a numpy-mode arena, lists otherwise — and
     ``segments`` holds one ``(row, start, vstart, end)`` tuple per
-    level, ascending.  Everything on a fragment is immutable after
-    :meth:`LabelArena.intern` except the lazily built protected-ball
-    bitmaps ``ball``: a list of per-row bytearrays in stdlib mode, one
+    level, ascending.  ``points`` holds one ``(row, ids, dists)`` entry
+    per level: the level's points and their distances from the owner,
+    the data of its protected balls.  Everything on a fragment is
+    immutable after it is built except the lazily built protected-ball
+    bitmaps ``ball`` (a list of per-row bytearrays in stdlib mode, one
     flat boolean array indexed ``row * ball_bound + vertex`` in numpy
-    mode.  The bitmaps are a cache fully determined by the label.
+    mode, fully determined by the label) and the arena membership
+    ``handle`` / ``generation``.
     """
 
     __slots__ = (
         "handle",
-        "label",
+        "generation",
+        "arena",
         "vertex",
         "c",
         "top_level",
         "levels_sorted",
         "num_levels",
         "rows",
+        "bound",
         "ex",
         "ey",
         "ew",
         "segments",
         "edges_listed",
+        "points",
         "ball",
         "ball_bound",
     )
 
-    def __init__(self, handle: int, label: VertexLabel) -> None:
-        self.handle = handle
-        self.label = label
-        self.vertex = label.vertex
-        self.c = label.c
-        self.top_level = label.top_level
-        self.levels_sorted = sorted(label.levels)
-        self.num_levels = len(self.levels_sorted)
+    def __init__(self, vertex: int, c: int, top_level: int) -> None:
+        self.handle = -1
+        self.generation = -1
+        self.arena: LabelArena | None = None
+        self.vertex = vertex
+        self.c = c
+        self.top_level = top_level
+        self.levels_sorted: list[int] = []
+        self.num_levels = 0
         #: number of level rows in this scheme (levels c+1 .. top_level)
-        self.rows = max(self.top_level - self.c, 1)
+        self.rows = max(top_level - c, 1)
+        #: one past the largest vertex id the label references
+        self.bound = vertex + 1
         self.ex: Any = None
         self.ey: Any = None
         self.ew: Any = None
         self.segments: list[tuple[int, int, int, int]] = []
         self.edges_listed = 0
+        self.points: list[tuple[int, list[int], list[int]]] = []
         self.ball: Any = None
         self.ball_bound = 0
 
@@ -114,12 +139,13 @@ class Fragment:
 
 
 class LabelArena:
-    """Interns :class:`VertexLabel` objects into flat-array fragments.
+    """Builds flat-array fragments from stored bytes or label objects.
 
-    All labels interned into one arena must come from one scheme
-    (identical ``c`` and ``top_level``) — mixing raises
-    :class:`~repro.exceptions.QueryError` with the message of
-    :func:`~repro.labeling.query.check_compatible`.  ``use_numpy``
+    All fragments admitted into one arena must come from one scheme
+    (identical ``c`` and ``top_level``).  :meth:`intern` rejects a
+    mismatch with the :class:`~repro.exceptions.QueryError` message of
+    :func:`~repro.labeling.query.check_compatible`; :meth:`load`, like a
+    decoder whose caller switched schemes, starts over.  ``use_numpy``
     picks the column representation and is fixed by the owning
     :class:`~repro.labeling.kernel.decoder.KernelDecoder`.
     """
@@ -131,45 +157,52 @@ class LabelArena:
             )
         self.use_numpy = bool(use_numpy)
         self._fragments: list[Fragment] = []
-        self._by_id: dict[int, Fragment] = {}
+        # id(label) -> (label, fragment), the label pinned so the id
+        # stays its own
+        self._by_id: dict[int, tuple[VertexLabel, Fragment]] = {}
+        # the content-keyed cache: whole labels by bytes, edge sections
+        # by point order (holding their bit text and their columns)
+        self._by_bytes: dict[bytes, Fragment] = {}
+        self._sections: dict[tuple[int, ...], tuple[str, tuple]] = {}
         self._id_bound = 0
         self._c: int | None = None
         self._top_level: int | None = None
         self._lam_by_row: list[int] = []
         #: bumped on every :meth:`reset`; engines watch it to drop caches
         self.generation = 0
+        #: :meth:`load` calls that parsed bytes / were served from the cache
+        self.parses = 0
+        self.hits = 0
 
     def __len__(self) -> int:
         return len(self._fragments)
 
     @property
     def id_bound(self) -> int:
-        """One past the largest vertex id referenced by interned labels."""
+        """One past the largest vertex id referenced by admitted labels."""
         return self._id_bound
 
     @property
     def rows(self) -> int:
-        """Number of level rows in the arena's scheme (0 before first intern)."""
+        """Number of level rows in the arena's scheme (0 before first admit)."""
         return len(self._lam_by_row)
 
     @property
     def level_base(self) -> int:
-        """Absolute level id of row 0, i.e. ``c + 1`` (0 before first intern)."""
+        """Absolute level id of row 0, i.e. ``c + 1`` (0 before first admit)."""
         return 0 if self._c is None else self._c + 1
 
     @property
     def scheme(self) -> tuple[int, int] | None:
-        """The ``(c, top_level)`` pair all interned labels share, or None."""
+        """The ``(c, top_level)`` pair all admitted labels share, or None."""
         return None if self._c is None else (self._c, self._top_level)
 
-    def lam_for_row(self, row: int) -> int:
-        """``λ_i`` for a level row (valid once any label is interned)."""
-        return self._lam_by_row[row]
-
     def reset(self) -> None:
-        """Drop every interned fragment (used to bound arena memory)."""
+        """Drop every fragment and the cache (used to bound arena memory)."""
         self._fragments.clear()
         self._by_id.clear()
+        self._by_bytes.clear()
+        self._sections.clear()
         self._id_bound = 0
         self._c = None
         self._top_level = None
@@ -180,46 +213,68 @@ class LabelArena:
         """The fragment behind a handle."""
         return self._fragments[handle]
 
-    def intern(self, label: VertexLabel) -> Fragment:
-        """Flatten a label into a fragment (idempotent per object).
+    # -- the two doors ------------------------------------------------------
 
-        The first intern fixes the arena's scheme parameters; labels
-        from a different scheme are rejected with the
+    def load(self, data: bytes) -> Fragment:
+        """A label's stored bytes as a fragment, parsed at most once.
+
+        Raises only :data:`repro.labeling.encoding.DECODE_ERRORS`, for
+        exactly the bytes :func:`~repro.labeling.encoding.decode_label`
+        rejects, and a failed load leaves no fragment behind.  For bytes
+        that parse, the fragment equals ``intern(decode_label(data))``:
+        an edge key listed twice in one map keeps its first position and
+        its last weight.
+        """
+        if type(data) is not bytes:
+            data = bytes(data)
+        frag = self._by_bytes.get(data)
+        if frag is not None:
+            self.hits += 1
+            return frag
+        (vertex, c, top_level, _), parsed = read_label(data, self._section)
+        # a level stored twice (only corrupt bytes do that) keeps its
+        # last copy, as decode_label's dict does
+        levels = {level: (ids, dists, section)
+                  for level, ids, dists, section in parsed}
+        frag = self._fragment(vertex, c, top_level, levels)
+        if self.scheme is not None and (c, top_level) != self.scheme:
+            self.reset()  # the caller switched schemes: start over
+        self._admit(frag)
+        self._by_bytes[data] = frag
+        self.parses += 1
+        return frag
+
+    def intern(self, label: VertexLabel) -> Fragment:
+        """Flatten a label object into a fragment (idempotent per object).
+
+        The first admitted label fixes the arena's scheme parameters;
+        labels from a different scheme are rejected with the
         :func:`~repro.labeling.query.check_compatible` message.
         """
-        frag = self._by_id.get(id(label))
-        if frag is not None:
-            return frag
-        if self._c is None:
-            self._c = label.c
-            self._top_level = label.top_level
-            rows = max(label.top_level - label.c, 1)
-            self._lam_by_row = [
-                lam_for_level(label.c + 1 + row) for row in range(rows)
-            ]
-        elif (label.c, label.top_level) != (self._c, self._top_level):
-            raise QueryError(
-                "labels come from different schemes: "
-                f"(c={label.c}, top={label.top_level}) vs "
-                f"(c={self._c}, top={self._top_level})"
-            )
-        frag = Fragment(len(self._fragments), label)
-        bound = label.vertex + 1
+        held = self._by_id.get(id(label))
+        if held is not None:
+            return held[1]
+        frag = Fragment(label.vertex, label.c, label.top_level)
+        frag.levels_sorted = sorted(label.levels)
+        frag.num_levels = len(frag.levels_sorted)
+        bound = frag.bound
         # per level: graph edges, then virtual edges (the scan order)
         edge_maps = []
-        segments = frag.segments
         end = 0
         for i in frag.levels_sorted:
             level_label = label.levels[i]
+            row = frag.row_of(i)
             start = end
             vstart = start + len(level_label.graph_edges)
             end = vstart + len(level_label.edges)
-            segments.append((frag.row_of(i), start, vstart, end))
+            frag.segments.append((row, start, vstart, end))
             edge_maps.append(level_label.graph_edges)
             edge_maps.append(level_label.edges)
-            if level_label.points:
-                bound = max(bound, max(level_label.points) + 1)
-
+            points = level_label.points
+            frag.points.append((row, list(points), list(points.values())))
+            if points:
+                bound = max(bound, max(points) + 1)
+        # bulk C-level calls over the dicts, no per-edge Python loop
         xs = map(_first, chain.from_iterable(edge_maps))
         ys = map(_second, chain.from_iterable(edge_maps))
         ws = chain.from_iterable(m.values() for m in edge_maps)
@@ -237,11 +292,124 @@ class LabelArena:
             if end:
                 bound = max(bound, max(frag.ex) + 1, max(frag.ey) + 1)
         frag.edges_listed = end
-        self._fragments.append(frag)
-        self._by_id[id(label)] = frag
-        if bound > self._id_bound:
-            self._id_bound = bound
+        frag.bound = bound
+        self._admit(frag)
+        self._by_id[id(label)] = (label, frag)
         return frag
+
+    def member(self, item: "Fragment | VertexLabel") -> Fragment:
+        """The arena's fragment for a label object or a fragment.
+
+        A fragment of this arena from before a :meth:`reset` is
+        re-admitted under a new handle, so a query that holds fragments
+        across a reset still decodes.  A fragment of another arena is
+        rejected with :class:`~repro.exceptions.QueryError`: its handle
+        means nothing here.
+        """
+        if not isinstance(item, Fragment):
+            return self.intern(item)
+        if item.arena is not self:
+            raise QueryError("fragment was loaded by another decoder")
+        if item.generation != self.generation:
+            self._admit(item)
+        return item
+
+    # -- internals ----------------------------------------------------------
+
+    def _fragment(
+        self, vertex: int, c: int, top_level: int, levels: dict[int, tuple]
+    ) -> Fragment:
+        """A loaded fragment from per-level ``(ids, dists, section)``.
+
+        ``section`` is :meth:`_section`'s ``(graph, virtual, top)``.
+        """
+        frag = Fragment(vertex, c, top_level)
+        frag.levels_sorted = sorted(levels)
+        frag.num_levels = len(levels)
+        # per level: graph edges, then virtual edges (the scan order)
+        parts: list = []
+        end = 0
+        for level in frag.levels_sorted:
+            ids, dists, (graph, virtual, top) = levels[level]
+            row = frag.row_of(level)
+            start = end
+            vstart = start + len(graph[0])
+            end = vstart + len(virtual[0])
+            frag.segments.append((row, start, vstart, end))
+            frag.points.append((row, ids, dists))
+            parts += (graph, virtual)
+            # ids ascend (gap-coded), so the last is the largest
+            frag.bound = max(frag.bound, top + 1, ids[-1] + 1 if ids else 0)
+        frag.edges_listed = end
+        columns = list(zip(*parts)) if parts else [(), (), ()]
+        if self.use_numpy:
+            frag.ex, frag.ey, frag.ew = (
+                _np.concatenate(column) if column
+                else _np.empty(0, dtype=_np.int32)
+                for column in columns
+            )
+        else:
+            frag.ex, frag.ey, frag.ew = (
+                list(chain.from_iterable(column)) for column in columns
+            )
+        return frag
+
+    def _admit(self, frag: Fragment) -> None:
+        """Give a fragment a handle in the current generation."""
+        if self._c is None:
+            self._c = frag.c
+            self._top_level = frag.top_level
+            self._lam_by_row = [
+                lam_for_level(frag.c + 1 + row) for row in range(frag.rows)
+            ]
+        elif (frag.c, frag.top_level) != (self._c, self._top_level):
+            raise QueryError(
+                "labels come from different schemes: "
+                f"(c={frag.c}, top={frag.top_level}) vs "
+                f"(c={self._c}, top={self._top_level})"
+            )
+        frag.handle = len(self._fragments)
+        frag.generation = self.generation
+        frag.arena = self
+        self._fragments.append(frag)
+        if frag.bound > self._id_bound:
+            self._id_bound = frag.bound
+
+    def _section(
+        self, text: str, pos: int, order: list[int]
+    ) -> tuple[tuple, int]:
+        """A level's edge section as columns: reused, or parsed and held.
+
+        The held entry for ``order`` matches only if the text at ``pos``
+        starts with the entry's bit text.  Returns ``((graph, virtual,
+        top), end)``: the graph and the virtual edge map as ``(xs, ys,
+        ws)`` columns in the arena's representation, the largest
+        endpoint id (-1 for none), and the position after the section.
+        """
+        key = tuple(order)
+        held = self._sections.get(key)
+        if held is not None and text.startswith(held[0], pos):
+            return held[1], pos + len(held[0])
+        (virtual, graph), end = read_section(text, pos, order)
+        maps = []
+        top = -1
+        for xs, ys, ws, ordered in (graph, virtual):
+            if not ordered:
+                # only corrupt bytes list a key twice: dict semantics,
+                # as decode_label builds its maps
+                merged = dict(zip(zip(xs, ys), ws))
+                xs = list(map(_first, merged))
+                ys = list(map(_second, merged))
+                ws = list(merged.values())
+            if xs:
+                top = max(top, max(xs), max(ys))
+            if self.use_numpy:
+                maps.append(tuple(_column(v, len(v)) for v in (xs, ys, ws)))
+            else:
+                maps.append((xs, ys, ws))
+        entry = (maps[0], maps[1], top)
+        self._sections[key] = (text[pos:end], entry)
+        return entry, end
 
     def ensure_fault_tables(self, frag: Fragment) -> None:
         """Build (or re-pad) a fragment's protected-ball bitmaps.
@@ -249,18 +417,18 @@ class LabelArena:
         Called on the label-load side whenever a fragment is about to
         serve as a fault center, so the per-query engine only ever
         *reads* the bitmaps.  Bitmaps are sized to the arena-wide id
-        bound; interning labels that widen the id universe invalidates
-        older bitmaps, which are rebuilt here on next use.
+        bound; admitting labels that widen the id universe (or a reset
+        that narrows it) invalidates older bitmaps, which are rebuilt
+        here on next use.
         """
         bound = self._id_bound
-        if frag.ball is not None and frag.ball_bound >= bound:
+        if frag.ball is not None and frag.ball_bound == bound:
             return
         ball = [bytearray(bound) for _ in range(frag.rows)]
-        for i in frag.levels_sorted:
-            row = frag.row_of(i)
+        for row, ids, dists in frag.points:
             lam = self._lam_by_row[row]
             table = ball[row]
-            for x, d in frag.label.levels[i].points.items():
+            for x, d in zip(ids, dists):
                 if d <= lam:
                     table[x] = 1
         if self.use_numpy:

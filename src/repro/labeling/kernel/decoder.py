@@ -7,10 +7,14 @@ Answers, error messages and traced op counts are bit-identical to the
 object-graph reference decoder kept in ``tests/reference_decoder.py``,
 a property pinned by ``tests/test_kernel_differential.py``.
 
-Labels are interned into a
-:class:`~repro.labeling.kernel.arena.LabelArena` once and every
-subsequent query over them runs on flat int arrays.  The decoder's
-memos key on which interned labels play which role in ``(s, t, F)``,
+Labels enter a :class:`~repro.labeling.kernel.arena.LabelArena` once
+and every subsequent query over them runs on flat int arrays.  Callers
+that hold stored bytes (the oracle, the database, the serving tier, the
+crash batteries) :meth:`KernelDecoder.load` them straight into arena
+fragments through the arena's one content-keyed cache and pass the
+fragments wherever a label is accepted; callers that hold label objects
+pass those, and the arena interns them by identity.  The decoder's
+memos key on which arena fragments play which role in ``(s, t, F)``,
 not on the ``FaultSet`` object, so a long-lived decoder shares the
 safe-edge filtering and sketch assembly of every repeated combination,
 and a caller that changes its forbidden set needs no invalidation.
@@ -23,10 +27,14 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.exceptions import QueryError
-from repro.labeling.kernel.arena import HAVE_NUMPY, LabelArena
+from repro.labeling.kernel.arena import HAVE_NUMPY, Fragment, LabelArena
 from repro.labeling.kernel.engine import DecodeEngine
-from repro.labeling.label import VertexLabel
-from repro.labeling.query import FaultSet, QueryResult, check_compatible
+from repro.labeling.query import (
+    AnyLabel,
+    FaultSet,
+    QueryResult,
+    check_compatible,
+)
 
 if TYPE_CHECKING:
     from repro.obs.trace import Tracer
@@ -42,10 +50,10 @@ class KernelDecoder:
     cheap to keep for the lifetime of a serving tier and **not**
     thread-safe (each worker should own one).  ``use_numpy=None``
     auto-detects numpy; forcing ``True`` without numpy raises.
-    ``max_labels`` bounds arena memory: when more distinct label
-    objects than that have been interned the arena is dropped and
-    rebuilt on demand (correctness is unaffected — only the interning
-    work is repaid).
+    ``max_labels`` bounds arena memory: when more distinct labels than
+    that have been admitted the arena and its cache are dropped and
+    rebuilt on demand (correctness is unaffected — only the loading
+    work is repaid, and a fragment a caller still holds stays usable).
     """
 
     def __init__(
@@ -57,8 +65,10 @@ class KernelDecoder:
         self._engine = DecodeEngine(self._arena)
         self._max_labels = max_labels
         # fault-set content -> dense signature, persistent so the
-        # engine's memo caches work across decode()/decode_batch() calls
+        # engine's memo caches work across decode()/decode_batch() calls;
+        # valid for one arena generation (the keys are handles)
         self._fsig_map: dict[tuple, int] = {}
+        self._fsig_generation = self._arena.generation
 
     @property
     def arena(self) -> LabelArena:
@@ -70,10 +80,22 @@ class KernelDecoder:
         """Whether the numpy fast path is active."""
         return self._arena.use_numpy
 
+    def load(self, data: bytes) -> Fragment:
+        """A label's stored bytes as an arena fragment, parsed at most once.
+
+        The fragment answers exactly like ``decode_label(data)`` wherever
+        :meth:`decode` takes a label, and a repeat of the same bytes is
+        a dict probe (see :meth:`LabelArena.load`).  Raises only
+        :data:`repro.labeling.encoding.DECODE_ERRORS`.
+        """
+        if len(self._arena) > self._max_labels:
+            self._arena.reset()
+        return self._arena.load(data)
+
     def decode(
         self,
-        label_s: VertexLabel,
-        label_t: VertexLabel,
+        label_s: AnyLabel,
+        label_t: AnyLabel,
         faults: FaultSet | None = None,
         tracer: "Tracer | None" = None,
     ) -> QueryResult:
@@ -82,7 +104,10 @@ class KernelDecoder:
         Same contract as :func:`repro.labeling.decoder.decode_distance`
         (which is this method on a fresh decoder): distance, sketch
         path and sizes, tracer span tree and :class:`QueryError`
-        conditions.
+        conditions.  Every label — ``label_s``, ``label_t`` and those
+        in ``faults`` — may be a
+        :class:`~repro.labeling.label.VertexLabel` or a fragment from
+        :meth:`load`.
         """
         return self._decode_one(label_s, label_t, faults, tracer)
 
@@ -112,8 +137,8 @@ class KernelDecoder:
 
     def _decode_one(
         self,
-        label_s: VertexLabel,
-        label_t: VertexLabel,
+        label_s: AnyLabel,
+        label_t: AnyLabel,
         faults: FaultSet | None,
         tracer: "Tracer | None",
     ) -> QueryResult:
@@ -145,16 +170,19 @@ class KernelDecoder:
             # memory cap hit, or the caller switched label schemes
             # (legal for a fresh decoder, so mirror it by starting over)
             arena.reset()
+        if arena.generation != self._fsig_generation:
             self._fsig_map.clear()
+            self._fsig_generation = arena.generation
         root = tracer.start("decode") if tracer is not None else None
         try:
             fault_labels = faults.all_labels()
             check_compatible([label_s, label_t] + fault_labels)
-            frag_s = arena.intern(label_s)
-            frag_t = arena.intern(label_t)
-            fault_v = [arena.intern(label) for label in faults.vertex_labels]
+            member = arena.member
+            frag_s = member(label_s)
+            frag_t = member(label_t)
+            fault_v = [member(label) for label in faults.vertex_labels]
             fault_e = [
-                (arena.intern(label_a), arena.intern(label_b))
+                (member(label_a), member(label_b))
                 for label_a, label_b in faults.edge_labels
             ]
             source = [frag_s, frag_t]

@@ -101,6 +101,18 @@ def filter_fragment(frag, groups, forb_v, forb_e_keys, stride) -> tuple:
     )
 
 
+def stable_order(values, bound: int) -> "np.ndarray":
+    """``np.argsort(values, kind="stable")`` for ints in ``[0, bound)``.
+
+    Below 2^15 the values are sorted as int16, which numpy sorts stably
+    by radix sort: the same permutation as sorting them as int64, in
+    about a third of the time on a sketch's edge list.
+    """
+    if bound <= 1 << 15:
+        values = values.astype(np.int16)
+    return np.argsort(values, kind="stable")
+
+
 def merge_edges(key_parts, weight_parts, stride) -> tuple:
     """First-seen min-weight merge of per-fragment kept-edge arrays.
 
@@ -114,7 +126,7 @@ def merge_edges(key_parts, weight_parts, stride) -> tuple:
     if not len(keys):
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, empty
-    order = np.argsort(keys, kind="stable")
+    order = stable_order(keys, stride * stride)
     keys_sorted = keys[order]
     weights_sorted = weights[order]
     starts = np.empty(len(keys_sorted), dtype=bool)
@@ -123,14 +135,15 @@ def merge_edges(key_parts, weight_parts, stride) -> tuple:
     start_idx = np.flatnonzero(starts)
     min_weights = np.minimum.reduceat(weights_sorted, start_idx)
     first_seen = order[start_idx]
-    seen_order = np.argsort(first_seen, kind="stable")
+    # first positions are distinct, so any sort orders them the same way
+    seen_order = np.argsort(first_seen)
     unique_keys = keys_sorted[start_idx][seen_order]
     ex = unique_keys // stride
     ey = unique_keys - ex * stride
     return ex, ey, min_weights[seen_order]
 
 
-def assemble_csr(unique_vertices, ex, ey, ew, lookup) -> tuple:
+def assemble_csr(unique_vertices, ex, ey, ew, lookup, scan_degree) -> tuple:
     """Local-id CSR of the merged sketch edges, in reference adjacency order.
 
     ``unique_vertices`` (the query's label vertices, first-seen order)
@@ -139,9 +152,14 @@ def assemble_csr(unique_vertices, ex, ey, ew, lookup) -> tuple:
     vertex, neighbors appear in merged-edge order with the ``x`` side
     of an edge before its ``y`` side, again matching the reference
     append order, so the array Dijkstra scans edges in the identical
-    sequence.  ``lookup`` is a reusable int64 array filled with -1; it
-    is restored before returning.  Returns ``(verts, indptr, nbr,
-    wts)`` as plain Python lists ready for the scalar Dijkstra.
+    sequence.  ``lookup`` is a reusable int64 array filled with -1 and
+    as long as the id universe; it is restored before returning.
+    Returns ``(verts, indptr, nbr, wts, adjacency)``: the first four as
+    plain Python lists ready for the scalar Dijkstra, and ``adjacency``
+    the int64 arrays ``(nbr, wts)`` for its scan pre-filter — or
+    ``None`` when no vertex has more than ``scan_degree`` neighbours
+    (the pre-filter would never run), or when a weight falls outside
+    int32, where a key sum might not fit int64.
     """
     m = len(ex)
     k = len(unique_vertices)
@@ -149,8 +167,12 @@ def assemble_csr(unique_vertices, ex, ey, ew, lookup) -> tuple:
     pts[:k] = unique_vertices
     pts[k::2] = ex
     pts[k + 1 :: 2] = ey
-    uniq, first_idx = np.unique(pts, return_index=True)
-    verts = uniq[np.argsort(first_idx, kind="stable")]
+    order = stable_order(pts, len(lookup))
+    sorted_pts = pts[order]
+    starts = np.empty(len(pts), dtype=bool)
+    starts[0] = True
+    np.not_equal(sorted_pts[1:], sorted_pts[:-1], out=starts[1:])
+    verts = pts[np.sort(order[starts])]
     nv = len(verts)
     lookup[verts] = np.arange(nv, dtype=np.int64)
     fx = lookup[ex]
@@ -164,14 +186,37 @@ def assemble_csr(unique_vertices, ex, ey, ew, lookup) -> tuple:
     wts2 = np.empty(2 * m, dtype=np.int64)
     wts2[0::2] = ew
     wts2[1::2] = ew
-    edge_order = np.argsort(src, kind="stable")
+    edge_order = stable_order(src, nv)
     counts = np.bincount(src, minlength=nv)
     indptr = np.zeros(nv + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     lookup[verts] = -1
+    nbr = dst[edge_order]
+    wts = wts2[edge_order]
+    int32 = np.iinfo(np.int32)
+    fast = (
+        m
+        and counts.max() > scan_degree
+        and ew.min() >= int32.min
+        and ew.max() <= int32.max
+    )
     return (
         verts.tolist(),
         indptr.tolist(),
-        dst[edge_order].tolist(),
-        wts2[edge_order].tolist(),
+        nbr.tolist(),
+        wts.tolist(),
+        (nbr, wts) if fast else None,
     )
+
+
+def scan_candidates(nbr, wts, key, start, stop, du) -> list:
+    """Positions in ``[start, stop)`` whose neighbour a scan may update.
+
+    ``key`` holds each local vertex's heap key — the int64 maximum while
+    it is unseen, the int64 minimum once settled — so a position passes
+    when ``du + wts[p] < key[nbr[p]]``: exactly the neighbours that may
+    take a push or a decrease-key.  Returned ascending, as Python ints.
+    """
+    hits = (wts[start:stop] + du < key[nbr[start:stop]]).nonzero()[0]
+    hits += start
+    return hits.tolist()

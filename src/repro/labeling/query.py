@@ -13,9 +13,18 @@ decoder, so the decode kernel and the one-shot
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Union
 
 from repro.exceptions import QueryError
 from repro.labeling.label import VertexLabel
+
+if TYPE_CHECKING:
+    from repro.labeling.kernel.arena import Fragment
+
+#: a label as a query names it: the object, or its decode-kernel fragment
+#: (:meth:`repro.labeling.kernel.KernelDecoder.load`), which carries the
+#: same ``vertex``, ``c`` and ``top_level``
+AnyLabel = Union[VertexLabel, "Fragment"]
 
 
 @dataclass(frozen=True)
@@ -77,8 +86,8 @@ class FaultSet:
     (L(a), L(b))").
     """
 
-    vertex_labels: list[VertexLabel] = field(default_factory=list)
-    edge_labels: list[tuple[VertexLabel, VertexLabel]] = field(default_factory=list)
+    vertex_labels: list[AnyLabel] = field(default_factory=list)
+    edge_labels: list[tuple[AnyLabel, AnyLabel]] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.vertex_labels) + len(self.edge_labels)
@@ -95,7 +104,7 @@ class FaultSet:
             out.add((min(a, b), max(a, b)))
         return out
 
-    def all_labels(self) -> list[VertexLabel]:
+    def all_labels(self) -> list[AnyLabel]:
         """Every label carried by the fault set."""
         labels = list(self.vertex_labels)
         for label_a, label_b in self.edge_labels:
@@ -104,7 +113,7 @@ class FaultSet:
         return labels
 
 
-def check_compatible(labels: list[VertexLabel]) -> None:
+def check_compatible(labels: list[AnyLabel]) -> None:
     """Reject labels that come from different schemes.
 
     Labels of one scheme share ``c`` and ``top_level``; the first label

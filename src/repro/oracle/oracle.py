@@ -18,8 +18,8 @@ from typing import TYPE_CHECKING, Iterable
 from repro.exceptions import QueryError
 from repro.graphs.graph import Graph
 from repro.labeling.construction import LabelingOptions
-from repro.labeling.encoding import decode_label, encode_label
-from repro.labeling.kernel import KernelDecoder
+from repro.labeling.encoding import encode_label
+from repro.labeling.kernel import Fragment, KernelDecoder
 from repro.labeling.query import FaultSet, QueryResult, normalize_faults
 from repro.labeling.scheme import ForbiddenSetLabeling
 
@@ -37,10 +37,10 @@ class ForbiddenSetDistanceOracle:
     answers.
 
     Queries run on one long-lived
-    :class:`~repro.labeling.kernel.KernelDecoder`.  Each stored label is
-    deserialized at most once and then kept (decoded labels are
-    immutable): the stable object identity is what lets the kernel's
-    label interning and memos pay off across queries.
+    :class:`~repro.labeling.kernel.KernelDecoder`, which loads each
+    stored label's bytes straight into its arena: a label is parsed at
+    most once, and every later load of the same bytes is served from the
+    arena's content-keyed cache.
     """
 
     def __init__(
@@ -60,30 +60,28 @@ class ForbiddenSetDistanceOracle:
         self._table: list[bytes] = [
             encode_label(scheme.label(v)) for v in graph.vertices()
         ]
+        # room for every stored label, so none is ever parsed twice
         self._decoder = KernelDecoder(max_labels=max(4096, graph.num_vertices))
-        # decoded labels, kept across queries; memory is bounded by the
-        # n labels the oracle already stores
-        self._labels: dict[int, object] = {}
 
-    def _load(self, vertex: int):
+    def _load(self, vertex: int) -> Fragment:
         if not 0 <= vertex < self._num_vertices:
             raise QueryError(f"vertex {vertex} out of range")
-        label = self._labels.get(vertex)
-        if label is None:
-            label = self._labels[vertex] = decode_label(self._table[vertex])
-            if self._obs is not None:
-                self._obs.counter(
-                    "repro_oracle_label_decodes_total",
-                    "Stored labels deserialized (decode_label calls) while "
-                    "answering queries.",
-                ).inc()
+        arena = self._decoder.arena
+        hits = arena.hits
+        frag = self._decoder.load(self._table[vertex])
+        if self._obs is not None and arena.hits == hits:
+            self._obs.counter(
+                "repro_oracle_label_decodes_total",
+                "Stored labels parsed into the decoder's arena while "
+                "answering queries.",
+            ).inc()
         elif self._obs is not None:
             self._obs.counter(
                 "repro_oracle_memo_hits_total",
-                "Label loads served from the decoded-label cache instead "
-                "of being deserialized.",
+                "Label loads served from the decoder arena's "
+                "content-keyed cache instead of being parsed.",
             ).inc()
-        return label
+        return frag
 
     def query(
         self,
@@ -94,10 +92,10 @@ class ForbiddenSetDistanceOracle:
     ) -> QueryResult:
         """``(1+ε)``-approximate ``d_{G\\F}(s, t)`` from the stored table.
 
-        Each stored label is deserialized at most once over the
-        oracle's lifetime: fault inputs are deduplicated up front, and
-        every later load of the same vertex — in this query or any
-        other — is served from the decoded-label cache.
+        Each stored label is parsed at most once over the oracle's
+        lifetime: fault inputs are deduplicated up front, and every
+        later load of the same vertex — in this query or any other — is
+        served from the decoder arena's content-keyed cache.
         """
         vertex_faults, edge_faults = normalize_faults(vertex_faults, edge_faults)
         for a, b in edge_faults:

@@ -48,14 +48,10 @@ from repro.exceptions import (
     LabelCorruptionError,
     QueryError,
 )
-from repro.labeling.decoder import (
-    FaultSet,
-    QueryResult,
-    decode_distance,
-    normalize_faults,
-)
 from repro.labeling.encoding import DECODE_ERRORS, decode_label, encode_label
+from repro.labeling.kernel import Fragment, KernelDecoder
 from repro.labeling.label import VertexLabel
+from repro.labeling.query import FaultSet, QueryResult, normalize_faults
 
 if TYPE_CHECKING:
     from repro.obs.trace import Tracer
@@ -183,6 +179,9 @@ class LabelDatabase:
         self.top_level = top_level
         self.version = version
         self._quarantined = dict(quarantined or {})
+        # one long-lived decoder for every query, with room for every
+        # stored label: each is parsed from its bytes at most once
+        self._decoder = KernelDecoder(max_labels=max(4096, len(encoded_labels)))
 
     @classmethod
     def load(cls, path_or_file, strict: bool = True) -> "LabelDatabase":
@@ -305,13 +304,13 @@ class LabelDatabase:
         :class:`LabelCorruptionError` when the stored bytes are
         quarantined or fail to decode.
         """
-        if not 0 <= vertex < len(self._table):
-            raise QueryError(f"vertex {vertex} out of range")
-        reason = self._quarantined.get(vertex)
-        if reason is not None:
-            raise LabelCorruptionError(f"label {vertex} is quarantined: {reason}")
+        return self._decoded(vertex, decode_label)
+
+    def _decoded(self, vertex: int, decode):
+        """``decode`` of a vertex's trusted bytes, failures translated."""
+        data = self.encoded(vertex)
         try:
-            return decode_label(self._table[vertex])
+            return decode(data)
         except EncodingError as exc:
             raise LabelCorruptionError(f"label {vertex}: {exc}") from exc
         except DECODE_ERRORS as exc:  # corrupt bitstream: index/value errors
@@ -330,24 +329,21 @@ class LabelDatabase:
         """Forbidden-set distance query served from the stored bytes.
 
         Fault inputs are deduplicated (repeated vertices, both
-        orientations of an edge) and each stored label is decoded at
-        most once per query.  A ``tracer`` records the decode pipeline
-        as a span tree without changing the answer.
+        orientations of an edge), and the database's one decoder loads
+        each stored label's bytes straight into its arena, parsing them
+        at most once over the database's lifetime.  A ``tracer`` records
+        the decode pipeline as a span tree without changing the answer.
         """
         vertex_faults, edge_faults = normalize_faults(vertex_faults, edge_faults)
-        memo: dict[int, object] = {}
 
-        def load(vertex: int):
-            label = memo.get(vertex)
-            if label is None:
-                label = memo[vertex] = self.label(vertex)
-            return label
+        def load(vertex: int) -> Fragment:
+            return self._decoded(vertex, self._decoder.load)
 
         faults = FaultSet(
             vertex_labels=[load(f) for f in vertex_faults],
             edge_labels=[(load(a), load(b)) for a, b in edge_faults],
         )
-        return decode_distance(load(s), load(t), faults, tracer=tracer)
+        return self._decoder.decode(load(s), load(t), faults, tracer=tracer)
 
     def connectivity(
         self,

@@ -40,8 +40,7 @@ from repro.durability.fs import CRASH_MODES, SimulatedFS
 from repro.exceptions import ReproError, SimulatedCrashError
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import bfs_distances
-from repro.labeling.decoder import decode_distance
-from repro.labeling.encoding import decode_label
+from repro.labeling.kernel import KernelDecoder
 from repro.obs.registry import Registry
 from repro.rollout.coordinator import RolloutCoordinator, recover_rollout
 from repro.rollout.incremental import GraphChange, IncrementalRelabeler
@@ -174,8 +173,13 @@ def _probe_queries(
     rng,
     probes: int,
     tag: str,
+    decoder: KernelDecoder,
 ) -> tuple[list[str], int]:
-    """Seeded decode probes, judged on generation ``version``'s graph."""
+    """Seeded decode probes, judged on generation ``version``'s graph.
+
+    ``decoder`` is the battery run's one decoder: it loads label bytes
+    by content, so each generation's labels are parsed once.
+    """
     problems = []
     candidates = list(range(len(expected)))
     if len(candidates) < 2 or probes <= 0:
@@ -185,8 +189,8 @@ def _probe_queries(
         s, t = rng.sample(candidates, 2)
         for v in (s, t):
             if v not in labels:
-                labels[v] = decode_label(expected[v])
-        answer = decode_distance(labels[s], labels[t]).distance
+                labels[v] = decoder.load(expected[v])
+        answer = decoder.decode(labels[s], labels[t]).distance
         verdict = judge.judge_distance(answer, s, t, version=version)
         problems.extend(f"{tag}: probe {p}" for p in verdict.problems)
     return problems, probes
@@ -314,6 +318,7 @@ def exhaustive_rollout_battery(
         grid = grid[::stride]
 
     probe_rng = make_rng(seed)
+    decoder = KernelDecoder()
     crashes_fired = 0
     rollbacks = resumes = 0
     label_checks = probe_queries = 0
@@ -373,7 +378,7 @@ def exhaustive_rollout_battery(
         if not problems:
             probe_problems, probed = _probe_queries(
                 expected[committed], judge, committed,
-                probe_rng, probes_per_crash, tag,
+                probe_rng, probes_per_crash, tag, decoder,
             )
             violations.extend(probe_problems)
             probe_queries += probed

@@ -33,14 +33,13 @@ shard restores exact ``(1+ε)`` answers with no restart or rebuild.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
 
 from repro.exceptions import QueryError
-from repro.labeling.encoding import DECODE_ERRORS, decode_label
-from repro.labeling.kernel import KernelDecoder
+from repro.labeling.encoding import DECODE_ERRORS
+from repro.labeling.kernel import Fragment, KernelDecoder
 from repro.labeling.query import FaultSet, normalize_faults
 from repro.service.client import ResilientLabelClient
 from repro.service.clock import VirtualClock
@@ -103,9 +102,6 @@ QUERIES_TOTAL_HELP = "Frontend queries answered, by status and reason."
 QUERY_LATENCY = "repro_query_latency_ms"
 QUERY_LATENCY_HELP = "End-to-end query latency in virtual milliseconds."
 
-#: decoded labels the service keeps, keyed by their exact bytes (LRU)
-DECODE_MEMO_SIZE = 512
-
 
 @dataclass(frozen=True)
 class MissingLabel:
@@ -163,8 +159,8 @@ class ServiceMetrics:
     exact_answers: int = 0
     degraded_answers: int = 0
     decode_failures: int = 0
-    #: label decodes skipped because the identical bytes were decoded
-    #: before (decoded labels are immutable and safely shared)
+    #: label loads served from the decoder arena's content-keyed cache
+    #: because the identical bytes were loaded before
     decode_memo_hits: int = 0
     latencies_ms: list[float] = field(default_factory=list)
     #: per-:class:`DegradationReason` counts of non-exact answers, keyed
@@ -218,11 +214,12 @@ class QueryService:
             store.attach_observability(obs)
         self.default_deadline_ms = default_deadline_ms
         self.metrics = ServiceMetrics()
-        self._decode_memo: "OrderedDict[bytes, object]" = OrderedDict()
-        # one long-lived decoder for every query; the byte-keyed decode
-        # memo above gives labels a stable object identity, which is
-        # what makes the kernel's arena interning effective across
-        # queries
+        # one long-lived decoder for every query: fetched bytes load
+        # straight into its arena, whose content-keyed cache parses
+        # identical bytes once — the common case under Zipf traffic.
+        # It costs no virtual time: a real-CPU optimisation, invisible
+        # to the clock, and a rollout that rewrites a label simply
+        # misses.
         self._decoder = KernelDecoder()
 
     # -- constructors -------------------------------------------------------
@@ -360,8 +357,9 @@ class QueryService:
             roles.setdefault(a, "edge_fault")
             roles.setdefault(b, "edge_fault")
 
-        labels: dict[int, object] = {}
+        labels: dict[int, Fragment] = {}
         missing: list[MissingLabel] = []
+        arena = self._decoder.arena
         attempts = retries = hedges = 0
         fetch_span = (
             self.tracer.start("service.fetch_labels")
@@ -380,8 +378,9 @@ class QueryService:
                 if not outcome.ok:
                     missing.append(MissingLabel(vertex, role, outcome.error))
                     continue
+                hits = arena.hits
                 try:
-                    labels[vertex] = self._decode(outcome.data)
+                    labels[vertex] = self._decoder.load(outcome.data)
                 except DECODE_ERRORS as exc:
                     # CRC passed but the bytes do not decode
                     # (LabelCorruptionError included): surface it as a fetch
@@ -396,6 +395,7 @@ class QueryService:
                     missing.append(
                         MissingLabel(vertex, role, f"undecodable: {exc!r}")
                     )
+                metrics.decode_memo_hits += arena.hits - hits
             if fetch_span is not None:
                 fetch_span.set("labels_needed", len(roles))
                 fetch_span.set("labels_fetched", len(labels))
@@ -451,28 +451,6 @@ class QueryService:
             attempts=attempts, retries=retries, hedges=hedges,
             version=version,
         ))
-
-    def _decode(self, data: bytes):
-        """Decode label bytes, memoised on the exact byte string.
-
-        Decoded labels are immutable (the decoder only reads them), so
-        identical bytes — the common case under Zipf traffic, where a
-        small hot set of labels backs most queries — decode once.  The
-        memo is keyed by content, not vertex or generation, so a
-        rollout that rewrites a label simply misses.  Costs no virtual
-        time: this is a real-CPU optimisation, invisible to the clock.
-        """
-        memo = self._decode_memo
-        label = memo.get(data)
-        if label is not None:
-            memo.move_to_end(data)
-            self.metrics.decode_memo_hits += 1
-            return label
-        label = decode_label(data)
-        if len(memo) >= DECODE_MEMO_SIZE:
-            memo.popitem(last=False)
-        memo[data] = label
-        return label
 
     def _record(self, outcome: QueryOutcome) -> QueryOutcome:
         if outcome.exact:

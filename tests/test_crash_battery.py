@@ -50,16 +50,16 @@ class TestBatterySmoke:
         ``stretch_bound()`` of 1.75 at ε = 1, which the judge enforces."""
         import repro.durability.battery as battery
 
-        honest = battery.decode_distance
+        honest = battery.KernelDecoder.decode
 
-        def stretched(label_s, label_t, faults=None, tracer=None):
-            result = honest(label_s, label_t, faults, tracer)
+        def stretched(self, label_s, label_t, faults=None, tracer=None):
+            result = honest(self, label_s, label_t, faults, tracer)
             return type(result)(
                 1.9 * result.distance, result.path, result.sketch_vertices,
                 result.sketch_edges,
             )
 
-        monkeypatch.setattr(battery, "decode_distance", stretched)
+        monkeypatch.setattr(battery.KernelDecoder, "decode", stretched)
         report = exhaustive_crash_battery(
             path_graph(6), epsilon=1.0, seed=1, churn_rounds=1
         )

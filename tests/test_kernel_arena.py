@@ -220,6 +220,56 @@ def test_dense_heap_pop_order_matches_heapq():
         assert popped_keys == [heapq.heappop(reference) for _ in items]
 
 
+# -- the Dijkstra scan pre-filter --------------------------------------------
+
+
+def _random_csr(rng: random.Random, nv: int, density: float):
+    """A random weighted graph on local ids as the engine's CSR lists."""
+    adjacency = [[] for _ in range(nv)]
+    for x in range(nv):
+        for y in range(x + 1, nv):
+            if rng.random() < density:
+                w = rng.randint(1, 12)
+                adjacency[x].append((y, w))
+                adjacency[y].append((x, w))
+    indptr = [0]
+    nbr, wts = [], []
+    for row in adjacency:
+        rng.shuffle(row)
+        nbr.extend(v for v, _ in row)
+        wts.extend(w for _, w in row)
+        indptr.append(len(nbr))
+    return list(range(nv)), indptr, nbr, wts
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+def test_scan_prefilter_makes_the_heap_operations_of_a_full_scan():
+    """Random weights make decrease-keys common, also by exactly 1."""
+    import numpy as np
+
+    from repro.labeling.kernel import engine as engine_module
+    from repro.obs.trace import Tracer
+
+    engine = KernelDecoder(use_numpy=True)._engine
+    rng = random.Random(0x5CA)
+    reached = 0
+    for trial in range(40):
+        nv = rng.randint(2, 90)
+        csr = _random_csr(rng, nv, rng.choice([0.3, 0.7, 1.0]))
+        fast = (np.array(csr[2], dtype=np.int64),
+                np.array(csr[3], dtype=np.int64))
+        runs = []
+        for adjacency in (None, fast):
+            tracer = Tracer()
+            with tracer.span("decode.dijkstra") as span:
+                answer = engine._dijkstra(*csr, span, adjacency)
+            runs.append((answer, tracer.to_dicts()))
+        assert runs[0] == runs[1], trial
+        degree = max(b - a for a, b in zip(csr[1], csr[1][1:]))
+        reached += degree > engine_module.SCAN_PREFILTER_DEGREE
+    assert reached > 10  # most instances reach the pre-filter
+
+
 # -- numpy path == stdlib path, down to the cache entries --------------------
 
 

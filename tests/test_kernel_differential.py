@@ -54,6 +54,9 @@ INSTANCES = [
     # diameter 48 > λ = 32 at the lowest level: protected balls no
     # longer cover the whole graph, so each fault drops its own edges
     ("cycle:96/e1", lambda: gen.cycle_graph(96), 1.0),
+    # diameter 95 > r_{c+1} = 88: the end labels' lowest level does not
+    # cover the whole graph (the regime past the whole-graph one)
+    ("path:96/e1", lambda: gen.path_graph(96), 1.0),
 ]
 
 BACKENDS = ["stdlib"] + (["numpy"] if HAVE_NUMPY else [])
@@ -207,6 +210,31 @@ def test_mixed_scheme_labels_raise_identically(backend):
     other_labels, _ = instance("grid:4x4/e0.5")
     kern = kernel_for(backend)
     assert_equivalent(kern, labels[0], other_labels[5], FaultSet())
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_past_the_whole_graph_regime(backend, monkeypatch):
+    """Seeded queries on path:96 at ε = 1, numpy on and off.
+
+    Its sketches are large enough that the numpy path's Dijkstra scan
+    pre-filter runs (counted here), and its end labels' lowest level
+    does not cover the whole graph.
+    """
+    from repro.labeling.kernel import npops
+
+    scans = []
+    real = npops.scan_candidates
+
+    def counting(*args):
+        scans.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(npops, "scan_candidates", counting)
+    labels, edges = instance("path:96/e1")
+    kern = KernelDecoder(use_numpy=(backend == "numpy"))
+    for label_s, label_t, faults in _workload(labels, edges, seed=19):
+        assert_equivalent(kern, label_s, label_t, faults)
+    assert bool(scans) == (backend == "numpy")
 
 
 # -- batch API: grouping order never changes an answer -----------------------

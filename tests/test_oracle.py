@@ -144,24 +144,29 @@ class TestDynamicOracle:
             assert d_true <= d_hat <= 2 * d_true
 
 
+def count_parses(monkeypatch) -> list[int]:
+    """The owner vertex of every label the decode kernel's loader parses."""
+    import repro.labeling.kernel.arena as arena_module
+
+    calls: list[int] = []
+    real = arena_module.read_label
+
+    def counting(data, read_edges=None):
+        header, levels = real(data, read_edges)
+        calls.append(header[0])
+        return header, levels
+
+    monkeypatch.setattr(arena_module, "read_label", counting)
+    return calls
+
+
 class TestDecodeEconomy:
-    """Each serialized label is decoded at most once, across queries too."""
+    """Each serialized label is parsed at most once, across queries too."""
 
     def _counting_oracle(self, monkeypatch):
-        import repro.oracle.oracle as oracle_module
-
         g = grid_graph(4, 4)
         oracle = ForbiddenSetDistanceOracle(g, epsilon=1.0)
-        calls: list[int] = []
-        real = oracle_module.decode_label
-
-        def counting(data):
-            label = real(data)
-            calls.append(label.vertex)
-            return label
-
-        monkeypatch.setattr(oracle_module, "decode_label", counting)
-        return oracle, calls
+        return oracle, count_parses(monkeypatch)
 
     def test_plain_query_decodes_each_endpoint_once(self, monkeypatch):
         oracle, calls = self._counting_oracle(monkeypatch)
@@ -180,23 +185,14 @@ class TestDecodeEconomy:
         assert sorted(set(calls)) == [0, 1, 5, 6, 9, 15]
 
     def test_decode_counter_counts_real_decodes(self, monkeypatch):
-        """Labels served from the cache count as hits, never as decodes."""
-        import repro.oracle.oracle as oracle_module
+        """Labels served from the cache count as hits, never as parses."""
         from repro.obs.registry import Registry
 
         obs = Registry()
         oracle = ForbiddenSetDistanceOracle(
             grid_graph(4, 4), epsilon=1.0, obs=obs
         )
-        calls: list[int] = []
-        real = oracle_module.decode_label
-
-        def counting(data):
-            label = real(data)
-            calls.append(label.vertex)
-            return label
-
-        monkeypatch.setattr(oracle_module, "decode_label", counting)
+        calls = count_parses(monkeypatch)
         queries = [
             (0, 15, [5, 6], []),
             (0, 15, [5, 6], []),  # repeated
