@@ -27,10 +27,10 @@ Public API highlights
   (Lemma 2.2).
 * :mod:`repro.baselines` — exact recompute, APSP, single-fault and
   exact-tree comparators.
-* :mod:`repro.chaos` — chaos injection: seeded fault plans (churn,
-  lossy flooding, partition windows), an invariant-checking runner for
-  the network-recovery simulator, and corruption fuzzing for the
-  on-disk label databases.
+* :mod:`repro.chaos` — chaos injection: an invariant-checking runner
+  that replays network traces (churn, lossy flooding, partition
+  windows) over the network-recovery simulator, and corruption fuzzing
+  for the on-disk label databases.
 
 Quickstart
 ----------

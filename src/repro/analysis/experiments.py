@@ -731,7 +731,8 @@ def run_e13(quick: bool = True) -> list[Table]:
     On small-diameter graphs the lowest level's radius-``r_{c+1}`` unit
     edge balls around ``{s, t} ∪ F`` blanket the surviving graph, so the
     sketch contains ``G \\ F`` and answers are *exact*.  Only when the
-    diameter dwarfs ``r_{c+1} ≈ 48`` must sketch paths climb the
+    diameter dwarfs ``r_{c+1}`` — 48 at ``ε ≥ 1.5`` (the ``ε = 4`` rows),
+    88 at ``ε = 1`` and 168 at ``ε = 0.5`` — must sketch paths climb the
     hierarchy and pay net-snapping detours.  This experiment measures
     that on long thin cylinders — and shows how far below the ``1+ε``
     bound the realized stretch stays.

@@ -1,16 +1,14 @@
 """Chaos injection: hostile schedules and hostile bytes, replayable.
 
-The reproduction's robustness harness, in three parts (serving-tier
-chaos schedules are scenario traces; see
-:func:`repro.scenario.generate.random_shard_plan`):
+The reproduction's robustness harness.  Hostile schedules are scenario
+traces: network churn from :func:`repro.scenario.generate.churn_trace`
+and serving-tier chaos from
+:func:`repro.scenario.generate.random_shard_plan`.  This package holds:
 
-* :mod:`repro.chaos.plan` — a seeded fault-plan DSL: scripted or
-  randomized churn schedules of vertex/edge fail/recover events,
-  lossy flooding and partition windows, plus the shard-level and
-  rollout actions scenario traces lower to;
-* :mod:`repro.chaos.runner` — drives a
-  :class:`~repro.routing.network_sim.NetworkSimulator` through a plan
-  while checking delivery/stretch/route invariants after every event;
+* :mod:`repro.chaos.runner` — replays a network trace (router and link
+  failures and recoveries, lossy flooding, partition windows, packet
+  sends) over a :class:`~repro.routing.network_sim.NetworkSimulator`
+  while checking delivery/stretch/route invariants after every row;
 * :mod:`repro.chaos.corruption` — seeded bit-flips, truncations and
   lying length fields against saved label databases, with a fuzz
   harness demanding *error or exact answer, never silently wrong*.
@@ -23,14 +21,6 @@ from repro.chaos.corruption import (
     fuzz_database,
     mutate,
 )
-from repro.chaos.plan import (
-    EVENT_KINDS,
-    NETWORK_EVENT_KINDS,
-    SERVICE_EVENT_KINDS,
-    ChaosEvent,
-    FaultPlan,
-    random_churn_plan,
-)
 from repro.chaos.runner import (
     ChaosReport,
     ChaosRunner,
@@ -39,19 +29,13 @@ from repro.chaos.runner import (
 )
 
 __all__ = [
-    "ChaosEvent",
     "ChaosReport",
     "ChaosRunner",
-    "EVENT_KINDS",
-    "FaultPlan",
     "FuzzReport",
     "MUTATION_KINDS",
     "Mutation",
-    "NETWORK_EVENT_KINDS",
-    "SERVICE_EVENT_KINDS",
     "fuzz_database",
     "mutate",
-    "random_churn_plan",
     "run_plan",
     "standard_suite",
 ]

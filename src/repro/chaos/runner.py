@@ -1,9 +1,12 @@
-"""Chaos runner: drive a simulator through a fault plan, check invariants.
+"""Chaos runner: drive a simulator through a network trace, check invariants.
 
-The runner replays a :class:`~repro.chaos.plan.FaultPlan` against a
-:class:`~repro.routing.network_sim.NetworkSimulator` and, after every
-event, checks the properties the paper's application scenario promises
-even under hostile timing:
+The runner replays a network trace — the scripted network rows of a
+:class:`~repro.scenario.trace.ScenarioTrace`, such as
+:func:`~repro.scenario.generate.churn_trace` emits — against a
+:class:`~repro.routing.network_sim.NetworkSimulator` on the trace's
+graph, flooding with the trace's ``loss`` from its ``seed``, and after
+every row checks the properties the paper's application scenario
+promises even under hostile timing:
 
 * **no misinformation** — every router's view stays a subset of the
   true failed set (recoveries clear views, probing/flooding only ever
@@ -29,14 +32,15 @@ failures; :attr:`ChaosReport.ok` summarizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from typing import TYPE_CHECKING
 
-from repro.chaos.plan import ChaosEvent, FaultPlan
 from repro.exceptions import QueryError, RoutingError
-from repro.graphs.graph import Graph
 from repro.routing.network_sim import NetworkSimulator
+from repro.scenario.compile import build_graph, check_rows
+from repro.scenario.generate import churn_suite
+from repro.scenario.trace import ScenarioEvent, ScenarioTrace
 from repro.service.judge import Judge
 from repro.util.rng import make_rng
 
@@ -87,27 +91,35 @@ class ChaosReport:
 
 
 class ChaosRunner:
-    """Replays one fault plan against one simulator, checking invariants."""
+    """Replays one network trace against one simulator, checking invariants.
+
+    Construction builds the trace's graph, runs on every row the graph
+    checks :func:`~repro.scenario.compile.compile_trace` runs, and
+    rejects serving rows, each with a
+    :class:`~repro.exceptions.ScenarioError`.  The report carries the
+    trace's name.
+    """
 
     def __init__(
         self,
-        graph: Graph,
-        plan: FaultPlan,
+        trace: ScenarioTrace,
         epsilon: float = 1.0,
         probe_on_failure: bool = True,
         obs: "Registry | None" = None,
     ) -> None:
+        graph = build_graph(trace.graph_spec)
+        check_rows(trace, graph, network=True)
         self._graph = graph
-        self._plan = plan
+        self._trace = trace
         self._obs = obs
         self._sim = NetworkSimulator(
             graph, epsilon=epsilon, probe_on_failure=probe_on_failure
         )
         self._judge = Judge(graph, self._sim.routing.stretch_bound())
-        self._rng = make_rng(plan.seed)
+        self._rng = make_rng(trace.seed)
         self._shadow_v: set[int] = set()
         self._shadow_e: set[tuple[int, int]] = set()
-        self._report = ChaosReport(name=plan.name)
+        self._report = ChaosReport(name=trace.name)
 
     @property
     def simulator(self) -> NetworkSimulator:
@@ -115,8 +127,8 @@ class ChaosRunner:
         return self._sim
 
     def run(self) -> ChaosReport:
-        """Apply every event, checking invariants after each."""
-        for index, event in enumerate(self._plan):
+        """Apply every row, checking invariants after each."""
+        for index, event in enumerate(self._trace.events):
             self._apply(index, event)
             self._check_consistency(index, event)
             self._report.events_applied += 1
@@ -124,7 +136,7 @@ class ChaosRunner:
 
     # -- event application -------------------------------------------------
 
-    def _apply(self, index: int, event: ChaosEvent) -> None:
+    def _apply(self, index: int, event: ScenarioEvent) -> None:
         if self._obs is not None:
             self._obs.counter(
                 "repro_chaos_events_total",
@@ -135,27 +147,23 @@ class ChaosRunner:
             self._checked_send(index, event)
             return
         self._sim.apply_event(
-            event,
-            drop_probability=self._plan.drop_probability,
-            rng=self._rng,
+            event, drop_probability=self._trace.loss, rng=self._rng
         )
         self._shadow_apply(event)
 
-    def _shadow_apply(self, event: ChaosEvent) -> None:
-        if event.kind == "fail_vertex":
+    def _shadow_apply(self, event: ScenarioEvent) -> None:
+        kind = event.kind
+        # a row may list an edge either way round; the truth keys (min, max)
+        pairs = event.edges if event.edge is None else (event.edge,)
+        edges = {(min(a, b), max(a, b)) for a, b in pairs}
+        if kind == "fail_vertex":
             self._shadow_v.add(event.vertex)
-        elif event.kind == "recover_vertex":
+        elif kind == "recover_vertex":
             self._shadow_v.discard(event.vertex)
-        elif event.kind == "fail_edge":
-            a, b = event.edge
-            self._shadow_e.add((min(a, b), max(a, b)))
-        elif event.kind == "recover_edge":
-            a, b = event.edge
-            self._shadow_e.discard((min(a, b), max(a, b)))
-        elif event.kind == "partition":
-            self._shadow_e.update(event.edges)
-        elif event.kind == "heal_partition":
-            self._shadow_e.difference_update(event.edges)
+        elif kind in ("fail_edge", "partition"):
+            self._shadow_e.update(edges)
+        elif kind in ("recover_edge", "heal_partition"):
+            self._shadow_e.difference_update(edges)
 
     # -- invariant checks --------------------------------------------------
 
@@ -167,7 +175,7 @@ class ChaosRunner:
                 "Invariant violations recorded by chaos runners.",
             ).inc()
 
-    def _checked_send(self, index: int, event: ChaosEvent) -> None:
+    def _checked_send(self, index: int, event: ScenarioEvent) -> None:
         report = self._report
         s, t = event.s, event.t
         if s in self._shadow_v or t in self._shadow_v:
@@ -216,7 +224,7 @@ class ChaosRunner:
             )
         report.checks_performed += 1
 
-    def _check_consistency(self, index: int, event: ChaosEvent) -> None:
+    def _check_consistency(self, index: int, event: ScenarioEvent) -> None:
         report = self._report
         truth = self._sim.ground_truth()
         if truth.vertices != self._shadow_v or truth.edges != self._shadow_e:
@@ -243,14 +251,13 @@ class ChaosRunner:
 
 
 def run_plan(
-    graph: Graph,
-    plan: FaultPlan,
+    trace: ScenarioTrace,
     epsilon: float = 1.0,
     probe_on_failure: bool = True,
 ) -> ChaosReport:
-    """Convenience wrapper: build a runner, run the plan, return the report."""
+    """Build a runner, replay the trace, return the report."""
     return ChaosRunner(
-        graph, plan, epsilon=epsilon, probe_on_failure=probe_on_failure
+        trace, epsilon=epsilon, probe_on_failure=probe_on_failure
     ).run()
 
 
@@ -260,38 +267,22 @@ def standard_suite(
     seed: int = 0,
     epsilon: float = 1.0,
 ) -> list[ChaosReport]:
-    """The acceptance battery: seeded churn schedules over a graph pool.
+    """The acceptance battery: the standard churn traces, replayed.
 
-    Rotates graph families up to ``n = 64``, message-loss levels
-    (lossless, 15 %, 35 %) and probe/silent failure modes, so one call
-    covers the scenario matrix.  Deterministic in ``seed``.
+    Replays :func:`~repro.scenario.generate.churn_suite` (graph
+    families up to ``n = 64``, message loss 0, 15 % and 35 %) with
+    probe and silent failure modes alternating, so one call covers the
+    scenario matrix.  Deterministic in ``seed``.
     """
-    from repro.chaos.plan import random_churn_plan
-    from repro.graphs import generators as gen
-
-    pool = [
-        lambda: gen.grid_graph(8, 8),
-        lambda: gen.cycle_graph(48),
-        lambda: gen.road_like_graph(7, 7, seed=3),
-        lambda: gen.torus_graph(6, 6),
-        lambda: gen.random_tree(40, seed=5),
-        lambda: gen.hypercube_graph(6),
-    ]
-    losses = [0.0, 0.15, 0.35]
     reports = []
-    for i in range(num_schedules):
-        graph = pool[i % len(pool)]()
-        plan = random_churn_plan(
-            graph,
-            num_events=num_events,
-            seed=seed + 1000 * i + 1,
-            drop_probability=losses[i % len(losses)],
+    for i, trace in enumerate(churn_suite(num_schedules, num_events, seed)):
+        probe = i % 2 == 0
+        report = run_plan(trace, epsilon=epsilon, probe_on_failure=probe)
+        # the printed title has spaces, which a trace name may not
+        graph = build_graph(trace.graph_spec)
+        reports.append(replace(
+            report,
             name=f"schedule {i} on {graph!r} "
-            f"(loss={losses[i % len(losses)]}, probe={i % 2 == 0})",
-        )
-        reports.append(
-            run_plan(
-                graph, plan, epsilon=epsilon, probe_on_failure=i % 2 == 0
-            )
-        )
+            f"(loss={trace.loss}, probe={probe})",
+        ))
     return reports

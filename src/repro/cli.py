@@ -238,8 +238,11 @@ def _fsck_manifest(database: str) -> int:
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    """``repro chaos``: run seeded churn schedules with invariant checks."""
-    from repro.chaos import random_churn_plan, run_plan, standard_suite
+    """``repro chaos``: replay seeded churn traces with invariant checks."""
+    from dataclasses import replace
+
+    from repro.chaos import run_plan, standard_suite
+    from repro.scenario.generate import churn_trace
 
     if args.graph is None:
         reports = standard_suite(
@@ -252,14 +255,17 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         graph = parse_graph_spec(args.graph)
         reports = []
         for i in range(args.schedules):
-            plan = random_churn_plan(
-                graph,
+            trace = churn_trace(
+                args.graph,
                 num_events=args.events,
                 seed=args.seed + i,
-                drop_probability=args.drop,
-                name=f"schedule {i} on {graph!r} (loss={args.drop})",
+                loss=args.drop,
+                name=f"churn-{i}",
             )
-            reports.append(run_plan(graph, plan, epsilon=args.epsilon))
+            reports.append(replace(
+                run_plan(trace, epsilon=args.epsilon),
+                name=f"schedule {i} on {graph!r} (loss={args.drop})",
+            ))
     violations = 0
     for report in reports:
         print(report.summary())

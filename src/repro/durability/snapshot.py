@@ -21,7 +21,6 @@ from __future__ import annotations
 import struct
 import zlib
 
-from repro.durability.fs import FileSystem
 from repro.exceptions import DurabilityError, StorageCorruptionError
 
 SNAPSHOT_MAGIC = b"FSNP"
@@ -115,8 +114,3 @@ def decode_snapshot(blob: bytes) -> tuple[int, dict[int, bytes]]:
             f"{count} entries"
         )
     return applied_lsn, entries
-
-
-def read_snapshot_file(fs: FileSystem, path: str) -> tuple[int, dict[int, bytes]]:
-    """Read and parse the snapshot at ``path`` through ``fs``."""
-    return decode_snapshot(fs.read_bytes(path))

@@ -133,11 +133,6 @@ class DurableLabelTable:
         """LSN covered by the most recent snapshot (0 if none)."""
         return self._snapshot_lsn
 
-    @property
-    def wal_records(self) -> int:
-        """Acknowledged mutations not yet folded into a snapshot."""
-        return self._last_lsn - self._snapshot_lsn
-
     def state(self) -> dict[int, bytes]:
         """A copy of the current vertex -> payload map."""
         return dict(self._state)

@@ -28,7 +28,6 @@ import struct
 import zlib
 from dataclasses import dataclass
 
-from repro.durability.fs import FileSystem
 from repro.exceptions import DurabilityError, StorageCorruptionError
 
 WAL_MAGIC = b"FSWL"
@@ -152,8 +151,3 @@ def read_wal(blob: bytes) -> WalReplay:
         torn_bytes=len(blob) - valid_end,
         torn_reason=torn_reason,
     )
-
-
-def read_wal_file(fs: FileSystem, path: str) -> WalReplay:
-    """Read and parse the log at ``path`` through ``fs``."""
-    return read_wal(fs.read_bytes(path))

@@ -155,16 +155,6 @@ class LabelCache:
         self.metrics.invalidated += len(stale)
         return len(stale)
 
-    def clear_negative(self) -> int:
-        """Drop every negative entry (e.g. after a known mass-recovery)."""
-        stale = [
-            key for key, entry in self._entries.items() if entry.data is None
-        ]
-        for key in stale:
-            del self._entries[key]
-        self.metrics.invalidated += len(stale)
-        return len(stale)
-
 
 class CachingLabelClient(ResilientLabelClient):
     """A resilient client with a generation-keyed label cache in front.

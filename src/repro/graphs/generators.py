@@ -256,8 +256,8 @@ def cylinder_graph(length: int, circumference: int) -> Graph:
     the second axis (doubling dimension ≈ 2 locally, diameter ≈ length).
 
     The go-to family for *observing* the scheme's approximation: its
-    diameter dwarfs the paper's smallest ball radius ``r_{c+1} ≈ 48``,
-    so sketch paths must use high hierarchy levels and pay the
+    diameter dwarfs the paper's smallest ball radius ``r_{c+1}`` (88 at
+    ``ε = 1``, 48 at ``ε ≥ 1.5``), so sketch paths must use high hierarchy levels and pay the
     net-snapping detours (experiment E13).
     """
     if length < 2 or circumference < 3:

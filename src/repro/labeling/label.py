@@ -53,19 +53,6 @@ class LevelLabel:
         """Number of virtual edges stored at this level."""
         return len(self.edges)
 
-    def num_graph_edges(self) -> int:
-        """Number of real graph edges stored at this level."""
-        return len(self.graph_edges)
-
-    def in_protected_ball(self, x: int, lam: int) -> bool:
-        """Whether ``x ∈ PB_i(v) = B(v, λ_i)``, decided from the label alone.
-
-        ``x`` absent from ``points`` means ``d_G(v, x) > r_i > λ_i``, so
-        absent points are never in the protected ball.
-        """
-        dist = self.points.get(x)
-        return dist is not None and dist <= lam
-
 
 @dataclass
 class VertexLabel:

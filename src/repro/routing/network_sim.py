@@ -27,12 +27,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.exceptions import QueryError, RoutingError
 from repro.graphs.graph import Graph
 from repro.labeling.decoder import FaultSet
 from repro.routing.scheme import ForbiddenSetRouting
 from repro.routing.simulator import approach_points
+
+if TYPE_CHECKING:
+    from repro.scenario.trace import ScenarioEvent
 
 
 @dataclass
@@ -175,18 +179,17 @@ class NetworkSimulator:
         return self._truth.copy()
 
     def apply_event(
-        self, event, drop_probability: float = 0.0, rng=None
+        self, event: ScenarioEvent, drop_probability: float = 0.0, rng=None
     ) -> int:
-        """Apply one fault-plan event (duck-typed on ``event.kind``).
+        """Apply one network row of a scenario trace.
 
-        Understands the :class:`repro.chaos.plan.ChaosEvent` kinds that
-        mutate the network — ``fail_vertex``, ``fail_edge``,
-        ``recover_vertex``, ``recover_edge``, ``partition``,
-        ``heal_partition`` and ``propagate`` (which honors
-        ``drop_probability``/``rng``).  ``send`` events are *not*
+        Understands the rows that mutate the network — ``fail_vertex``,
+        ``fail_edge``, ``recover_vertex``, ``recover_edge``,
+        ``partition``, ``heal_partition`` and ``propagate`` (which
+        honors ``drop_probability``/``rng``).  ``send`` rows are *not*
         handled here; drivers route them through :meth:`send_packet` so
         they can inspect the :class:`DeliveryReport`.  Returns the
-        number of merges for ``propagate`` events, else 0.
+        number of merges for ``propagate`` rows, else 0.
         """
         kind = event.kind
         if kind == "fail_vertex":

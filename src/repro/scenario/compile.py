@@ -13,25 +13,26 @@
   center the generator draws;
 * ``maintenance`` unrolls into a rolling ``shard_down`` /
   ``shard_recover`` pair per shard, one window after another;
-* timed shard and rollout primitives become timestamped
-  :class:`~repro.chaos.plan.ChaosEvent` actions;
+* timed shard and rollout rows are the timestamped actions, sorted by
+  time;
 * ``probe`` events become timestamped :class:`GatewayRequest`\\ s under
   the reserved ``probe`` tenant;
-* scripted rows become :class:`ScriptRow`\\ s, in file order;
+* scripted rows stay rows, in file order;
 * the ``gateway`` header and the tenants' quotas become the
   :class:`GatewayConfig`.
 
 Compilation is also where every *graph-dependent* check happens
 (vertex ranges, edges that must exist, shard ids inside the layout,
 flash-crowd overlap, maintenance sweeps that must end in the run), so
-a trace that compiles replays without surprises.
+a trace that compiles replays without surprises.  Network rows are the
+chaos runner's (:mod:`repro.chaos.runner`), which runs the same graph
+checks through :func:`check_rows`; compiling one is an error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.chaos.plan import ChaosEvent
 from repro.exceptions import ScenarioError
 from repro.gateway.admission import QuotaPolicy
 from repro.gateway.gateway import GatewayConfig, GatewayRequest
@@ -42,18 +43,10 @@ from repro.gateway.traffic import (
     TrafficPhase,
 )
 from repro.graphs.graph import Graph
-from repro.scenario.trace import ScenarioEvent, ScenarioTrace
+from repro.scenario.trace import NETWORK_KINDS, ScenarioEvent, ScenarioTrace
 
 #: tenant name reserved for injected probe requests
 PROBE_TENANT = "probe"
-
-
-@dataclass(frozen=True)
-class TimedAction:
-    """One serving-tier chaos event pinned to a virtual-time instant."""
-
-    at_ms: float
-    event: ChaosEvent
 
 
 @dataclass(frozen=True)
@@ -65,27 +58,20 @@ class TimedProbe:
 
 
 @dataclass(frozen=True)
-class ScriptRow:
-    """One scripted row: an ``action``, or a ``query`` / ``advance`` event."""
-
-    event: ScenarioEvent
-    action: ChaosEvent | None = None
-
-
-@dataclass(frozen=True)
 class CompiledScenario:
     """A trace lowered onto the concrete machinery, ready to replay.
 
     ``traffic`` is None when the trace has no open-loop traffic
-    (``rate 0``).
+    (``rate 0``).  ``actions`` are the timed shard and rollout rows
+    (maintenance unrolled), ``script`` the scripted rows.
     """
 
     trace: ScenarioTrace
     graph: Graph
     traffic: TrafficConfig | None
-    actions: tuple[TimedAction, ...]
+    actions: tuple[ScenarioEvent, ...]
     probes: tuple[TimedProbe, ...]
-    script: tuple[ScriptRow, ...]
+    script: tuple[ScenarioEvent, ...]
     gateway: GatewayConfig
 
 
@@ -114,19 +100,29 @@ def _check_event(
     graph: Graph, trace: ScenarioTrace, index: int, event: ScenarioEvent
 ) -> None:
     kind = event.kind
-    if kind == "ball_outage":
-        _check_vertex(graph, event.center, index, event, "center")
-    if kind == "outage":
-        for vertex in event.vertices:
-            _check_vertex(graph, vertex, index, event, "vertices")
-    if kind in ("probe", "query"):
-        _check_vertex(graph, event.s, index, event, "s")
-        _check_vertex(graph, event.t, index, event, "t")
-        for vertex in event.faults:
-            _check_vertex(graph, vertex, index, event, "faults")
-        for a, b in event.edge_faults:
-            _check_vertex(graph, a, index, event, "edge_faults")
-            _check_vertex(graph, b, index, event, "edge_faults")
+    # a field the kind does not take is None or empty, so one pass over
+    # the vertex and edge fields checks every kind
+    for fld in ("center", "vertex", "s", "t"):
+        value = getattr(event, fld)
+        if value is not None:
+            _check_vertex(graph, value, index, event, fld)
+    for fld in ("vertices", "faults"):
+        for vertex in getattr(event, fld):
+            _check_vertex(graph, vertex, index, event, fld)
+    for a, b in event.edge_faults:
+        _check_vertex(graph, a, index, event, "edge_faults")
+        _check_vertex(graph, b, index, event, "edge_faults")
+    edge = () if event.edge is None else (event.edge,)
+    for fld, edges in (("edge", edge), ("edges", event.edges)):
+        for a, b in edges:
+            _check_vertex(graph, a, index, event, fld)
+            _check_vertex(graph, b, index, event, fld)
+            if not graph.has_edge(min(a, b), max(a, b)):
+                raise ScenarioError(
+                    f"event {index} ({kind}): edge {a}-{b} is not in the "
+                    "graph",
+                    field=fld,
+                )
     if kind == "maintenance":
         for shard in event.shards:
             if shard >= trace.num_shards:
@@ -148,15 +144,26 @@ def _check_event(
             f"layout's {trace.num_shards} shards",
             field="shard",
         )
-    if kind in ("rollout_begin", "rollout_crash"):
-        a, b = event.edge
-        _check_vertex(graph, a, index, event, "edge")
-        _check_vertex(graph, b, index, event, "edge")
-        if not graph.has_edge(min(a, b), max(a, b)):
+
+
+def check_rows(
+    trace: ScenarioTrace, graph: Graph, network: bool = False
+) -> None:
+    """Run the graph-dependent checks on every row of ``trace``.
+
+    ``network`` names the rows the caller replays: the network
+    simulator's (the chaos runner) or the serving stack's
+    (:func:`compile_trace`).  A row of the other kind is an error.
+    """
+    for index, event in enumerate(trace.events):
+        if (event.kind in NETWORK_KINDS) != network:
+            what = "serving" if network else "network"
+            where = "the network simulator" if network else "the serving stack"
             raise ScenarioError(
-                f"event {index} ({kind}): edge {a}-{b} is not in the graph",
-                field="edge",
+                f"event {index} ({event.kind}) is a {what} row, which "
+                f"{where} does not replay"
             )
+        _check_event(graph, trace, index, event)
 
 
 def _phases(trace: ScenarioTrace) -> tuple[TrafficPhase, ...]:
@@ -222,47 +229,21 @@ def _bursts(trace: ScenarioTrace) -> tuple[FaultBurst, ...]:
     return tuple(bursts)
 
 
-def _action(event: ScenarioEvent) -> ChaosEvent | None:
-    """The serving-tier action of a shard or rollout row (None otherwise)."""
-    kind = event.kind
-    if kind.startswith("shard_"):
-        return ChaosEvent(
-            kind=kind,
-            shard=event.shard,
-            latency_ms=event.latency_ms,
-            probability=(
-                event.fraction if kind == "shard_corrupt"
-                else event.probability
-            ),
-        )
-    if kind in ("rollout_begin", "rollout_crash"):
-        a, b = event.edge
-        return ChaosEvent(kind=kind, edge=(min(a, b), max(a, b)))
-    if kind in ("rollout_commit", "rollout_abort"):
-        return ChaosEvent(kind=kind)
-    return None
-
-
-def _actions(trace: ScenarioTrace) -> tuple[TimedAction, ...]:
-    actions: list[TimedAction] = []
+def _actions(trace: ScenarioTrace) -> tuple[ScenarioEvent, ...]:
+    actions: list[ScenarioEvent] = []
     for event in trace.events:
         if event.scripted:
             continue
         if event.kind == "maintenance":
             for step, shard in enumerate(event.shards):
                 start = event.at_ms + step * event.window_ms
-                actions.append(TimedAction(
-                    start, ChaosEvent(kind="shard_down", shard=shard)
+                actions.append(ScenarioEvent(start, "shard_down", shard=shard))
+                actions.append(ScenarioEvent(
+                    start + event.window_ms, "shard_recover", shard=shard
                 ))
-                actions.append(TimedAction(
-                    start + event.window_ms,
-                    ChaosEvent(kind="shard_recover", shard=shard),
-                ))
-            continue
-        action = _action(event)
-        if action is not None:
-            actions.append(TimedAction(event.at_ms, action))
-    return tuple(sorted(actions, key=lambda a: a.at_ms))
+        elif event.kind.startswith(("shard_", "rollout_")):
+            actions.append(event)
+    return tuple(sorted(actions, key=lambda action: action.at_ms))
 
 
 def _probes(trace: ScenarioTrace) -> tuple[TimedProbe, ...]:
@@ -296,8 +277,7 @@ def compile_trace(
     """
     if graph is None:
         graph = build_graph(trace.graph_spec)
-    for index, event in enumerate(trace.events):
-        _check_event(graph, trace, index, event)
+    check_rows(trace, graph)
     for tenant in trace.tenants:
         if tenant.name == PROBE_TENANT:
             raise ScenarioError(
@@ -329,10 +309,7 @@ def compile_trace(
         traffic=traffic,
         actions=_actions(trace),
         probes=_probes(trace),
-        script=tuple(
-            ScriptRow(event, _action(event))
-            for event in trace.events if event.scripted
-        ),
+        script=tuple(event for event in trace.events if event.scripted),
         gateway=_gateway(trace),
     )
 

@@ -1,8 +1,14 @@
-"""Generated scenario traces: serve-chaos schedules and the traffic battery.
+"""Generated scenario traces: network churn, serve-chaos and traffic.
 
-Both batteries are seeded *trace generators*; the one
-:class:`~repro.scenario.runner.ScenarioRunner` replays what they emit,
-exactly as it replays a committed ``.scenario`` file:
+Every battery is a seeded *trace generator*.  The one
+:class:`~repro.scenario.runner.ScenarioRunner` replays the serving
+traces exactly as it replays a committed ``.scenario`` file, and
+:class:`~repro.chaos.runner.ChaosRunner` replays the network ones:
+
+* :func:`churn_trace` — a network churn schedule: router and link
+  failures and recoveries, partition windows, lossy flooding and
+  packet sends, as network rows, ending with saturating floods and
+  sends; :func:`churn_suite` is the standard matrix of them;
 
 * :func:`random_shard_plan` — a serve-chaos schedule: shard faults
   interleaved with synchronous forbidden-set queries and time gaps, as
@@ -14,16 +20,18 @@ exactly as it replays a committed ``.scenario`` file:
   concurrent unreplicated shard outage, a drawn-center fault burst, a
   small label cache, tenant quotas and an SLO gate.
 
-``repro serve-chaos``, ``repro metrics`` and ``repro traffic`` print
-what these generate replayed through the code behind ``repro scenario
-run``; ``serialize_trace`` writes any of them to a file that replays
-identically.
+``repro chaos`` prints what :func:`churn_trace` generates replayed by
+the chaos runner; ``repro serve-chaos``, ``repro metrics`` and
+``repro traffic`` print what the others generate replayed through the
+code behind ``repro scenario run``.  ``serialize_trace`` writes any of
+them to a file that parses back equal.
 """
 
 from __future__ import annotations
 
 from repro.exceptions import ScenarioError
 from repro.gateway.traffic import overload_mix
+from repro.graphs.graph import Graph
 from repro.scenario.compile import build_graph
 from repro.scenario.trace import (
     ScenarioEvent,
@@ -55,6 +63,154 @@ _SUITE_LAYOUTS = ((4, 2), (3, 1), (6, 3), (5, 2))
 
 def _row(kind: str, **fields) -> ScenarioEvent:
     return ScenarioEvent(None, kind, **fields)
+
+
+def _partition_cut(
+    graph: Graph, rng, failed_edges: set[tuple[int, int]]
+) -> tuple[tuple[int, int], ...]:
+    """A random vertex-set boundary to use as a partition window's cut."""
+    n = graph.num_vertices
+    size = rng.randint(2, max(2, n // 3))
+    side = set(rng.sample(range(n), min(size, n - 1)))
+    return tuple(
+        (u, v) for u, v in graph.edges()
+        if ((u in side) != (v in side)) and (u, v) not in failed_edges
+    )
+
+
+def churn_trace(
+    graph_spec: str,
+    num_events: int = 100,
+    seed: RngLike = None,
+    loss: float = 0.0,
+    name: str = "churn",
+) -> ScenarioTrace:
+    """A seeded network churn schedule as a trace of network rows.
+
+    The generator tracks the true failed set so every row is valid
+    (never fails an already-failed element, never recovers a healthy
+    one, never sends from/to a failed router).  At most ``n // 5``
+    routers and ``m // 4`` links are down at once, partition cuts
+    aside, and at most one partition window is open.  After the first
+    ``num_events`` rows every open window closes, floods saturate (four
+    times over under ``loss``) and a few packets are sent, so the
+    chaos runner's full-awareness stretch rule is exercised on every
+    schedule.  The trace's ``seed`` (drawn first) seeds lossy flooding.
+    """
+    graph = build_graph(graph_spec)
+    rng = make_rng(seed)
+    n = graph.num_vertices
+    if n < 4:
+        raise ScenarioError("churn traces need at least 4 vertices")
+    edges = list(graph.edges())
+    max_failed_vertices = max(1, n // 5)
+    max_failed_edges = max(1, graph.num_edges // 4)
+    failed_v: set[int] = set()
+    failed_e: set[tuple[int, int]] = set()
+    open_partitions: list[tuple[tuple[int, int], ...]] = []
+    trace_seed = rng.randrange(1 << 30)
+    rows: list[ScenarioEvent] = []
+
+    def partition_edges() -> set[tuple[int, int]]:
+        return {e for cut in open_partitions for e in cut}
+
+    while len(rows) < num_events:
+        roll = rng.random()
+        if roll < 0.10 and len(failed_v) < max_failed_vertices:
+            candidates = [v for v in range(n) if v not in failed_v]
+            if len(candidates) > 2:
+                v = rng.choice(candidates)
+                failed_v.add(v)
+                rows.append(_row("fail_vertex", vertex=v))
+                continue
+        if roll < 0.22 and len(failed_e) < max_failed_edges:
+            candidates = [
+                e for e in edges
+                if e not in failed_e and e not in partition_edges()
+            ]
+            if candidates:
+                e = rng.choice(candidates)
+                failed_e.add(e)
+                rows.append(_row("fail_edge", edge=e))
+                continue
+        if roll < 0.30 and failed_v:
+            v = rng.choice(sorted(failed_v))
+            failed_v.discard(v)
+            rows.append(_row("recover_vertex", vertex=v))
+            continue
+        if roll < 0.38 and failed_e:
+            e = rng.choice(sorted(failed_e))
+            failed_e.discard(e)
+            rows.append(_row("recover_edge", edge=e))
+            continue
+        if roll < 0.42 and not open_partitions:
+            cut = _partition_cut(graph, rng, failed_e | partition_edges())
+            if cut:
+                open_partitions.append(cut)
+                rows.append(_row("partition", edges=cut))
+                continue
+        if roll < 0.46 and open_partitions:
+            cut = open_partitions.pop(rng.randrange(len(open_partitions)))
+            rows.append(_row("heal_partition", edges=cut))
+            continue
+        if roll < 0.62:
+            rows.append(_row("propagate", rounds=rng.randint(1, 3)))
+            continue
+        live = [v for v in range(n) if v not in failed_v]
+        s, t = rng.sample(live, 2)
+        rows.append(_row("send", s=s, t=t))
+
+    # close every window, then flood to (attempted) saturation and
+    # probe: with lossless links awareness reaches 1.0 and the runner
+    # applies the strict (1+eps) stretch check
+    for cut in open_partitions:
+        rows.append(_row("heal_partition", edges=cut))
+    for _ in range(4 if loss > 0 else 1):
+        rows.append(_row("propagate", rounds=n))
+    live = [v for v in range(n) if v not in failed_v]
+    for _ in range(min(4, len(live) // 2)):
+        s, t = rng.sample(live, 2)
+        rows.append(_row("send", s=s, t=t))
+    return ScenarioTrace(
+        name=name,
+        graph_spec=graph_spec,
+        duration_ms=1.0,  # nominal: the network simulator has no clock
+        seed=trace_seed,
+        base_rate_per_ms=0.0,
+        events=tuple(rows),
+        loss=loss,
+    )
+
+
+#: graph specs and message-loss levels the standard churn battery
+#: rotates through (graphs up to n = 64)
+_CHURN_GRAPHS = (
+    "grid:8x8", "cycle:48", "road:7x7:3", "torus:6x6", "tree:40:5",
+    "hypercube:6",
+)
+_CHURN_LOSSES = (0.0, 0.15, 0.35)
+
+
+def churn_suite(
+    num_schedules: int = 20, num_events: int = 100, seed: int = 0
+) -> list[ScenarioTrace]:
+    """The standard churn battery's traces, one per graph/loss turn.
+
+    Rotates graph families up to ``n = 64`` and message-loss levels
+    (lossless, 15 %, 35 %); :func:`repro.chaos.runner.standard_suite`
+    replays them, alternating probe and silent failure modes.
+    Deterministic in ``seed``.
+    """
+    return [
+        churn_trace(
+            _CHURN_GRAPHS[i % len(_CHURN_GRAPHS)],
+            num_events=num_events,
+            seed=seed + 1000 * i + 1,
+            loss=_CHURN_LOSSES[i % len(_CHURN_LOSSES)],
+            name=f"churn-{i}",
+        )
+        for i in range(num_schedules)
+    ]
 
 
 def random_shard_plan(

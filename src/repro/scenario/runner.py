@@ -73,7 +73,6 @@ from repro.service.store import ShardedLabelStore
 from repro.util.rng import make_rng
 
 if TYPE_CHECKING:
-    from repro.chaos.plan import ChaosEvent
     from repro.obs.registry import Registry
 
 _EPS = 1e-9
@@ -397,19 +396,19 @@ class ScenarioRunner:
         for action in self.compiled.actions:
             self.loop.call_at(
                 action.at_ms,
-                lambda action=action: self._apply(action.event),
+                lambda action=action: self._apply(action),
             )
 
         async def _drive() -> None:
             # scripted rows run in file order: a gap sleeps, and a query
             # finishes (advancing the clock) before the next row starts
             for index, row in enumerate(self.compiled.script):
-                if row.action is not None:
-                    self._apply(row.action)
-                elif row.event.kind == "advance":
-                    await self.loop.sleep(row.event.duration_ms)
+                if row.kind == "advance":
+                    await self.loop.sleep(row.duration_ms)
+                elif row.kind == "query":
+                    self._query(index, row)
                 else:
-                    self._query(index, row.event)
+                    self._apply(row)
             await self.loop.sleep_until(self.trace.duration_ms)
             await self.gateway.drain()
 
@@ -449,7 +448,7 @@ class ScenarioRunner:
 
     # -- chaos actions -------------------------------------------------------
 
-    def _apply(self, event: "ChaosEvent") -> None:
+    def _apply(self, event: ScenarioEvent) -> None:
         report = self._report
         report.events_applied += 1
         if self.obs is not None:
@@ -472,7 +471,7 @@ class ScenarioRunner:
             self._track(event)
         self._check_health(event)
 
-    def _apply_rollout(self, event: "ChaosEvent") -> None:
+    def _apply_rollout(self, event: ScenarioEvent) -> None:
         if event.kind == "rollout_begin":
             self._rollouts.begin(event.edge)
         elif event.kind == "rollout_commit":
@@ -521,7 +520,7 @@ class ScenarioRunner:
             store.crash(shard)
             store.restart(shard)
 
-    def _track(self, event: "ChaosEvent") -> None:
+    def _track(self, event: ScenarioEvent) -> None:
         """Fold one applied action into the shadow health registers."""
         kind = event.kind
         if kind == "rollout_crash":
@@ -535,7 +534,7 @@ class ScenarioRunner:
             )
             self._hurt.add(event.shard)
 
-    def _check_health(self, event: "ChaosEvent") -> None:
+    def _check_health(self, event: ScenarioEvent) -> None:
         """The store's health registers must mirror the action stream."""
         store = self.service.store
         for shard in range(store.num_shards):

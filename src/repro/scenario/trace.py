@@ -64,9 +64,9 @@ Event taxonomy (virtual milliseconds throughout):
     ``faults`` / ``edge_faults``) injected at the event time — the
     replayable witness a worst-``F`` search commits.
 
-Version 2 adds what the generated serve-chaos schedules and the
-traffic battery need (``docs/scenarios.md`` lists which generator uses
-each feature), and nothing else:
+Version 2 adds what the generated serve-chaos schedules, the traffic
+battery and network churn need (``docs/scenarios.md`` lists which
+generator uses each feature), and nothing else:
 
 * **scripted rows** ``> <kind> k=v ...`` — no timestamp; they run in
   file order in one loop task, each after the previous one finished.
@@ -77,10 +77,18 @@ each feature), and nothing else:
 * scripted-only kinds ``query`` (a synchronous call to the service,
   bypassing the gateway; ``exact=1`` marks a query that must be
   answered exactly) and ``advance`` (a ``duration_ms`` gap);
+* scripted-only *network* kinds ``fail_vertex`` / ``recover_vertex``
+  (``vertex``), ``fail_edge`` / ``recover_edge`` (``edge``),
+  ``partition`` / ``heal_partition`` (the cut as ``edges``),
+  ``propagate`` (``rounds`` of flooding) and ``send`` (``s``, ``t``),
+  which :class:`~repro.chaos.runner.ChaosRunner` replays over the
+  network simulator.  A trace's rows are all network rows or all
+  serving rows, and a network trace has no open-loop traffic;
 * header values ``cache``, ``hedging``, ``service_deadline_ms``,
-  ``gateway``, ``burst`` and ``slo``, per-tenant quotas, and
-  ``rate 0`` (no open-loop traffic, so no ``burst``, tenant rows,
-  outages or flash crowds either).
+  ``gateway``, ``burst`` and ``slo``, per-tenant quotas, ``rate 0``
+  (no open-loop traffic, so no ``burst``, tenant rows, outages or
+  flash crowds either) and ``loss`` (a network trace's per-link
+  message-drop probability).
 
 A trace that uses none of them serializes as ``v1``, so every v1 file
 re-serializes byte-identically with the same CRC.
@@ -158,6 +166,14 @@ EVENT_FIELDS: dict[str, tuple[tuple[str, str, bool, object], ...]] = {
         ("exact", "flag", False, False),
     ),
     "advance": (("duration_ms", "num", True, None),),
+    "fail_vertex": (("vertex", "int", True, None),),
+    "recover_vertex": (("vertex", "int", True, None),),
+    "fail_edge": (("edge", "edge", True, None),),
+    "recover_edge": (("edge", "edge", True, None),),
+    "partition": (("edges", "edges", True, None),),
+    "heal_partition": (("edges", "edges", True, None),),
+    "propagate": (("rounds", "int", True, None),),
+    "send": (("s", "int", True, None), ("t", "int", True, None)),
 }
 
 EVENT_KINDS = frozenset(EVENT_FIELDS)
@@ -169,8 +185,14 @@ V1_KINDS = frozenset({
     "rollout_commit", "rollout_abort", "probe",
 })
 
+#: the network simulator's kinds: scripted-only, since it has no clock
+NETWORK_KINDS = frozenset({
+    "fail_vertex", "recover_vertex", "fail_edge", "recover_edge",
+    "partition", "heal_partition", "propagate", "send",
+})
+
 #: kinds only a scripted (``>``) row may carry
-SCRIPT_ONLY_KINDS = frozenset({"query", "advance"})
+SCRIPT_ONLY_KINDS = frozenset({"query", "advance"}) | NETWORK_KINDS
 
 #: kinds only a timed (``@``) row may carry: windows and gateway probes
 TIMED_ONLY_KINDS = frozenset({
@@ -380,6 +402,9 @@ class ScenarioEvent:
     probability: float | None = None
     fraction: float | None = None
     exact: bool | None = None
+    vertex: int | None = None
+    rounds: int | None = None
+    edges: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
         if self.kind not in EVENT_FIELDS:
@@ -427,11 +452,11 @@ def event_problem(event: ScenarioEvent) -> str | None:
     for name in (
         "center", "radius", "duration_ms", "fault_rate", "max_faults",
         "multiplier", "window_ms", "shard", "edge", "s", "t",
-        "latency_ms", "probability", "fraction", "exact",
+        "latency_ms", "probability", "fraction", "exact", "vertex", "rounds",
     ):
         if name not in declared and getattr(event, name) is not None:
             return f"{event.kind} does not take field {name!r}"
-    for name in ("shards", "faults", "edge_faults", "vertices"):
+    for name in ("shards", "faults", "edge_faults", "vertices", "edges"):
         if name not in declared and getattr(event, name) != ():
             return f"{event.kind} does not take field {name!r}"
     return _event_range_problem(event)
@@ -477,6 +502,8 @@ def _event_range_problem(event: ScenarioEvent) -> str | None:
             return "maintenance shard ids must be >= 0"
     if event.shard is not None and event.shard < 0:
         return f"{kind} shard must be >= 0, got {event.shard}"
+    if event.rounds is not None and event.rounds < 1:
+        return f"{kind} rounds must be >= 1, got {event.rounds}"
     if event.latency_ms is not None and event.latency_ms <= 0:
         return (
             f"{kind} latency_ms must be positive, "
@@ -529,6 +556,8 @@ class ScenarioTrace:
     gateway: TraceGateway = TraceGateway()
     burst: TraceBurst | None = None
     slo: TraceSLO | None = None
+    #: per-link message-drop probability of a network trace's flooding
+    loss: float = 0.0
 
     def __post_init__(self) -> None:
         if self.window_ms is None:
@@ -555,6 +584,7 @@ def trace_version(trace: ScenarioTrace) -> int:
         or trace.gateway != TraceGateway()
         or trace.burst is not None
         or trace.slo is not None
+        or trace.loss != 0
         or any(tenant.quota_rate is not None for tenant in trace.tenants)
         or any(
             event.scripted or event.kind not in V1_KINDS
@@ -599,6 +629,8 @@ def trace_problem(trace: ScenarioTrace) -> str | None:
         problem = None if group is None else _group_problem(directive, group)
         if problem is not None:
             return problem
+    if not 0 <= trace.loss <= 1:
+        return f"loss must be in [0, 1], got {_fmt_num(trace.loss)}"
     names = [tenant.name for tenant in trace.tenants]
     if len(set(names)) != len(names):
         return f"duplicate tenant names: {sorted(names)}"
@@ -606,7 +638,28 @@ def trace_problem(trace: ScenarioTrace) -> str | None:
         problem = _no_traffic_problem(trace)
         if problem is not None:
             return problem
+    problem = _network_problem(trace)
+    if problem is not None:
+        return problem
     return _events_problem(trace)
+
+
+def _network_problem(trace: ScenarioTrace) -> str | None:
+    """Network rows replay on the simulator, serving rows on the stack."""
+    network = [event.kind in NETWORK_KINDS for event in trace.events]
+    if True not in network:
+        if trace.loss != 0:
+            return "loss drops flooding messages, but no row is a network row"
+        return None
+    if False in network:
+        index = network.index(not network[0])
+        return (
+            f"event {index} ({trace.events[index].kind}): a trace's rows "
+            "are all network rows or all serving rows, never both"
+        )
+    if trace.base_rate_per_ms != 0:
+        return "network rows replay without open-loop traffic: write rate 0"
+    return None
 
 
 def _no_traffic_problem(trace: ScenarioTrace) -> str | None:
@@ -739,6 +792,8 @@ def _v2_header_lines(trace: ScenarioTrace) -> list[str]:
         group = getattr(trace, directive)
         if group is not None:
             lines.append(_group_line(directive, group))
+    if trace.loss != 0:
+        lines.append(f"loss {_fmt_num(trace.loss)}")
     return lines
 
 
@@ -788,6 +843,7 @@ _PARSE_DEFAULTS: dict[str, object] = {
     "cache": V1_CACHE_CAPACITY,
     "hedging": True,
     "service_deadline_ms": V1_SERVICE_DEADLINE_MS,
+    "loss": 0.0,
 }
 
 
@@ -1090,6 +1146,7 @@ def parse_trace(text: str) -> ScenarioTrace:
             gateway=groups.get("gateway", TraceGateway()),
             burst=groups.get("burst"),
             slo=groups.get("slo"),
+            loss=scalars["loss"],
         )
     except ScenarioError as exc:
         raise ScenarioError(str(exc), line=final_line) from exc

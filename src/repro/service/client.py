@@ -239,17 +239,6 @@ class ResilientLabelClient:
         """The breaker guarding ``shard``."""
         return self._breakers[shard]
 
-    def breaker_states(self) -> list[str]:
-        """Every shard's breaker state at the current virtual time."""
-        now = self.clock.now
-        return [b.state(now) for b in self._breakers]
-
-    def open_breakers(self) -> list[int]:
-        """Shards currently short-circuited (state ``"open"``)."""
-        now = self.clock.now
-        return [i for i, b in enumerate(self._breakers)
-                if b.state(now) == "open"]
-
     def _sync_breaker_metrics(self) -> None:
         self.metrics.breaker_trips = sum(b.trips for b in self._breakers)
         self.metrics.breaker_probes = sum(b.probes for b in self._breakers)

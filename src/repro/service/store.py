@@ -48,6 +48,7 @@ if TYPE_CHECKING:
     from repro.durability.fs import FileSystem
     from repro.durability.recovery import RecoveryReport
     from repro.obs.registry import Registry
+    from repro.scenario.trace import ScenarioEvent
 
 from repro.exceptions import LabelCorruptionError, QueryError, ServiceError
 from repro.util.rng import RngLike, make_rng
@@ -697,8 +698,8 @@ class ShardedLabelStore:
         for shard in range(self._num_shards):
             self.recover(shard)
 
-    def apply_event(self, event, rng: RngLike = None) -> None:
-        """Apply one shard-level chaos event (duck-typed on ``kind``)."""
+    def apply_event(self, event: ScenarioEvent, rng: RngLike = None) -> None:
+        """Apply one shard row of a scenario trace."""
         kind = event.kind
         if kind not in SHARD_EVENT_KINDS:
             raise QueryError(f"not a shard event: {kind!r}")
@@ -717,7 +718,7 @@ class ShardedLabelStore:
         elif kind == "shard_flaky":
             self.set_flaky(event.shard, event.probability)
         elif kind == "shard_corrupt":
-            self.corrupt(event.shard, fraction=event.probability, rng=rng)
+            self.corrupt(event.shard, fraction=event.fraction, rng=rng)
         elif kind == "shard_crash":
             self.crash(event.shard)
         elif kind == "shard_restart":

@@ -6,12 +6,10 @@ from repro.workloads.queries import (
     clustered_fault_queries,
     random_queries,
 )
-from repro.workloads.scenarios import road_closure_scenario
 
 __all__ = [
     "Query",
     "adversarial_queries",
     "clustered_fault_queries",
     "random_queries",
-    "road_closure_scenario",
 ]

@@ -1,12 +1,16 @@
-"""Meta-tests: public-API hygiene (docstrings everywhere, exports resolve)."""
+"""Meta-tests: public-API hygiene (docstrings everywhere, exports resolve,
+no public name that nothing mentions)."""
 
+import ast
 import functools
 import importlib
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -72,6 +76,38 @@ def test_all_exports_resolve(module):
 
 def test_version_defined():
     assert repro.__version__
+
+
+def test_every_public_name_is_referenced():
+    """A public def, class or method that nothing mentions is dead code.
+
+    A word-boundary scan of the repository's Python, tests included,
+    must find each public name in ``src/`` more often than it is
+    defined.  Only the ``visit_*`` hooks of ``lint/callgraph.py`` are
+    exempt: ``ast.NodeVisitor`` calls them by name.
+    """
+    words: Counter[str] = Counter()
+    for path in ROOT.rglob("*.py"):
+        if not any(p.startswith(".") for p in path.relative_to(ROOT).parts):
+            words.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    definitions = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        definitions.extend(
+            (node.name, path.relative_to(ROOT).as_posix())
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not node.name.startswith("_")
+        )
+    defined = Counter(name for name, _ in definitions)
+    unreferenced = sorted(
+        f"{where}: {name}" for name, where in definitions
+        if words[name] <= defined[name]
+        and not (where == "src/repro/lint/callgraph.py"
+                 and name.startswith("visit_"))
+    )
+    assert not unreferenced, unreferenced
 
 
 @functools.lru_cache(maxsize=None)

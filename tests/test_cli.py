@@ -142,6 +142,20 @@ class TestChaosCommands:
         assert main(argv) == 0
         assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
+    def test_chaos_on_spec_matches_committed_golden(self, capsys):
+        # pins `repro chaos GRAPH` with lossy flooding; regenerate (only
+        # after a deliberate behaviour change) with
+        #   PYTHONPATH=src python -m repro chaos grid:6x6 --schedules 2 \
+        #     --events 60 --drop 0.2 --seed 3 \
+        #     > tests/golden/chaos_grid6x6_drop.txt
+        from pathlib import Path
+
+        golden = Path(__file__).parent / "golden" / "chaos_grid6x6_drop.txt"
+        argv = ["chaos", "grid:6x6", "--schedules", "2", "--events", "60",
+                "--drop", "0.2", "--seed", "3"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
     def test_rollout_judges_both_generations(self, capsys):
         assert main(["rollout", "grid:4x4", "--remove", "5-6"]) == 0
         out = capsys.readouterr().out

@@ -5,8 +5,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.exceptions import GraphError
-from repro.graphs import Graph, from_edge_list
-from repro.graphs.generators import cycle_graph, path_graph
+from repro.graphs import Graph, from_edge_list, from_networkx, to_networkx
+from repro.graphs.generators import (
+    cycle_graph,
+    grid_graph,
+    path_graph,
+    road_like_graph,
+)
 
 
 class TestConstruction:
@@ -129,3 +134,27 @@ def test_random_graph_handshake_property(n, data):
     # each listed edge appears in both adjacency lists
     for u, v in g.edges():
         assert u in g.neighbors(v) and v in g.neighbors(u)
+
+
+@pytest.mark.parametrize("graph", [
+    grid_graph(4, 5), cycle_graph(9), road_like_graph(6, 6, seed=2), Graph(3),
+], ids=["grid", "cycle", "road", "edgeless"])
+def test_networkx_round_trip(graph):
+    back, node_to_id, id_to_node = from_networkx(to_networkx(graph))
+    assert back.num_vertices == graph.num_vertices
+    assert sorted(back.edges()) == sorted(graph.edges())
+    assert id_to_node == list(graph.vertices())
+    assert node_to_id == {v: v for v in graph.vertices()}
+
+
+def test_from_networkx_relabels_and_drops_self_loops():
+    import networkx as nx
+
+    nx_graph = nx.MultiGraph()
+    nx_graph.add_edges_from([("a", "b"), ("b", "a"), ("b", "c"), ("c", "c")])
+    graph, node_to_id, id_to_node = from_networkx(nx_graph)
+    assert id_to_node == ["a", "b", "c"]
+    assert node_to_id == {"a": 0, "b": 1, "c": 2}
+    assert sorted(graph.edges()) == [(0, 1), (1, 2)]
+    nx_back = to_networkx(graph)
+    assert sorted(nx_back.edges()) == [(0, 1), (1, 2)]

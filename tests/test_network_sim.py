@@ -57,29 +57,29 @@ class TestEventValidation:
         assert sim.ground_truth().vertices == {2}
 
     def test_apply_event_dispatch(self):
-        from repro.chaos import ChaosEvent
+        from repro.scenario import ScenarioEvent
 
         g = grid_graph(3, 3)
         sim = NetworkSimulator(g)
-        sim.apply_event(ChaosEvent(kind="fail_vertex", vertex=4))
-        sim.apply_event(ChaosEvent(kind="fail_edge", edge=(0, 1)))
+        sim.apply_event(ScenarioEvent(None, "fail_vertex", vertex=4))
+        sim.apply_event(ScenarioEvent(None, "fail_edge", edge=(0, 1)))
         assert sim.ground_truth().vertices == {4}
         assert sim.ground_truth().edges == {(0, 1)}
-        sim.apply_event(ChaosEvent(kind="recover_vertex", vertex=4))
-        sim.apply_event(ChaosEvent(kind="recover_edge", edge=(0, 1)))
+        sim.apply_event(ScenarioEvent(None, "recover_vertex", vertex=4))
+        sim.apply_event(ScenarioEvent(None, "recover_edge", edge=(0, 1)))
         assert sim.awareness() == 1.0
         cut = ((0, 1), (3, 4))
-        sim.apply_event(ChaosEvent(kind="partition", edges=cut))
+        sim.apply_event(ScenarioEvent(None, "partition", edges=cut))
         assert sim.ground_truth().edges == set(cut)
-        sim.apply_event(ChaosEvent(kind="heal_partition", edges=cut))
+        sim.apply_event(ScenarioEvent(None, "heal_partition", edges=cut))
         assert sim.ground_truth().edges == set()
 
     def test_apply_event_rejects_send_and_unknown(self):
-        from repro.chaos import ChaosEvent
+        from repro.scenario import ScenarioEvent
 
         sim = NetworkSimulator(path_graph(5))
         with pytest.raises(QueryError):
-            sim.apply_event(ChaosEvent(kind="send", s=0, t=1))
+            sim.apply_event(ScenarioEvent(None, "send", s=0, t=1))
 
 
 class TestLossyPropagation:

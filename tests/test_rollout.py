@@ -6,12 +6,12 @@ import math
 
 import pytest
 
-from repro.chaos.plan import ChaosEvent
 from repro.durability.fs import SimulatedFS
 from repro.exceptions import (
     GraphError,
     QueryError,
     RolloutError,
+    ScenarioError,
     ServiceError,
     SimulatedCrashError,
     StorageCorruptionError,
@@ -271,10 +271,10 @@ class TestCoordinatorAndRecovery:
 
 class TestChaosRolloutEvents:
     def test_event_validation(self):
-        with pytest.raises(QueryError):
-            ChaosEvent(kind="rollout_begin")  # needs an edge
-        with pytest.raises(QueryError):
-            ChaosEvent(kind="rollout_crash")
+        with pytest.raises(ScenarioError, match="needs field 'edge'"):
+            ScenarioEvent(None, "rollout_begin")
+        with pytest.raises(ScenarioError, match="needs field 'edge'"):
+            ScenarioEvent(None, "rollout_crash")
 
     @staticmethod
     def replay(seed, *rows):

@@ -311,7 +311,9 @@ class TestValidation:
         })
         assert EVENT_KINDS == V1_KINDS | {
             "shard_slow", "shard_flaky", "shard_corrupt", "rollout_crash",
-            "query", "advance",
+            "query", "advance", "fail_vertex", "recover_vertex",
+            "fail_edge", "recover_edge", "partition", "heal_partition",
+            "propagate", "send",
         }
 
 

@@ -97,8 +97,7 @@ class TestCompile:
                           window_ms=30.0),
         ))
         compiled = compile_trace(trace)
-        rows = [(a.at_ms, a.event.kind, a.event.shard)
-                for a in compiled.actions]
+        rows = [(a.at_ms, a.kind, a.shard) for a in compiled.actions]
         assert rows == [
             (20.0, "shard_down", 0),
             (50.0, "shard_recover", 0),
@@ -152,16 +151,11 @@ class TestCompile:
         compiled = compile_trace(trace)
         assert compiled.traffic is None  # rate 0: no open-loop traffic
         assert compiled.actions == () and compiled.probes == ()
-        rows = [(r.event.kind, r.action and r.action.kind)
-                for r in compiled.script]
-        assert rows == [
-            ("shard_down", "shard_down"),
-            ("query", None),
-            ("shard_slow", "shard_slow"),
-            ("advance", None),
-            ("shard_corrupt", "shard_corrupt"),
+        assert compiled.script == trace.events
+        assert [r.kind for r in compiled.script] == [
+            "shard_down", "query", "shard_slow", "advance", "shard_corrupt",
         ]
-        assert compiled.script[4].action.probability == 0.5
+        assert compiled.script[4].fraction == 0.5
 
     @pytest.mark.parametrize("shaping, what", [
         (dict(events=(ScenarioEvent(at_ms=40.0, kind="ball_outage",

@@ -124,11 +124,11 @@ class TestShardedLabelStore:
 
     def test_apply_event_rejects_network_kinds(self, grid_setup):
         _, _, labels = grid_setup
-        from repro.chaos import ChaosEvent
+        from repro.scenario import ScenarioEvent
 
         store = make_store(labels)
         with pytest.raises(QueryError):
-            store.apply_event(ChaosEvent(kind="fail_vertex", vertex=0))
+            store.apply_event(ScenarioEvent(None, "fail_vertex", vertex=0))
 
     def test_replication_bounds_validated(self, grid_setup):
         _, _, labels = grid_setup

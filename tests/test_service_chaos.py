@@ -9,13 +9,10 @@ schedules) carries the ``chaos`` marker.
 
 import pytest
 
-from repro.chaos import (
-    ChaosEvent,
-    NETWORK_EVENT_KINDS,
-    SERVICE_EVENT_KINDS,
-)
-from repro.exceptions import QueryError, ScenarioError
+from repro.exceptions import ScenarioError
 from repro.scenario import (
+    EVENT_KINDS,
+    NETWORK_KINDS,
     ScenarioEvent,
     ScenarioTrace,
     compile_trace,
@@ -26,6 +23,8 @@ from repro.scenario import (
 )
 from repro.scenario.compile import build_graph
 from repro.scenario.runner import ScenarioRunner
+from repro.scenario.trace import SCRIPT_ONLY_KINDS, V1_KINDS
+from repro.service import SHARD_EVENT_KINDS
 
 
 def row(kind, **fields):
@@ -54,26 +53,27 @@ def replay(trace):
 
 class TestShardEventDSL:
     def test_kind_partition_is_disjoint_and_complete(self):
-        from repro.chaos import EVENT_KINDS
-
-        assert NETWORK_EVENT_KINDS & SERVICE_EVENT_KINDS == frozenset()
-        assert NETWORK_EVENT_KINDS | SERVICE_EVENT_KINDS == EVENT_KINDS
+        # shard rows are serving rows; network rows are scripted-only
+        # kinds no v1 file carries
+        assert SHARD_EVENT_KINDS < EVENT_KINDS - NETWORK_KINDS
+        assert NETWORK_KINDS < SCRIPT_ONLY_KINDS
+        assert NETWORK_KINDS & V1_KINDS == frozenset()
 
     def test_shard_events_validated(self):
-        with pytest.raises(QueryError):
-            ChaosEvent(kind="shard_down")  # no shard
-        with pytest.raises(QueryError):
-            ChaosEvent(kind="shard_slow", shard=0)  # no latency
-        with pytest.raises(QueryError):
-            ChaosEvent(kind="shard_slow", shard=0, latency_ms=-1.0)
-        with pytest.raises(QueryError):
-            ChaosEvent(kind="shard_flaky", shard=0, probability=1.5)
-        with pytest.raises(QueryError):
-            ChaosEvent(kind="shard_corrupt", shard=0, probability=0.0)
-        with pytest.raises(QueryError):
-            ChaosEvent(kind="query", s=0)  # a scripted row, not an action
-        with pytest.raises(QueryError):
-            ChaosEvent(kind="advance")  # a scripted row, not an action
+        with pytest.raises(ScenarioError):
+            row("shard_down")  # no shard
+        with pytest.raises(ScenarioError):
+            row("shard_slow", shard=0)  # no latency
+        with pytest.raises(ScenarioError):
+            row("shard_slow", shard=0, latency_ms=-1.0)
+        with pytest.raises(ScenarioError):
+            row("shard_flaky", shard=0, probability=1.5)
+        with pytest.raises(ScenarioError):
+            row("shard_corrupt", shard=0, fraction=0.0)
+        with pytest.raises(ScenarioError):
+            row("query", s=0)  # no t
+        with pytest.raises(ScenarioError):
+            row("advance")  # no duration_ms
 
     def test_random_shard_plan_deterministic(self):
         a = random_shard_plan("grid:4x4", seed=11, num_events=30)
@@ -89,7 +89,7 @@ class TestShardEventDSL:
         down: set[int] = set()
         for event in trace.events:
             assert event.scripted
-            assert event.kind in SERVICE_EVENT_KINDS | {"query", "advance"}
+            assert event.kind in SHARD_EVENT_KINDS | {"query", "advance"}
             if event.kind == "shard_down":
                 assert event.shard not in down  # no double-down
                 down.add(event.shard)
@@ -207,9 +207,13 @@ class TestServiceChaosRunner:
         assert report.queries == 2 + 3
 
     def test_runner_rejects_network_events(self):
-        # a trace cannot carry network-simulator events at all
-        with pytest.raises(ScenarioError, match="unknown event kind"):
-            row("fail_vertex", s=3)
+        # network rows replay on the network simulator, never the stack
+        trace = ScenarioTrace(
+            name="network", graph_spec="grid:4x4", duration_ms=1.0,
+            base_rate_per_ms=0.0, events=(row("fail_vertex", vertex=3),),
+        )
+        with pytest.raises(ScenarioError, match="is a network row"):
+            replay(trace)
 
     def test_report_summary_mentions_counts(self):
         report = run_trace(random_shard_plan("grid:4x4", seed=6,

@@ -6,7 +6,6 @@ from repro.workloads import (
     adversarial_queries,
     clustered_fault_queries,
     random_queries,
-    road_closure_scenario,
 )
 
 
@@ -72,31 +71,3 @@ class TestClusteredQueries:
         g = grid_graph(8, 8)
         for q in clustered_fault_queries(g, 10, cluster_radius=2, seed=5):
             assert q.s not in q.vertex_faults and q.t not in q.vertex_faults
-
-
-class TestScenario:
-    def test_event_mix_and_bounds(self):
-        g = grid_graph(6, 6)
-        events = road_closure_scenario(g, num_events=80, seed=6)
-        assert len(events) == 80
-        open_closures = set()
-        kinds = set()
-        for event in events:
-            kinds.add(event.kind)
-            if event.kind == "close_edge":
-                assert event.edge not in open_closures
-                open_closures.add(event.edge)
-                assert len(open_closures) <= 6
-            elif event.kind == "reopen_edge":
-                assert event.edge in open_closures
-                open_closures.discard(event.edge)
-            else:
-                assert event.kind == "query"
-                assert event.s != event.t
-        assert "query" in kinds and "close_edge" in kinds
-
-    def test_deterministic(self):
-        g = cycle_graph(10)
-        assert road_closure_scenario(g, 30, seed=1) == road_closure_scenario(
-            g, 30, seed=1
-        )
