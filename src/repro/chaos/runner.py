@@ -34,8 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from typing import TYPE_CHECKING
-
 from repro.exceptions import QueryError, RoutingError
 from repro.routing.network_sim import NetworkSimulator
 from repro.scenario.compile import build_graph, check_rows
@@ -43,9 +41,6 @@ from repro.scenario.generate import churn_suite
 from repro.scenario.trace import ScenarioEvent, ScenarioTrace
 from repro.service.judge import Judge
 from repro.util.rng import make_rng
-
-if TYPE_CHECKING:
-    from repro.obs.registry import Registry
 
 # A packet replans once to start, once per (bounded) discovery, and a
 # small number of extra times when piggybacked knowledge staled its
@@ -105,13 +100,11 @@ class ChaosRunner:
         trace: ScenarioTrace,
         epsilon: float = 1.0,
         probe_on_failure: bool = True,
-        obs: "Registry | None" = None,
     ) -> None:
         graph = build_graph(trace.graph_spec)
         check_rows(trace, graph, network=True)
         self._graph = graph
         self._trace = trace
-        self._obs = obs
         self._sim = NetworkSimulator(
             graph, epsilon=epsilon, probe_on_failure=probe_on_failure
         )
@@ -137,12 +130,6 @@ class ChaosRunner:
     # -- event application -------------------------------------------------
 
     def _apply(self, index: int, event: ScenarioEvent) -> None:
-        if self._obs is not None:
-            self._obs.counter(
-                "repro_chaos_events_total",
-                "Chaos-plan events applied, by kind.",
-                kind=event.kind,
-            ).inc()
         if event.kind == "send":
             self._checked_send(index, event)
             return
@@ -169,11 +156,6 @@ class ChaosRunner:
 
     def _violation(self, index: int, message: str) -> None:
         self._report.violations.append(f"event {index}: {message}")
-        if self._obs is not None:
-            self._obs.counter(
-                "repro_chaos_violations_total",
-                "Invariant violations recorded by chaos runners.",
-            ).inc()
 
     def _checked_send(self, index: int, event: ScenarioEvent) -> None:
         report = self._report

@@ -16,8 +16,10 @@ fragments wherever a label is accepted; callers that hold label objects
 pass those, and the arena interns them by identity.  The decoder's
 memos key on which arena fragments play which role in ``(s, t, F)``,
 not on the ``FaultSet`` object, so a long-lived decoder shares the
-safe-edge filtering and sketch assembly of every repeated combination,
-and a caller that changes its forbidden set needs no invalidation.
+safe-edge filtering and sketch assembly of every repeated combination
+— and one sketch and one paused search among all targets that add
+nothing to the sketch of ``(s, F)`` — and a caller that changes its
+forbidden set needs no invalidation.
 :func:`repro.labeling.decoder.decode_distance` is the one-shot form:
 a fresh decoder per call.
 """

@@ -2,10 +2,10 @@
 
 This is the hot path behind :class:`~repro.labeling.kernel.decoder.KernelDecoder`.
 One :class:`DecodeEngine` owns every per-query scratch buffer — merge
-slots, vertex numbering, CSR arrays, the dense Dijkstra heap — and
-reuses them across queries, so :meth:`DecodeEngine.run` performs no
-dict/set allocation at all (``repro lint --deep`` walks the call graph
-from ``DecodeEngine.run`` and asserts exactly that; see RPL013).
+slots, vertex numbering, CSR arrays — and reuses them across queries,
+so :meth:`DecodeEngine.run` performs no dict/set allocation at all
+(``repro lint --deep`` walks the call graph from ``DecodeEngine.run``
+and asserts exactly that; see RPL013).
 
 The engine runs the decode pipeline of :mod:`repro.labeling.decoder`
 stage by stage, with the semantics and observable op counts of the
@@ -27,13 +27,15 @@ numpy kernels in :mod:`repro.labeling.kernel.npops`; both produce
 byte-identical sketch graphs.
 
 Because every stage is a pure function of ``(fragments, fault set)``,
-the engine memoizes aggressively across queries: filter records are
-cached per ``(fragment, fault signature)`` and whole assembled sketch
-graphs per ``(source tuple, fault signature)``.  Both caches are
-answer-preserving (they cache *inputs-determined* results, never
-timings), capped, and dropped whenever the arena is reset or the id
-universe grows.  This is what ``decode_batch`` — and any serving tier
-that repeats sources or forbidden sets — amortizes.
+the engine memoizes across queries: filter records are cached per
+``(fragment, fault signature)``, and assembled sketch graphs, each
+with its Dijkstra paused between targets, per sketch key — ``(s, F)``
+when t adds nothing to the sketch, else the whole source tuple (see
+:meth:`DecodeEngine.run`).  Both caches are answer-preserving (they
+cache *inputs-determined* results, never timings), capped, and dropped
+whenever the arena is reset or the id universe grows.  This is what
+``decode_batch`` — and any serving tier that repeats sources or
+forbidden sets — amortizes.
 
 Tracer spans follow the reference span tree — same names, same
 creation order, same attribute values — which the golden traces pin.
@@ -42,7 +44,10 @@ creation order, same attribute values — which the golden traces pin.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
+from array import array
+from bisect import bisect_left
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from repro.exceptions import QueryError
 from repro.labeling.kernel import npops
@@ -58,12 +63,14 @@ except ImportError:  # pragma: no cover - exercised where numpy is absent
     _np = None  # type: ignore[assignment]
 
 #: cache caps — large enough for any realistic working set, small
-#: enough to bound memory; overflow clears (the caches are pure memo)
+#: enough to bound memory.  The filter cache clears on overflow; the
+#: sketch cache drops its least recently used entry, so the sketches
+#: of hot sources survive a stream of one-off fault sets
 _FILTER_CACHE_CAP = 2048
 _SKETCH_CACHE_CAP = 256
 
 #: the numpy path pre-filters the adjacency of a settled vertex with
-#: more neighbours than this (see :meth:`DecodeEngine._dijkstra`), and
+#: more neighbours than this (see :meth:`DecodeEngine._advance`), and
 #: keeps the per-vertex keys the test reads only for a sketch with such
 #: a vertex.  A fault-free sketch of the whole-graph regime is nearly
 #: complete (degree n - 1).  Timed per sketch against the scalar scan,
@@ -76,6 +83,74 @@ SCAN_PREFILTER_DEGREE = 40
 
 _KEY_UNSEEN = (1 << 63) - 1
 _KEY_SETTLED = -(1 << 63)
+
+
+@dataclass(slots=True)
+class _Search:
+    """Dijkstra from local id 0 (``s``) over one sketch, paused between targets.
+
+    ``state[v]`` is ``v``'s heap position while it is queued, -1 while
+    it is unseen, and ``-2 - rank`` once it has settled as the
+    ``rank``-th pop.  ``hkeys`` / ``hitems`` hold the heap (``size``
+    entries; they grow as it does) and ``parent`` each vertex's
+    predecessor.  Per rank, ``dist`` / ``edges_at`` / ``updates_at``
+    hold the distance and the ``edges_scanned`` / ``heap_updates``
+    counts reached at that pop (``nodes_settled`` is ``rank + 1``):
+    exactly what a fresh search to that vertex reports.  ``edges`` /
+    ``updates`` are the running counts.  ``pending`` is the target the
+    search last stopped at, popped but not yet scanned (-1 for none).
+    ``key`` is the numpy scan pre-filter's per-vertex key array, kept
+    only for a sketch assembled with a numpy adjacency.  It is derived
+    from the heap state (see :func:`npops.scan_candidates`), so it
+    stays out of the repr and of comparisons, and the two paths' cache
+    entries compare equal.
+    """
+
+    size: int
+    pending: int
+    edges: int
+    updates: int
+    state: list[int]
+    parent: list[int]
+    hkeys: list[int]
+    hitems: list[int]
+    dist: list[int]
+    edges_at: list[int]
+    updates_at: list[int]
+    key: Any = field(default=None, repr=False, compare=False)
+
+
+def _fresh_search(nv: int, with_key: bool) -> _Search:
+    """A search over ``nv`` local ids with only ``s`` (local 0) pushed."""
+    state = [-1] * nv
+    state[0] = 0
+    key = None
+    if with_key:
+        key = _np.full(nv, _KEY_UNSEEN, dtype=_np.int64)
+        key[0] = 0
+    # one push so far: s at key 0
+    return _Search(1, -1, 0, 1, state, [-1] * nv, [0], [0], [], [], [], key)
+
+
+class _Sketch(NamedTuple):
+    """One sketch-cache entry: a CSR sketch graph and its paused search.
+
+    ``vlist`` maps local ids to vertex ids, ``s`` first; ``indptr`` /
+    ``nbr`` / ``wts`` are the adjacency in reference order and ``m``
+    the merged edge count.  A sketch of ``(s, F)`` keeps its merged
+    edges as sorted merge keys and their weights (``keys`` /
+    ``weights``, ``array('q')`` columns) for the coverage test of later
+    targets; a sketch of a whole source tuple has None there.
+    """
+
+    vlist: list[int]
+    indptr: list[int]
+    nbr: list[int]
+    wts: list[int]
+    m: int
+    keys: array | None
+    weights: array | None
+    search: _Search
 
 
 class DecodeEngine:
@@ -91,7 +166,9 @@ class DecodeEngine:
         self._use_numpy = arena.use_numpy
         self._generation = -1
         self._stride = 0
-        # fault context, rebuilt per cache-miss query in O(|F|)
+        # fault context of fault signature ``_loaded`` (-1: none),
+        # loaded when a filter record misses the cache
+        self._loaded = -1
         self._groups: list[tuple[bool, Fragment, Fragment | None]] = []
         self._forb_e: list[int] = []
         self._forb_v = bytearray()
@@ -100,7 +177,7 @@ class DecodeEngine:
         self._np_forb_dirty: list[int] = []
         # memo caches (see module docstring)
         self._fcache: dict[tuple[int, int], tuple] = {}
-        self._scache: dict[tuple, tuple] = {}
+        self._scache: dict[tuple, _Sketch] = {}
         self._recs: list[tuple] = []
         # merge buffers (stdlib path)
         self._eslot: dict[int, int] = {}
@@ -115,19 +192,9 @@ class DecodeEngine:
         self._cursor: list[int] = []
         self._nbr: list[int] = []
         self._wts: list[int] = []
-        # the numpy adjacency of the sketch assembled last (nbr list it
-        # belongs to, then (nbr, wts) arrays) and the scan pre-filter's
-        # per-vertex key array
+        # the numpy adjacency of the sketch assembled last: the nbr
+        # list it belongs to, then (nbr, wts) arrays
         self._np_adj: tuple | None = None
-        self._np_key = None
-        # Dijkstra buffers (an inlined indexed binary heap + state)
-        self._hkeys: list[int] = []
-        self._hitems: list[int] = []
-        self._hpos: list[int] = []
-        self._dist: list[int] = []
-        self._parent: list[int] = []
-        self._settled = bytearray()
-        self._settled_dirty: list[int] = []
         # trace scratch (distinct levels across the source fragments)
         self._row_mark = bytearray()
         self._row_dirty: list[int] = []
@@ -155,6 +222,16 @@ class DecodeEngine:
         compatibility; fault fragments have their protected-ball
         bitmaps built.  Raises :class:`QueryError` when an endpoint is
         forbidden.
+
+        The sketch cache keys a sketch by ``((s,), fsig)`` when the
+        filtered records of t and of every fault add no edge key and
+        lower no weight relative to s's merged record (and t is a
+        vertex of the result): the merge is associative, so the sketch
+        of ``(s, t, F)`` is then the sketch of ``(s, F)``, and every
+        later target whose record it covers shares it, searched by one
+        paused Dijkstra.  Otherwise the key is the whole source tuple.
+        A later target absent from an ``(s, F)`` sketch adds one
+        isolated vertex to it.
         """
         self._sync()
         s = frag_s.vertex
@@ -163,46 +240,50 @@ class DecodeEngine:
             if frag.vertex == s or frag.vertex == t:
                 raise QueryError("query endpoint is inside the forbidden set")
         scache = self._scache
-        skey = (tuple(frag.handle for frag in source), fsig)
-        entry = scache.get(skey)
-        if entry is None:
-            entry = self._build_sketch(source, fault_v, fault_e, fsig)
-            if len(scache) >= _SKETCH_CACHE_CAP:
-                scache.clear()
-            scache[skey] = entry
-        (
-            vlist,
-            indptr,
-            nbr,
-            wts,
-            m,
-            num_unique,
-            dropped_forbidden,
-            dropped_protected,
-        ) = entry
+        key = ((frag_s.handle,), fsig)
+        sketch = scache.get(key)
+        if sketch is None or not self._covers(
+            sketch, self._record(frag_t, fsig, fault_v, fault_e)
+        ):
+            key = (tuple(frag.handle for frag in source), fsig)
+            sketch = scache.get(key)
+            if sketch is None:
+                sketch = self._build_sketch(source, fsig, fault_v, fault_e)
+                if sketch.keys is not None:
+                    key = ((frag_s.handle,), fsig)
+        # least recently used first: a hit moves to the back
+        if scache.pop(key, None) is None and len(scache) >= _SKETCH_CACHE_CAP:
+            del scache[next(iter(scache))]
+        scache[key] = sketch
+        vlist = sketch.vlist
         nv = len(vlist)
+        target = 1
+        if sketch.keys is not None:
+            target = _local_id(vlist, t)
+            if target < 0:
+                nv += 1
+        m = sketch.m
         if tracer is not None:
-            self._emit_build_spans(
-                tracer,
-                source,
-                num_unique,
-                nv,
-                m,
-                dropped_forbidden,
-                dropped_protected,
-            )
+            self._emit_build_spans(tracer, source, fsig, fault_v, fault_e, nv, m)
         dijkstra_span = (
             tracer.start("decode.dijkstra") if tracer is not None else None
         )
         adjacency = self._np_adj
         fast = (
             adjacency[1]
-            if adjacency is not None and adjacency[0] is nbr
+            if adjacency is not None and adjacency[0] is sketch.nbr
             else None
         )
         try:
             distance, path = self._dijkstra(
-                vlist, indptr, nbr, wts, dijkstra_span, fast
+                vlist,
+                sketch.indptr,
+                sketch.nbr,
+                sketch.wts,
+                dijkstra_span,
+                fast,
+                sketch.search,
+                target,
             )
         finally:
             if dijkstra_span is not None:
@@ -237,10 +318,12 @@ class DecodeEngine:
         stride = bound if bound > 1 else 1
         if stride != self._stride:
             # merge keys are x*stride + y: a stride change invalidates
-            # every cached filter record (assembled sketches are
-            # stride-free and stay valid)
+            # every cached filter record, the coverage keys of every
+            # (s, F) sketch and the loaded forbidden-edge keys
             self._stride = stride
             self._fcache.clear()
+            self._scache.clear()
+            self._loaded = -1
         if len(self._lookup) < bound:
             self._lookup.extend([-1] * (bound - len(self._lookup)))
         if len(self._forb_v) < bound:
@@ -255,75 +338,124 @@ class DecodeEngine:
             self._np_forb = _np.zeros(bound, dtype=bool)
             self._np_forb_dirty.clear()
 
+    def _record(
+        self,
+        frag: Fragment,
+        fsig: int,
+        fault_v: list[Fragment],
+        fault_e: list[tuple[Fragment, Fragment]],
+    ) -> tuple:
+        """The filter record of ``frag`` under fault set ``fsig``, memoized.
+
+        A numpy record is ``(kept_keys, kept_weights, dropped_forbidden,
+        dropped_protected)``, a stdlib one ``(kept_x, kept_y, kept_w,
+        dropped_forbidden, dropped_protected)``.
+        """
+        ckey = (frag.handle, fsig)
+        rec = self._fcache.get(ckey)
+        if rec is not None:
+            return rec
+        if self._loaded != fsig:
+            self._load_faults(fault_v, fault_e)
+            self._loaded = fsig
+        if self._use_numpy:
+            rec = npops.filter_fragment(
+                frag,
+                self._groups,
+                self._np_forb if fault_v else None,
+                self._forb_e,
+                self._stride,
+            )
+        elif fsig == 0:
+            rec = (frag.ex, frag.ey, frag.ew, 0, 0)
+        else:
+            rec = self._filter_frag_py(frag)
+        if len(self._fcache) >= _FILTER_CACHE_CAP:
+            self._fcache.clear()
+        self._fcache[ckey] = rec
+        return rec
+
+    def _covers(self, sketch: _Sketch, rec: tuple) -> bool:
+        """Whether a filtered record adds nothing to an ``(s, F)`` sketch.
+
+        True when every kept edge of ``rec`` is a merged edge of the
+        sketch and no kept weight is below the merged one.
+        """
+        keys = sketch.keys
+        weights = sketch.weights
+        if self._use_numpy:
+            return npops.covers(keys, weights, rec[0], rec[1])
+        stride = self._stride
+        top = len(keys)
+        for x, y, w in zip(rec[0], rec[1], rec[2]):
+            ekey = x * stride + y
+            i = bisect_left(keys, ekey)
+            if i == top or keys[i] != ekey or w < weights[i]:
+                return False
+        return True
+
     def _build_sketch(
         self,
         source: list[Fragment],
+        fsig: int,
         fault_v: list[Fragment],
         fault_e: list[tuple[Fragment, Fragment]],
-        fsig: int,
-    ) -> tuple:
-        """Filter + merge + CSR for one (source, fault set) combination.
+    ) -> _Sketch:
+        """Filter + merge + CSR for one ``(s, t, F)``, with a fresh search.
 
-        Returns the sketch-cache entry ``(vlist, indptr, nbr, wts, m,
-        num_unique, dropped_forbidden, dropped_protected)`` — plain
-        lists safe to hold across queries.
+        When the records after s's add nothing to s's merged record and
+        t is a vertex of the result, this is the sketch of ``(s, F)``:
+        the head of the numbering leaves t out, and the entry keeps the
+        merged edges for coverage tests.  Otherwise the head is every
+        source vertex, first-seen, so ``s`` and ``t`` are local ids 0
+        and 1.
         """
-        self._load_faults(fault_v, fault_e)
         recs = self._recs
         recs.clear()
-        fcache = self._fcache
-        use_np = self._use_numpy
         for frag in source:
-            ckey = (frag.handle, fsig)
-            rec = fcache.get(ckey)
-            if rec is None:
-                if use_np:
-                    rec = npops.filter_fragment(
-                        frag,
-                        self._groups,
-                        self._np_forb if fault_v else None,
-                        self._forb_e,
-                        self._stride,
-                    )
-                elif fsig == 0:
-                    rec = (frag.ex, frag.ey, frag.ew, 0, 0)
-                else:
-                    rec = self._filter_frag_py(frag)
-                if len(fcache) >= _FILTER_CACHE_CAP:
-                    fcache.clear()
-                fcache[ckey] = rec
-            recs.append(rec)
+            recs.append(self._record(frag, fsig, fault_v, fault_e))
+        use_np = self._use_numpy
+        if use_np:
+            ex, ey, ew, cover = npops.merge_edges(
+                [rec[0] for rec in recs], [rec[1] for rec in recs], self._stride
+            )
+        else:
+            cover = self._merge_py(recs)
+        head = source
+        if cover is not None:
+            # the sketch of (s, F), kept only if it holds this query's t:
+            # the entry a query builds is that query's sketch
+            head = source[:1] + source[2:]
+            t = source[1].vertex
+            if use_np:
+                t_in_edges = bool((ex == t).any() or (ey == t).any())
+            else:
+                t_in_edges = t in self._mx or t in self._my
+            if not t_in_edges and all(frag.vertex != t for frag in head):
+                cover = None
+                head = source
         # unique label vertices, first-seen — the head of the local numbering
         verts = self._verts
         verts.clear()
         lookup = self._lookup
-        for frag in source:
+        for frag in head:
             v = frag.vertex
             if lookup[v] < 0:
                 lookup[v] = len(verts)
                 verts.append(v)
-        num_unique = len(verts)
+        adjacency = None
         if use_np:
             for v in verts:
                 lookup[v] = -1
-            ex, ey, ew = npops.merge_edges(
-                [rec[0] for rec in recs], [rec[1] for rec in recs], self._stride
-            )
             m = len(ex)
             vlist, indptr, nbr, wts, adjacency = npops.assemble_csr(
                 verts, ex, ey, ew, self._np_lookup, SCAN_PREFILTER_DEGREE
             )
             # only the sketch just assembled keeps its numpy adjacency:
-            # a sketch-cache hit scans scalar rather than hold a second
-            # copy of every cached sketch
+            # a later search of an older sketch scans scalar rather than
+            # hold a second copy of every cached sketch
             self._np_adj = (nbr, adjacency) if adjacency is not None else None
-            dropped_forbidden = 0
-            dropped_protected = 0
-            for rec in recs:
-                dropped_forbidden += rec[2]
-                dropped_protected += rec[3]
         else:
-            self._merge_py(recs)
             mx, my = self._mx, self._my
             m = len(mx)
             for j in range(m):
@@ -344,20 +476,16 @@ class DecodeEngine:
             indptr = self._indptr[: nv + 1]
             nbr = self._nbr[: 2 * m]
             wts = self._wts[: 2 * m]
-            dropped_forbidden = 0
-            dropped_protected = 0
-            for rec in recs:
-                dropped_forbidden += rec[3]
-                dropped_protected += rec[4]
-        return (
+        keys, weights = cover if cover is not None else (None, None)
+        return _Sketch(
             vlist,
             indptr,
             nbr,
             wts,
             m,
-            num_unique,
-            dropped_forbidden,
-            dropped_protected,
+            keys,
+            weights,
+            _fresh_search(len(vlist), adjacency is not None),
         )
 
     def _load_faults(
@@ -365,7 +493,7 @@ class DecodeEngine:
         fault_v: list[Fragment],
         fault_e: list[tuple[Fragment, Fragment]],
     ) -> None:
-        """Rebuild the per-query fault context (ball groups + bitmaps)."""
+        """Rebuild the fault context (ball groups + bitmaps)."""
         groups = self._groups
         groups.clear()
         forb_e = self._forb_e
@@ -467,8 +595,14 @@ class DecodeEngine:
                     dropped_protected += 1
         return kx, ky, kw, dropped_forbidden, dropped_protected
 
-    def _merge_py(self, recs: list[tuple]) -> None:
-        """First-seen min-weight merge into the ``_mx/_my/_mw`` buffers."""
+    def _merge_py(self, recs: list[tuple]) -> tuple | None:
+        """First-seen min-weight merge into the ``_mx/_my/_mw`` buffers.
+
+        Returns None, or — when the records after the first add no key
+        and lower no weight — the merged edges as sorted merge keys and
+        their weights, the ``cover`` of
+        :func:`repro.labeling.kernel.npops.merge_edges`.
+        """
         eslot = self._eslot
         eslot.clear()
         mx, my, mw = self._mx, self._my, self._mw
@@ -476,6 +610,8 @@ class DecodeEngine:
         my.clear()
         mw.clear()
         stride = self._stride
+        head = -1
+        lowered = False
         for rec in recs:
             for x, y, w in zip(rec[0], rec[1], rec[2]):
                 ekey = x * stride + y
@@ -487,6 +623,13 @@ class DecodeEngine:
                     mw.append(w)
                 elif w < mw[slot]:
                     mw[slot] = w
+                    lowered = head >= 0
+            if head < 0:
+                head = len(mx)
+        if lowered or len(mx) != head:
+            return None
+        keys = sorted(eslot)
+        return array("q", keys), array("q", [mw[eslot[k]] for k in keys])
 
     def _build_csr_py(self, m: int) -> None:
         """Two-pass CSR over the merged edges, in reference adjacency order.
@@ -535,21 +678,30 @@ class DecodeEngine:
         self,
         tracer: "Tracer",
         source: list[Fragment],
-        num_unique: int,
+        fsig: int,
+        fault_v: list[Fragment],
+        fault_e: list[tuple[Fragment, Fragment]],
         nv: int,
         m: int,
-        dropped_forbidden: int,
-        dropped_protected: int,
     ) -> None:
-        """Emit the gather/filter/assembly spans of the decode span tree."""
+        """Emit the gather/filter/assembly spans of the decode span tree.
+
+        Everything but the sketch sizes is counted from this query's
+        own fragments and filter records: a cached sketch serves many
+        queries.
+        """
         levels_scanned = 0
         edges_listed = 0
+        dropped_forbidden = 0
+        dropped_protected = 0
         row_mark = self._row_mark
         row_dirty = self._row_dirty
         for r in row_dirty:
             row_mark[r] = 0
         row_dirty.clear()
         distinct_levels = 0
+        num_unique = 0
+        lookup = self._lookup
         base = self._arena.level_base
         for frag in source:
             levels_scanned += frag.num_levels
@@ -560,14 +712,21 @@ class DecodeEngine:
                     row_mark[r] = 1
                     row_dirty.append(r)
                     distinct_levels += 1
-        num_groups = len(self._groups)
+            rec = self._record(frag, fsig, fault_v, fault_e)
+            dropped_forbidden += rec[-2]
+            dropped_protected += rec[-1]
+            if lookup[frag.vertex] < 0:
+                lookup[frag.vertex] = 0
+                num_unique += 1
+        for frag in source:
+            lookup[frag.vertex] = -1
         with tracer.span("decode.fragment_gather") as gather:
             gather.set("labels", len(source))
             gather.set("unique_labels", num_unique)
             gather.set("levels_scanned", levels_scanned)
             gather.set("edges_listed", edges_listed)
         with tracer.span("decode.safe_edge_filter") as filt:
-            filt.set("protected_balls", num_groups)
+            filt.set("protected_balls", len(fault_v) + len(fault_e))
             filt.set("membership_levels_computed", distinct_levels)
             filt.set("membership_cache_hits", levels_scanned - distinct_levels)
             filt.set("edges_dropped_protected", dropped_protected)
@@ -584,74 +743,155 @@ class DecodeEngine:
         wts: list[int],
         span: "Span | None",
         fast: tuple | None = None,
+        search: _Search | None = None,
+        target: int = 1,
     ) -> tuple[float, list[int]]:
-        """Array Dijkstra from local id 0 (= ``s``) to local id 1 (= ``t``).
+        """Distance and path from local id 0 (``s``) to local id ``target``.
 
-        The local numbering puts ``s`` at 0 and ``t`` at 1 by
-        construction (they head the unique-vertex list and are always
-        distinct here).  The indexed binary heap is inlined into the
-        loop — a line-for-line transcription of the dense heap in
-        ``tests/reference_decoder.py``, which in turn mirrors
-        ``IndexedMinHeap``, so settle order, edge scans and heap
-        updates match the reference hash-map Dijkstra exactly, ties
-        included.
+        ``search`` is the sketch's paused search (a fresh one when
+        None); :meth:`_advance` moves it on only if ``target`` has not
+        settled yet.  The counts added to ``span`` are those reached at
+        ``target``'s pop, or, when it never settles (``target`` -1: a
+        vertex outside the sketch), the exhausted search's totals:
+        exactly what the reference Dijkstra, run afresh to ``target``,
+        reports.  ``fast`` is the sketch's numpy adjacency ``(nbr,
+        wts)``, or None.
+        """
+        if search is None:
+            search = _fresh_search(len(vlist), fast is not None)
+        self._advance(search, indptr, nbr, wts, target, fast)
+        rank = -2 - search.state[target] if target >= 0 else -1
+        if rank >= 0:
+            nodes_settled = rank + 1
+            edges_scanned = search.edges_at[rank]
+            heap_updates = search.updates_at[rank]
+        else:
+            nodes_settled = len(search.dist)
+            edges_scanned = search.edges
+            heap_updates = search.updates
+        if span is not None:
+            span.add("nodes_settled", nodes_settled)
+            span.add("edges_scanned", edges_scanned)
+            span.add("heap_updates", heap_updates)
+        if rank < 0:
+            return math.inf, []
+        parent = search.parent
+        path = [vlist[target]]
+        node = target
+        while node != 0:
+            node = parent[node]
+            path.append(vlist[node])
+        path.reverse()
+        return search.dist[rank], path
+
+    def _advance(
+        self,
+        search: _Search,
+        indptr: list[int],
+        nbr: list[int],
+        wts: list[int],
+        target: int,
+        fast: tuple | None,
+    ) -> None:
+        """Run a paused search until ``target`` settles or the heap empties.
+
+        A no-op when ``target`` has settled already.  Otherwise the
+        loop first scans the target the last call stopped at (popped,
+        not scanned), then pops and scans exactly as a fresh search
+        would, recording at each pop the counts reached there.  The
+        indexed binary heap is inlined into the loop — a line-for-line
+        transcription of the dense heap in ``tests/reference_decoder.py``,
+        which in turn mirrors ``IndexedMinHeap``, so settle order, edge
+        scans and heap updates match the reference hash-map Dijkstra
+        exactly, ties included.  The heap compares keys only, and each
+        vertex scans its neighbours in merged-edge order, so how the
+        sketch numbers its vertices changes no settle order, count or
+        path.
 
         ``fast`` is the sketch's numpy adjacency ``(nbr, wts)``, or
         None.  With it, the scan of a settled vertex ``u`` of degree
         above :data:`SCAN_PREFILTER_DEGREE` first keeps, in one
-        vectorised test, the neighbours ``v`` that are unsettled with
-        ``du + w`` below ``v``'s key.  A heap update during the scan
-        changes only its own neighbour's key, never another vertex's
-        key or heap membership, so the survivors include every
-        neighbour that will update the heap; the scalar loop then runs
-        over them in order, re-checking each live, and makes exactly
-        the heap operations of a full scan.  ``edges_scanned`` still
-        counts every neighbour.
+        vectorised test against the search's ``key`` array, the
+        neighbours ``v`` that are unsettled with ``du + w`` below
+        ``v``'s key.  A heap update during the scan changes only its
+        own neighbour's key, never another vertex's key or heap
+        membership, so the survivors include every neighbour that will
+        update the heap; the scalar loop then runs over them in order,
+        re-checking each live, and makes exactly the heap operations of
+        a full scan.  ``edges_scanned`` still counts every neighbour.
         """
-        nv = len(vlist)
-        dist = self._dist
-        parent = self._parent
-        settled = self._settled
-        hkeys = self._hkeys
-        hitems = self._hitems
-        hpos = self._hpos
-        if len(settled) < nv:
-            grow = nv - len(settled)
-            settled.extend(bytes(grow))
-            dist.extend([0] * grow)
-            parent.extend([-1] * grow)
-            hkeys.extend([0] * grow)
-            hitems.extend([0] * grow)
-            hpos.extend([-1] * grow)
-        for u in self._settled_dirty:
-            settled[u] = 0
-        self._settled_dirty.clear()
-        settled_dirty = self._settled_dirty
-        for i in range(nv):
-            hpos[i] = -1
+        state = search.state
+        if target >= 0 and state[target] < -1:
+            return
+        parent = search.parent
+        hkeys = search.hkeys
+        hitems = search.hitems
+        dist = search.dist
+        edges_at = search.edges_at
+        updates_at = search.updates_at
+        size = search.size
+        room = len(hkeys)
+        nodes_settled = len(dist)
+        edges_scanned = search.edges
+        heap_updates = search.updates
         key = None
         if fast is not None:
             np_nbr, np_wts = fast
-            key = self._np_key
-            if key is None or len(key) < nv:
-                key = self._np_key = _np.empty(nv, dtype=_np.int64)
-            key[:nv] = _KEY_UNSEEN
-            key[0] = 0
+            key = search.key
             candidates = npops.scan_candidates
-        # push(source=0, key=0)
-        hkeys[0] = 0
-        hitems[0] = 0
-        hpos[0] = 0
-        size = 1
-        nodes_settled = 0
-        edges_scanned = 0
-        heap_updates = 1  # the initial push
-        while size:
+        u = search.pending
+        du = dist[-1] if u >= 0 else 0
+        while True:
+            if u >= 0:
+                start = indptr[u]
+                stop = indptr[u + 1]
+                edges_scanned += stop - start
+                if key is not None and stop - start > SCAN_PREFILTER_DEGREE:
+                    scan = candidates(np_nbr, np_wts, key, start, stop, du)
+                else:
+                    scan = range(start, stop)
+                for p in scan:
+                    v = nbr[p]
+                    pv = state[v]
+                    if pv < -1:  # settled
+                        continue
+                    nk = du + wts[p]
+                    if pv < 0:
+                        pos = size
+                        size += 1
+                        if pos == room:
+                            hkeys.append(0)
+                            hitems.append(0)
+                            room += 1
+                    elif nk < hkeys[pv]:
+                        pos = pv
+                    else:
+                        continue
+                    # sift up (stops when an ancestor key is <= nk)
+                    while pos > 0:
+                        par = (pos - 1) >> 1
+                        pk = hkeys[par]
+                        if pk <= nk:
+                            break
+                        hkeys[pos] = pk
+                        pi = hitems[par]
+                        hitems[pos] = pi
+                        state[pi] = pos
+                        pos = par
+                    hkeys[pos] = nk
+                    hitems[pos] = v
+                    state[v] = pos
+                    heap_updates += 1
+                    parent[v] = u
+                    if key is not None:
+                        key[v] = nk
+            if not size:
+                u = -1
+                break
             # pop the root, move the last entry up, sift it down
             du = hkeys[0]
             u = hitems[0]
             size -= 1
-            hpos[u] = -1
             if size:
                 movk = hkeys[size]
                 movi = hitems[size]
@@ -669,67 +909,29 @@ class DecodeEngine:
                     hkeys[pos] = ck
                     ci = hitems[child]
                     hitems[pos] = ci
-                    hpos[ci] = pos
+                    state[ci] = pos
                     pos = child
                 hkeys[pos] = movk
                 hitems[pos] = movi
-                hpos[movi] = pos
+                state[movi] = pos
+            state[u] = -2 - nodes_settled
             nodes_settled += 1
-            dist[u] = du
-            settled[u] = 1
-            settled_dirty.append(u)
+            dist.append(du)
+            edges_at.append(edges_scanned)
+            updates_at.append(heap_updates)
             if key is not None:
                 key[u] = _KEY_SETTLED
-            if u == 1:
+            if u == target:
                 break
-            start = indptr[u]
-            stop = indptr[u + 1]
-            edges_scanned += stop - start
-            if key is not None and stop - start > SCAN_PREFILTER_DEGREE:
-                scan = candidates(np_nbr, np_wts, key, start, stop, du)
-            else:
-                scan = range(start, stop)
-            for p in scan:
-                v = nbr[p]
-                if settled[v]:
-                    continue
-                nk = du + wts[p]
-                pv = hpos[v]
-                if pv < 0:
-                    pos = size
-                    size += 1
-                elif nk < hkeys[pv]:
-                    pos = pv
-                else:
-                    continue
-                # sift up (stops when an ancestor key is <= nk)
-                while pos > 0:
-                    par = (pos - 1) >> 1
-                    pk = hkeys[par]
-                    if pk <= nk:
-                        break
-                    hkeys[pos] = pk
-                    pi = hitems[par]
-                    hitems[pos] = pi
-                    hpos[pi] = pos
-                    pos = par
-                hkeys[pos] = nk
-                hitems[pos] = v
-                hpos[v] = pos
-                heap_updates += 1
-                parent[v] = u
-                if key is not None:
-                    key[v] = nk
-        if span is not None:
-            span.add("nodes_settled", nodes_settled)
-            span.add("edges_scanned", edges_scanned)
-            span.add("heap_updates", heap_updates)
-        if not settled[1]:
-            return math.inf, []
-        path = [vlist[1]]
-        node = 1
-        while node != 0:
-            node = parent[node]
-            path.append(vlist[node])
-        path.reverse()
-        return dist[1], path
+        search.size = size
+        search.pending = u
+        search.edges = edges_scanned
+        search.updates = heap_updates
+
+
+def _local_id(vlist: list[int], vertex: int) -> int:
+    """The local id of ``vertex`` in a sketch, or -1 when it is absent."""
+    try:
+        return vlist.index(vertex)
+    except ValueError:
+        return -1

@@ -18,6 +18,8 @@ stdlib mode, and the engine takes its mode from the arena).
 
 from __future__ import annotations
 
+from array import array
+
 try:
     import numpy as np
 except ImportError:  # pragma: no cover - exercised where numpy is absent
@@ -119,13 +121,18 @@ def merge_edges(key_parts, weight_parts, stride) -> tuple:
     Replicates the reference ``edge_weights`` dict exactly: edge identity
     order is first occurrence across the concatenated scan order, and
     each edge keeps the minimum weight ever listed for it.  Returns
-    ``(ex, ey, ew)`` int64 arrays in that first-seen order.
+    ``(ex, ey, ew, cover)``: int64 arrays in that first-seen order, and
+    ``cover``, which is None unless the first part alone lists every
+    key at its minimum weight (the later parts add no key and lower no
+    weight).  Then ``cover`` is the merged edges as sorted merge keys
+    and their weights, two ``array('q')`` columns — what the stdlib
+    path builds, so the cache entries of the two paths stay equal.
     """
     keys = np.concatenate(key_parts)
     weights = np.concatenate(weight_parts)
     if not len(keys):
         empty = np.empty(0, dtype=np.int64)
-        return empty, empty, empty
+        return empty, empty, empty, (array("q"), array("q"))
     order = stable_order(keys, stride * stride)
     keys_sorted = keys[order]
     weights_sorted = weights[order]
@@ -137,10 +144,54 @@ def merge_edges(key_parts, weight_parts, stride) -> tuple:
     first_seen = order[start_idx]
     # first positions are distinct, so any sort orders them the same way
     seen_order = np.argsort(first_seen)
-    unique_keys = keys_sorted[start_idx][seen_order]
+    sorted_keys = keys_sorted[start_idx]
+    unique_keys = sorted_keys[seen_order]
     ex = unique_keys // stride
     ey = unique_keys - ex * stride
-    return ex, ey, min_weights[seen_order]
+    cover = None
+    head = len(key_parts[0])
+    if first_seen.max() < head:
+        # every key is listed first by the first part; does a later
+        # listing lower its weight?  Not if each key's first listing
+        # already has its minimum weight (as in labels that list every
+        # key at its one exact distance); else compare the first part's
+        # own minima
+        if np.array_equal(weights_sorted[start_idx], min_weights):
+            lowered = False
+        else:
+            top = np.iinfo(weights_sorted.dtype).max
+            head_min = np.minimum.reduceat(
+                np.where(order < head, weights_sorted, top), start_idx
+            )
+            lowered = not np.array_equal(head_min, min_weights)
+        if not lowered:
+            cover = (
+                array("q", sorted_keys.astype(np.int64, copy=False).tobytes()),
+                array("q", min_weights.astype(np.int64, copy=False).tobytes()),
+            )
+    return ex, ey, min_weights[seen_order], cover
+
+
+def covers(keys, weights, rec_keys, rec_weights) -> bool:
+    """Whether a filtered record adds nothing to a merged edge set.
+
+    ``keys`` / ``weights`` are a ``cover`` of :func:`merge_edges`;
+    ``rec_keys`` / ``rec_weights`` are one fragment's kept merge keys
+    and weights.  True when every record key is a merged key and no
+    record weight is below that key's merged weight.
+    """
+    if not len(rec_keys):
+        return True
+    if not len(keys):
+        return False
+    merged = np.frombuffer(keys, dtype=np.int64)
+    idx = np.searchsorted(merged, rec_keys)
+    np.minimum(idx, len(merged) - 1, out=idx)
+    if not np.array_equal(merged[idx], rec_keys):
+        return False
+    return bool(
+        (rec_weights >= np.frombuffer(weights, dtype=np.int64)[idx]).all()
+    )
 
 
 def assemble_csr(unique_vertices, ex, ey, ew, lookup, scan_degree) -> tuple:

@@ -24,6 +24,7 @@ equivalence must survive warm memo caches, arena growth and fault-set
 signature reuse, not just a cold first query.
 """
 
+import copy
 import math
 import random
 from types import SimpleNamespace
@@ -235,6 +236,142 @@ def test_past_the_whole_graph_regime(backend, monkeypatch):
     for label_s, label_t, faults in _workload(labels, edges, seed=19):
         assert_equivalent(kern, label_s, label_t, faults)
     assert bool(scans) == (backend == "numpy")
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_cache_hit_traces_its_own_fault_count(backend):
+    """A sketch-cache hit reports this query's ``protected_balls``.
+
+    The second query builds a fault-free sketch; the third repeats the
+    first and hits its cached sketch, and must still trace two balls.
+    """
+    labels, _ = instance("cycle:96/e1")
+    kern = KernelDecoder(use_numpy=(backend == "numpy"))
+    faults = FaultSet(vertex_labels=[labels[5], labels[40]])
+    for s, t, query_faults in [(0, 10, faults), (3, 20, FaultSet()),
+                               (0, 10, faults)]:
+        assert_equivalent(kern, labels[s], labels[t], query_faults)
+
+
+# -- one sketch per (s, F), one paused search per sketch ---------------------
+
+#: two whole-graph instances, two past it
+REUSE_INSTANCES = ["grid:4x4/e1", "road:4x4/e1", "cycle:96/e1", "path:96/e1"]
+
+
+def _reuse_stream(labels, edges, seed):
+    """Queries from one fixed ``s`` that share sketches where they can.
+
+    Returns ``(phases, doctored)``.  The phases: every ``t`` with
+    ``F = ∅`` in shuffled order; every ``t`` again, in a new order,
+    under two fault sets interleaved — ``cut`` (every neighbour of a
+    vertex ``u``, which it strands) and ``mixed`` (a vertex and an edge
+    fault); then a replay of earlier triples.  ``doctored`` is a copy
+    of a target ``t``'s label in which every virtual edge at ``t`` that
+    ``s``'s label also lists has weight 1, below the weight ``s`` lists:
+    real labels list each key at one weight (exact distances), so only
+    such a label reaches the weight clause of the coverage test.
+    """
+    rng = random.Random(seed)
+    n = len(labels)
+    adjacent = {v: set() for v in range(n)}
+    for a, b in edges:
+        adjacent[a].add(b)
+        adjacent[b].add(a)
+    s = rng.randrange(n)
+    u = min(
+        (v for v in range(n) if v != s and s not in adjacent[v]),
+        key=lambda v: (len(adjacent[v]), v),
+    )
+    cut = FaultSet(vertex_labels=[labels[v] for v in sorted(adjacent[u])])
+    a, b = rng.choice([e for e in edges if s not in e])
+    w = rng.choice([v for v in range(n) if v not in (s, a, b)])
+    mixed = FaultSet(
+        vertex_labels=[labels[w]], edge_labels=[(labels[a], labels[b])]
+    )
+    targets = [v for v in range(n) if v != s]
+    rng.shuffle(targets)
+    fault_free = [(s, t, FaultSet()) for t in targets]
+    rng.shuffle(targets)
+    faulty = []
+    for i, t in enumerate(targets):
+        pair = (cut, mixed) if i % 2 else (mixed, cut)
+        faulty += [(s, t, pair[0]), (s, t, pair[1])]
+    replay = rng.sample(fault_free + faulty, 8)
+    label_s = labels[s]
+    t = next(
+        t for t in targets
+        if any(t in key and weight > 1
+               for level in label_s.levels.values()
+               for key, weight in level.edges.items())
+    )
+    doctored = copy.deepcopy(labels[t])
+    for level in doctored.levels.values():
+        for key, weight in level.edges.items():
+            if t in key and weight > 1 and any(
+                key in other.edges for other in label_s.levels.values()
+            ):
+                level.edges[key] = 1
+    return (fault_free, faulty, replay), (s, doctored)
+
+
+def _traced(decode, label_s, label_t, faults):
+    """One decode's result (or QueryError text) and its span tree."""
+    tracer = Tracer()
+    try:
+        result = decode(label_s, label_t, faults, tracer=tracer)
+    except QueryError as exc:
+        result = str(exc)
+    return result, tracer.to_dicts()
+
+
+@pytest.mark.parametrize("name", REUSE_INSTANCES)
+def test_long_lived_reuse_matches_reference(name):
+    """A long-lived decoder answers every target from shared sketches.
+
+    Numpy and stdlib decoders alike take the whole stream of
+    :func:`_reuse_stream` — with an ``arena.reset()`` halfway through
+    the faulty phase, the doctored label, a stranded (unreachable)
+    target and two ``decode_batch`` orders — and every answer and span
+    tree must equal the reference's.  On the whole-graph instances the
+    fault-free phase must share one sketch, keyed by ``s`` alone, and
+    so resume its search from target to target.
+    """
+    labels, edges = instance(name)
+    (fault_free, faulty, replay), (s, doctored) = _reuse_stream(
+        labels, edges, seed=23
+    )
+    whole_graph = name in ("grid:4x4/e1", "road:4x4/e1")
+    halfway = len(fault_free) + len(faulty) // 2
+    stream = fault_free + faulty + replay
+    expected = {}
+    for kern in [KernelDecoder(use_numpy=(b == "numpy")) for b in BACKENDS]:
+        for i, (qs, qt, faults) in enumerate(stream):
+            if i == halfway:
+                kern.arena.reset()
+            query = (labels[qs], labels[qt], faults)
+            if i not in expected:
+                expected[i] = _traced(decode_distance, *query)
+            assert _traced(kern.decode, *query) == expected[i], (qs, qt)
+            if i == len(fault_free) - 1:
+                if whole_graph:
+                    ((handles, fsig),) = kern._engine._scache
+                    assert (len(handles), fsig) == (1, 0)
+                # the doctored target may not share the fault-free sketch
+                query = (labels[s], doctored, FaultSet())
+                assert _traced(kern.decode, *query) == _traced(
+                    decode_distance, *query
+                )
+        batch = [(labels[qs], labels[qt], faults)
+                 for qs, qt, faults in fault_free[::3] + faulty[::5]]
+        for order in (batch, batch[::-1]):
+            kern_tracer = Tracer()
+            ref_tracer = Tracer()
+            got = kern.decode_batch(order, tracer=kern_tracer)
+            want = [decode_distance(*query, tracer=ref_tracer)
+                    for query in order]
+            assert got == want
+            assert kern_tracer.to_dicts() == ref_tracer.to_dicts()
 
 
 # -- batch API: grouping order never changes an answer -----------------------

@@ -9,7 +9,7 @@ from repro.graphs.generators import (
     king_grid,
     path_graph,
 )
-from repro.graphs.spanners import is_spanner, is_subgraph, spanner_stretch
+from tests.spanners import is_spanner, is_subgraph, spanner_stretch
 
 
 class TestSubgraph:
