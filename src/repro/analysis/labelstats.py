@@ -20,11 +20,6 @@ class LabelSizeSummary:
     max_points: int
     max_edges: int
 
-    @property
-    def max_kib(self) -> float:
-        """Largest label in KiB."""
-        return self.max_bits / 8192.0
-
 
 def label_size_summary(
     scheme: ForbiddenSetLabeling,

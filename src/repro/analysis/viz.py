@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.exceptions import GraphError
-from repro.graphs.generators import grid_coords
+from repro.graphs.generators import grid_index
 
 
 def render_grid(
@@ -60,16 +60,7 @@ def render_grid(
     for y in range(height - 1, -1, -1):  # y grows upward
         cells = []
         for x in range(width):
-            from repro.graphs.generators import grid_index
-
             cells.append(marker(grid_index((x, y), dims)))
         rows.append(" ".join(cells))
     legend = "S=source T=target X=fault o=route +=highlight .=vertex"
     return "\n".join(rows + ["", legend])
-
-
-def route_summary(route: Sequence[int], width: int, height: int) -> str:
-    """One-line description of a route over the grid (coordinates)."""
-    dims = (width, height)
-    coords = [grid_coords(v, dims) for v in route]
-    return " -> ".join(f"({x},{y})" for x, y in coords)

@@ -14,7 +14,8 @@ front door that sheds load *explicitly*:
 * :mod:`repro.gateway.gateway` — the :class:`AsyncGateway` itself:
   admission, fairness, coalescing, explicit shed reasons;
 * :mod:`repro.gateway.traffic` — a seeded open-loop traffic model
-  (Zipf popularity, tenant mixes, diurnal phases, fault bursts).
+  (Zipf popularity, tenant mixes, rate windows, fault windows) that
+  reads the shape of its stream straight off a scenario trace.
 
 The traffic battery is a generated scenario trace
 (:func:`repro.scenario.generate.traffic_trace`) replayed by
@@ -35,23 +36,13 @@ from repro.gateway.gateway import (
     GatewayRequest,
 )
 from repro.gateway.loop import Event, Future, Task, VirtualLoop
-from repro.gateway.traffic import (
-    FaultBurst,
-    TenantProfile,
-    TimedRequest,
-    TrafficConfig,
-    TrafficGenerator,
-    TrafficPhase,
-    ZipfSampler,
-    overload_mix,
-)
+from repro.gateway.traffic import TimedRequest, TrafficGenerator, ZipfSampler
 
 __all__ = [
     "AsyncGateway",
     "CacheMetrics",
     "CachingLabelClient",
     "Event",
-    "FaultBurst",
     "Future",
     "GatewayConfig",
     "GatewayMetrics",
@@ -60,14 +51,10 @@ __all__ = [
     "LabelCache",
     "QuotaPolicy",
     "Task",
-    "TenantProfile",
     "TimedRequest",
     "TokenBucket",
-    "TrafficConfig",
     "TrafficGenerator",
-    "TrafficPhase",
     "VirtualLoop",
     "WaitingRoom",
     "ZipfSampler",
-    "overload_mix",
 ]

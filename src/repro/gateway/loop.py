@@ -213,11 +213,6 @@ class VirtualLoop:
             self._run_ready_or_jump(task.name)
         return task.future.result()
 
-    def run_until_idle(self) -> None:
-        """Drive the loop until every task has finished."""
-        while self._alive:
-            self._run_ready_or_jump("idle")
-
     def _run_ready_or_jump(self, waiting_on: str) -> None:
         if self._ready:
             self._step(self._ready.popleft())

@@ -1,15 +1,17 @@
-"""A seeded open-loop traffic model: Zipf users, phases, fault bursts.
+"""A seeded open-loop traffic model: Zipf users, tenants, fault windows.
 
 The traffic battery needs load that looks like production — a hot set
 of popular vertices, tenants of very different sizes, arrival rates
-that swing through calm and rush-hour phases, and correlated failure
+that swing through calm and rush-hour windows, and correlated failure
 bursts that concentrate the forbidden sets inside a ball — while
-staying *perfectly reproducible*.  Everything here is driven by one
-seed through :func:`repro.util.rng.make_rng` and one virtual-time
-axis, so the same seed always yields byte-identical request streams.
+staying *perfectly reproducible*.  The shape of the stream is read
+straight off a scenario trace (:mod:`repro.scenario.trace`), and the
+draws are driven by one seed through :func:`repro.util.rng.make_rng`
+on one virtual-time axis, so the same trace and seed always yield
+byte-identical request streams.
 
 The model is **open-loop**: arrival times are drawn up front from the
-phase-modulated Poisson process and never react to gateway latency.
+rate-modulated Poisson process and never react to gateway latency.
 That is the honest way to measure overload — a closed-loop generator
 slows down exactly when the system is saturated, hiding the very
 regime the battery exists to probe (cf. Schroeder et al., "Open
@@ -23,17 +25,19 @@ millions — the point is not to hold per-user state (the generator
 holds none) but to exercise tenant-level admission with realistic
 user-id cardinality.
 
-Fault bursts model correlated failures: for the duration of a burst,
+Fault windows model correlated failures: while a window is open,
 queries carry forbidden sets sampled *inside a BFS ball* ``B(center,
 radius)`` — the doubling-dimension setting's natural failure locality
-(a region outage takes out a metric ball, not a uniform scatter).
+(a region outage takes out a metric ball, not a uniform scatter) — or
+inside an explicit vertex pool.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import accumulate
+from typing import TYPE_CHECKING
 
 from repro.exceptions import QueryError
 from repro.gateway.gateway import GatewayRequest
@@ -41,143 +45,8 @@ from repro.graphs.graph import Graph
 from repro.graphs.traversal import bfs_distances
 from repro.util.rng import RngLike, make_rng
 
-
-@dataclass(frozen=True)
-class TenantProfile:
-    """One tenant's share of the traffic mix.
-
-    ``weight`` sets the tenant's fraction of arrivals; ``num_users``
-    sizes the simulated user population its requests are drawn from;
-    ``fault_rate`` is the per-request probability of carrying a
-    forbidden set outside burst windows; ``deadline_ms`` is attached
-    to every request (None = the gateway default).
-    """
-
-    name: str
-    weight: float = 1.0
-    num_users: int = 1_000_000
-    fault_rate: float = 0.05
-    max_faults: int = 3
-    deadline_ms: float | None = None
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise QueryError("tenant needs a non-empty name")
-        if self.weight <= 0:
-            raise QueryError(
-                f"tenant {self.name!r}: weight must be positive, "
-                f"got {self.weight}"
-            )
-        if self.num_users < 1:
-            raise QueryError(
-                f"tenant {self.name!r}: needs at least one user, "
-                f"got {self.num_users}"
-            )
-        if not 0.0 <= self.fault_rate <= 1.0:
-            raise QueryError(
-                f"tenant {self.name!r}: fault_rate must be in [0, 1], "
-                f"got {self.fault_rate}"
-            )
-        if self.max_faults < 1:
-            raise QueryError(
-                f"tenant {self.name!r}: max_faults must be >= 1, "
-                f"got {self.max_faults}"
-            )
-        if self.deadline_ms is not None and self.deadline_ms <= 0:
-            raise QueryError(
-                f"tenant {self.name!r}: deadline_ms must be positive, "
-                f"got {self.deadline_ms}"
-            )
-
-
-@dataclass(frozen=True)
-class TrafficPhase:
-    """A window of the diurnal curve: a rate multiplier for a duration."""
-
-    duration_ms: float
-    rate_multiplier: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.duration_ms <= 0:
-            raise QueryError(
-                f"phase duration must be positive, got {self.duration_ms}"
-            )
-        if self.rate_multiplier <= 0:
-            raise QueryError(
-                f"phase rate multiplier must be positive, "
-                f"got {self.rate_multiplier}"
-            )
-
-
-@dataclass(frozen=True)
-class FaultBurst:
-    """A window where forbidden sets concentrate inside ``B(center, radius)``.
-
-    While ``start_ms <= t < start_ms + duration_ms``, every request's
-    fault draw uses ``burst_fault_rate`` and samples fault vertices
-    from the BFS ball around ``center`` (``center`` picked by the
-    generator when None), modelling a correlated regional outage.
-
-    An explicit ``vertices`` pool overrides the ball entirely — the
-    adversarial worst-``F`` scenarios pin the exact fault set they
-    found.  ``max_faults`` caps the per-request draw size (None =
-    the sampled tenant's own cap).
-    """
-
-    start_ms: float
-    duration_ms: float
-    radius: int = 2
-    burst_fault_rate: float = 0.6
-    center: int | None = None
-    vertices: tuple[int, ...] = ()
-    max_faults: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.start_ms < 0:
-            raise QueryError(
-                f"burst start must be >= 0, got {self.start_ms}"
-            )
-        if self.duration_ms <= 0:
-            raise QueryError(
-                f"burst duration must be positive, got {self.duration_ms}"
-            )
-        if self.radius < 0:
-            raise QueryError(f"burst radius must be >= 0, got {self.radius}")
-        if not 0.0 <= self.burst_fault_rate <= 1.0:
-            raise QueryError(
-                f"burst fault rate must be in [0, 1], "
-                f"got {self.burst_fault_rate}"
-            )
-        if self.max_faults is not None and self.max_faults < 1:
-            raise QueryError(
-                f"burst max_faults must be >= 1, got {self.max_faults}"
-            )
-        if len(set(self.vertices)) != len(self.vertices):
-            raise QueryError("burst vertices must be distinct")
-
-
-@dataclass(frozen=True)
-class TrafficConfig:
-    """Everything that shapes a request stream (all seeded, no wall time)."""
-
-    #: mean arrivals per virtual millisecond at multiplier 1.0
-    base_rate_per_ms: float = 0.1
-    zipf_exponent: float = 1.1
-    tenants: tuple[TenantProfile, ...] = (TenantProfile("default"),)
-    phases: tuple[TrafficPhase, ...] = ()
-    bursts: tuple[FaultBurst, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.tenants:
-            raise QueryError("traffic needs at least one tenant profile")
-        if self.base_rate_per_ms <= 0:
-            raise QueryError(
-                f"base rate must be positive, got {self.base_rate_per_ms}"
-            )
-        if self.zipf_exponent < 0:
-            raise QueryError(
-                f"Zipf exponent must be >= 0, got {self.zipf_exponent}"
-            )
+if TYPE_CHECKING:
+    from repro.scenario.trace import ScenarioTrace, TraceTenant
 
 
 class ZipfSampler:
@@ -212,10 +81,6 @@ class ZipfSampler:
         u = make_rng(rng).random() * self._total
         return self._by_rank[bisect_left(self._cdf, u)]
 
-    def rank_of(self, vertex: int) -> int:
-        """The popularity rank the seeded permutation gave ``vertex``."""
-        return self._by_rank.index(vertex)
-
 
 @dataclass(frozen=True)
 class TimedRequest:
@@ -226,100 +91,83 @@ class TimedRequest:
 
 
 class TrafficGenerator:
-    """Deterministic open-loop request stream over a graph.
+    """The deterministic open-loop request stream a scenario trace offers.
 
-    Construct once, then call :meth:`generate` (a materialised list)
-    or iterate :meth:`arrivals` lazily.  Identical ``(graph, config,
-    seed)`` triples produce identical streams — the bit-identity half
-    of the battery's acceptance criteria starts here.
+    The trace says everything about the stream: the base rate and Zipf
+    exponent come from its header, the tenants from its tenant rows,
+    the rate multiplier from the ``flash_crowd`` row whose window holds
+    the current time, and the fault pool from the first open fault
+    window — the ``burst`` header, then the ``ball_outage`` / ``outage``
+    rows in file order.  The trace must be compiled against ``graph``
+    (:func:`repro.scenario.compile.compile_trace` checks every vertex).
+    Identical ``(graph, trace, seed)`` triples produce identical
+    streams — the bit-identity half of the battery's acceptance
+    criteria starts here.
     """
 
     def __init__(
-        self, graph: Graph, config: TrafficConfig, seed: RngLike = None
+        self, graph: Graph, trace: "ScenarioTrace", seed: RngLike = None
     ) -> None:
-        if not config.tenants:
-            raise QueryError("traffic needs at least one tenant profile")
-        if config.base_rate_per_ms <= 0:
-            raise QueryError(
-                f"base rate must be positive, got {config.base_rate_per_ms}"
-            )
-        self.graph = graph
-        self.config = config
+        self.trace = trace
         self._rng = make_rng(seed)
         self.zipf = ZipfSampler(
-            graph.num_vertices, config.zipf_exponent, self._rng
+            graph.num_vertices, trace.zipf_exponent, self._rng
         )
-        weights = [t.weight for t in config.tenants]
-        if min(weights) <= 0:
-            raise QueryError("tenant weights must be positive")
-        self._tenant_cdf: list[float] = []
-        total = 0.0
-        for w in weights:
-            total += w
-            self._tenant_cdf.append(total)
-        self._tenant_total = total
-        # resolve burst pools up front so membership is fixed: an
-        # explicit vertex list wins, otherwise the BFS ball around the
-        # (possibly sampled) center
-        self._balls: list[tuple[FaultBurst, list[int]]] = []
-        for burst in config.bursts:
-            if burst.vertices:
-                for v in burst.vertices:
-                    if not 0 <= v < graph.num_vertices:
-                        raise QueryError(
-                            f"burst vertex {v} outside the graph's range "
-                            f"[0, {graph.num_vertices})"
-                        )
-                ball = sorted(burst.vertices)
+        self._tenant_cdf = list(accumulate(t.weight for t in trace.tenants))
+        self._crowds = [e for e in trace.events if e.kind == "flash_crowd"]
+        # fault windows in lookup order, each (start, end, fault rate,
+        # fault cap or None for the tenant's cap, pool); pools are
+        # resolved up front so membership is fixed, and the header
+        # burst draws its center here
+        self._windows: list[
+            tuple[float, float, float, int | None, list[int]]
+        ] = []
+        burst = trace.burst
+        if burst is not None:
+            center = self.zipf.sample(self._rng)
+            self._windows.append((
+                burst.at_ms, burst.at_ms + burst.duration_ms,
+                burst.fault_rate, None,
+                sorted(bfs_distances(graph, center, radius=burst.radius)),
+            ))
+        for event in trace.events:
+            if event.kind == "ball_outage":
+                pool = sorted(
+                    bfs_distances(graph, event.center, radius=event.radius)
+                )
+            elif event.kind == "outage":
+                pool = sorted(event.vertices)
             else:
-                center = (
-                    burst.center if burst.center is not None
-                    else self.zipf.sample(self._rng)
-                )
-                ball = sorted(
-                    bfs_distances(graph, center, radius=burst.radius)
-                )
-            self._balls.append((burst, ball))
+                continue
+            self._windows.append((
+                event.at_ms, event.end_ms(), event.fault_rate,
+                event.max_faults, pool,
+            ))
 
     # -- sampling helpers ---------------------------------------------------
 
-    def _pick_tenant(self) -> TenantProfile:
-        u = self._rng.random() * self._tenant_total
-        return self.config.tenants[bisect_left(self._tenant_cdf, u)]
+    def _pick_tenant(self) -> "TraceTenant":
+        u = self._rng.random() * self._tenant_cdf[-1]
+        return self.trace.tenants[bisect_left(self._tenant_cdf, u)]
 
     def _rate_at(self, at_ms: float) -> float:
-        rate = self.config.base_rate_per_ms
-        if not self.config.phases:
-            return rate
-        cycle = sum(p.duration_ms for p in self.config.phases)
-        offset = at_ms % cycle
-        for phase in self.config.phases:
-            if offset < phase.duration_ms:
-                return rate * phase.rate_multiplier
-            offset -= phase.duration_ms
-        return rate * self.config.phases[-1].rate_multiplier
-
-    def _active_burst(
-        self, at_ms: float
-    ) -> tuple[FaultBurst, list[int]] | None:
-        for burst, ball in self._balls:
-            if burst.start_ms <= at_ms < burst.start_ms + burst.duration_ms:
-                return burst, ball
-        return None
+        # the stream never reaches the trace's duration, so a crowd's
+        # window needs no clipping to it
+        for crowd in self._crowds:
+            if crowd.at_ms <= at_ms < crowd.end_ms():
+                return self.trace.base_rate_per_ms * crowd.multiplier
+        return self.trace.base_rate_per_ms
 
     def _sample_faults(
-        self, at_ms: float, tenant: TenantProfile, s: int, t: int
+        self, at_ms: float, tenant: "TraceTenant", s: int, t: int
     ) -> tuple[int, ...]:
-        active = self._active_burst(at_ms)
-        if active is not None:
-            burst, ball = active
-            if self._rng.random() < burst.burst_fault_rate:
-                pool = [v for v in ball if v != s and v != t]
+        for start, end, fault_rate, max_faults, pool in self._windows:
+            if not start <= at_ms < end:
+                continue
+            if self._rng.random() < fault_rate:
+                pool = [v for v in pool if v != s and v != t]
                 if pool:
-                    cap = (
-                        burst.max_faults if burst.max_faults is not None
-                        else tenant.max_faults
-                    )
+                    cap = max_faults or tenant.max_faults
                     count = min(1 + self._rng.randrange(cap), len(pool))
                     return tuple(self._rng.sample(pool, count))
             return ()
@@ -352,71 +200,18 @@ class TrafficGenerator:
 
     # -- the stream ---------------------------------------------------------
 
-    def arrivals(
-        self, duration_ms: float, start_ms: float = 0.0
-    ) -> Iterator[TimedRequest]:
-        """Lazily yield time-ordered arrivals in ``[start, start+duration)``.
+    def generate(self) -> list[TimedRequest]:
+        """Every arrival in the trace's ``[0, duration)``, in time order.
 
         Open-loop Poisson process: exponential interarrival gaps whose
-        mean tracks the phase-modulated rate at the current instant.
+        mean tracks the rate at the current instant.
         """
-        if duration_ms <= 0:
-            raise QueryError(
-                f"duration must be positive, got {duration_ms}"
-            )
-        at = float(start_ms)
-        end = start_ms + duration_ms
+        stream: list[TimedRequest] = []
+        if not self.trace.base_rate_per_ms:
+            return stream  # rate 0: the trace offers no open-loop traffic
+        at = 0.0
         while True:
             at += self._rng.expovariate(self._rate_at(at))
-            if at >= end:
-                return
-            yield TimedRequest(at_ms=at, request=self._sample_request(at))
-
-    def generate(
-        self, duration_ms: float, start_ms: float = 0.0
-    ) -> list[TimedRequest]:
-        """Materialise :meth:`arrivals` (handy for replay and batteries)."""
-        return list(self.arrivals(duration_ms, start_ms))
-
-
-def overload_mix(
-    offered_multiplier: float = 4.0,
-    base_rate_per_ms: float = 1.0,
-) -> TrafficConfig:
-    """The battery's standard tenant mix at a given overload factor.
-
-    Three tenants — a heavy aggregator, a steady mid-size product, and
-    a light interactive tail — with rush-hour phases and one fault
-    burst mid-run.  ``offered_multiplier`` scales the whole curve
-    relative to ``base_rate_per_ms`` (1.0 ≈ what a serial backend with
-    ~1 ms fetches can absorb; 4.0 is the acceptance regime).
-    """
-    return TrafficConfig(
-        base_rate_per_ms=base_rate_per_ms * offered_multiplier,
-        zipf_exponent=1.3,
-        tenants=(
-            TenantProfile(
-                "aggregator", weight=3.0, num_users=5_000_000,
-                fault_rate=0.05, max_faults=3,
-            ),
-            TenantProfile(
-                "product", weight=1.5, num_users=2_000_000,
-                fault_rate=0.08, max_faults=2,
-            ),
-            TenantProfile(
-                "interactive", weight=0.5, num_users=1_000_000,
-                fault_rate=0.02, max_faults=1, deadline_ms=150.0,
-            ),
-        ),
-        phases=(
-            TrafficPhase(duration_ms=400.0, rate_multiplier=0.6),
-            TrafficPhase(duration_ms=300.0, rate_multiplier=1.6),
-            TrafficPhase(duration_ms=300.0, rate_multiplier=1.0),
-        ),
-        bursts=(
-            FaultBurst(
-                start_ms=450.0, duration_ms=250.0, radius=2,
-                burst_fault_rate=0.6,
-            ),
-        ),
-    )
+            if at >= self.trace.duration_ms:
+                return stream
+            stream.append(TimedRequest(at, self._sample_request(at)))

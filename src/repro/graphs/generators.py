@@ -9,9 +9,8 @@ Three groups:
 * **lower-bound constructions of Section 3** — the king-move grid
   ``G_{p,d}`` (Chebyshev adjacency) and its 2-spanner ``H_{p,d}``,
   plus samplers for the family ``F_{n,α}`` of graphs between them;
-* **stress cases** — complete graphs and hypercubes, whose doubling
-  dimension grows with ``n`` (the scheme stays correct, only the bounds
-  degrade).
+* **stress cases** — hypercubes, whose doubling dimension grows with
+  ``n`` (the scheme stays correct, only the bounds degrade).
 """
 
 from __future__ import annotations
@@ -42,24 +41,6 @@ def cycle_graph(n: int) -> Graph:
         raise GraphError(f"cycle needs n >= 3, got {n}")
     g = path_graph(n)
     g.add_edge(n - 1, 0)
-    return g
-
-
-def star_graph(n_leaves: int) -> Graph:
-    """A star with center 0 and ``n_leaves`` leaves."""
-    g = Graph(n_leaves + 1)
-    for leaf in range(1, n_leaves + 1):
-        g.add_edge(0, leaf)
-    return g
-
-
-def complete_graph(n: int) -> Graph:
-    """The complete graph ``K_n`` (a stress case: α = Θ(log n) is irrelevant,
-    its diameter is 1 so the hierarchy collapses)."""
-    g = Graph(n)
-    for u in range(n):
-        for v in range(u + 1, n):
-            g.add_edge(u, v)
     return g
 
 
@@ -126,15 +107,6 @@ def grid_index(coords: tuple[int, ...], dims: tuple[int, ...]) -> int:
             raise GraphError(f"coordinate {coords} outside grid {dims}")
         index = index * size + coordinate
     return index
-
-
-def grid_coords(index: int, dims: tuple[int, ...]) -> tuple[int, ...]:
-    """Inverse of :func:`grid_index`."""
-    coords = []
-    for size in reversed(dims):
-        coords.append(index % size)
-        index //= size
-    return tuple(reversed(coords))
 
 
 def grid_graph(*dims: int) -> Graph:
@@ -276,29 +248,6 @@ def cylinder_graph(length: int, circumference: int) -> Graph:
             if not g.has_edge(u, v):
                 g.add_edge(u, v)
     return g
-
-
-def grid_with_obstacles(
-    width: int,
-    height: int,
-    obstacles: list[tuple[int, int, int, int]],
-) -> Graph:
-    """A 2-d grid with rectangular holes ``(x0, y0, x1, y1)`` (inclusive).
-
-    Obstacle vertices remain in the id space but are isolated, as in
-    :meth:`Graph.subgraph_without`.  Holes force detours, so shortest
-    paths are far from unique — useful for stressing the decoder's
-    choice of net-points.
-    """
-    dims = (width, height)
-    removed = set()
-    for x0, y0, x1, y1 in obstacles:
-        if not (0 <= x0 <= x1 < width and 0 <= y0 <= y1 < height):
-            raise GraphError(f"obstacle ({x0},{y0},{x1},{y1}) outside grid")
-        for x in range(x0, x1 + 1):
-            for y in range(y0, y1 + 1):
-                removed.add(grid_index((x, y), dims))
-    return grid_graph(width, height).subgraph_without(removed_vertices=removed)
 
 
 # ---------------------------------------------------------------------------

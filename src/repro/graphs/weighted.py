@@ -250,11 +250,6 @@ def multi_source_weighted_distances(
     return result
 
 
-def weighted_eccentricity(graph: WeightedGraph, source: int) -> int:
-    """Largest Dijkstra distance from ``source`` within its component."""
-    return max(weighted_distances(graph, source).values(), default=0)
-
-
 def log2_ceil(value: int) -> int:
     """``⌈log₂(value)⌉`` for positive integers (0 for value 1)."""
     if value < 1:

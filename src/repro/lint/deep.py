@@ -86,23 +86,6 @@ def deep_lint_paths(
     return LintResult(findings=tuple(findings), files_scanned=len(files))
 
 
-def build_program_for_paths(
-    paths: Iterable[str | Path], cache_path: str | Path | None = None
-) -> Program:
-    """The linked program for ``paths`` (for tests and tooling)."""
-    sources = []
-    for path in collect_files(paths):
-        try:
-            sources.append(SourceFile.from_path(path))
-        except SyntaxError:
-            continue
-    cache = FactCache(cache_path) if cache_path is not None else None
-    program = build_program(sources, cache=cache)
-    if cache is not None:
-        cache.save()
-    return program
-
-
 def _apply_suppressions(
     sources: Sequence[SourceFile], findings: list[Finding]
 ) -> list[Finding]:

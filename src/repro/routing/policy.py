@@ -72,14 +72,6 @@ class PolicyRouter:
                 raise QueryError(f"policy {name!r}: edge ({a}, {b}) not in graph")
         self._policies[name] = (vertex_set, edge_set)
 
-    def drop_policy(self, name: str) -> None:
-        """Remove a policy (unknown names are ignored)."""
-        self._policies.pop(name, None)
-
-    def policy_names(self) -> list[str]:
-        """Defined policy names, sorted."""
-        return sorted(self._policies)
-
     def combined_faults(
         self, policies: Iterable[str]
     ) -> tuple[set[int], set[tuple[int, int]]]:

@@ -20,11 +20,7 @@ and emits it back as a replayable trace; and
 regression library.
 """
 
-from repro.scenario.compile import (
-    CompiledScenario,
-    TimedProbe,
-    compile_trace,
-)
+from repro.scenario.compile import CompiledScenario, compile_trace
 from repro.scenario.generate import (
     churn_suite,
     churn_trace,
@@ -68,7 +64,6 @@ __all__ = [
     "ScenarioRunner",
     "ScenarioTrace",
     "SearchResult",
-    "TimedProbe",
     "TraceTenant",
     "WindowRow",
     "WorstPair",

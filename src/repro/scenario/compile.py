@@ -1,22 +1,19 @@
-"""Lowering scenario traces onto the traffic/chaos/service machinery.
+"""Lowering scenario traces onto the serving and chaos machinery.
 
 :func:`compile_trace` turns a parsed :class:`ScenarioTrace` into a
-:class:`CompiledScenario` — everything the runner replays:
+:class:`CompiledScenario` — everything the runner replays besides the
+open-loop traffic, which
+:class:`~repro.gateway.traffic.TrafficGenerator` reads straight off the
+trace (header rate and Zipf exponent, tenant rows, ``flash_crowd``
+windows, the ``burst`` header and the ``ball_outage`` / ``outage``
+rows):
 
-* ``flash_crowd`` events become a :class:`TrafficPhase` tiling of
-  exactly ``[0, duration)`` (the phase cycle *is* the scenario
-  duration, so absolute windows survive the generator's modulo);
-* ``ball_outage`` / ``outage`` events become :class:`FaultBurst`
-  windows — the ball variant resolves ``B(center, radius)`` inside
-  the generator, the explicit variant pins the adversarial vertex
-  pool verbatim — and the ``burst`` header becomes a burst whose
-  center the generator draws;
 * ``maintenance`` unrolls into a rolling ``shard_down`` /
   ``shard_recover`` pair per shard, one window after another;
 * timed shard and rollout rows are the timestamped actions, sorted by
   time;
-* ``probe`` events become timestamped :class:`GatewayRequest`\\ s under
-  the reserved ``probe`` tenant;
+* ``probe`` events become :class:`TimedRequest`\\ s under the reserved
+  ``probe`` tenant;
 * scripted rows stay rows, in file order;
 * the ``gateway`` header and the tenants' quotas become the
   :class:`GatewayConfig`.
@@ -36,12 +33,7 @@ from dataclasses import dataclass
 from repro.exceptions import ScenarioError
 from repro.gateway.admission import QuotaPolicy
 from repro.gateway.gateway import GatewayConfig, GatewayRequest
-from repro.gateway.traffic import (
-    FaultBurst,
-    TenantProfile,
-    TrafficConfig,
-    TrafficPhase,
-)
+from repro.gateway.traffic import TimedRequest
 from repro.graphs.graph import Graph
 from repro.scenario.trace import NETWORK_KINDS, ScenarioEvent, ScenarioTrace
 
@@ -50,27 +42,18 @@ PROBE_TENANT = "probe"
 
 
 @dataclass(frozen=True)
-class TimedProbe:
-    """One injected deterministic query pinned to a virtual-time instant."""
-
-    at_ms: float
-    request: GatewayRequest
-
-
-@dataclass(frozen=True)
 class CompiledScenario:
     """A trace lowered onto the concrete machinery, ready to replay.
 
-    ``traffic`` is None when the trace has no open-loop traffic
-    (``rate 0``).  ``actions`` are the timed shard and rollout rows
-    (maintenance unrolled), ``script`` the scripted rows.
+    ``actions`` are the timed shard and rollout rows (maintenance
+    unrolled), ``probes`` the injected probe requests and ``script``
+    the scripted rows.
     """
 
     trace: ScenarioTrace
     graph: Graph
-    traffic: TrafficConfig | None
     actions: tuple[ScenarioEvent, ...]
-    probes: tuple[TimedProbe, ...]
+    probes: tuple[TimedRequest, ...]
     script: tuple[ScenarioEvent, ...]
     gateway: GatewayConfig
 
@@ -166,14 +149,10 @@ def check_rows(
         _check_event(graph, trace, index, event)
 
 
-def _phases(trace: ScenarioTrace) -> tuple[TrafficPhase, ...]:
-    """Tile ``[0, duration)`` with the flash-crowd rate overrides."""
-    crowds = [e for e in trace.events if e.kind == "flash_crowd"]
-    if not crowds:
-        return ()
-    phases: list[TrafficPhase] = []
+def _check_crowds(trace: ScenarioTrace) -> None:
+    """Flash-crowd windows set the rate one at a time: no two overlap."""
     cursor = 0.0
-    for index, crowd in enumerate(crowds):
+    for crowd in [e for e in trace.events if e.kind == "flash_crowd"]:
         if crowd.at_ms < cursor:
             raise ScenarioError(
                 f"flash_crowd at t={crowd.at_ms:g} overlaps the previous "
@@ -181,52 +160,7 @@ def _phases(trace: ScenarioTrace) -> tuple[TrafficPhase, ...]:
                 "rate overrides must not overlap",
                 field="multiplier",
             )
-        if crowd.at_ms > cursor:
-            phases.append(TrafficPhase(duration_ms=crowd.at_ms - cursor))
-        end = min(crowd.end_ms(), trace.duration_ms)
-        phases.append(
-            TrafficPhase(
-                duration_ms=end - crowd.at_ms,
-                rate_multiplier=crowd.multiplier,
-            )
-        )
-        cursor = end
-    if cursor < trace.duration_ms:
-        phases.append(TrafficPhase(duration_ms=trace.duration_ms - cursor))
-    return tuple(phases)
-
-
-def _bursts(trace: ScenarioTrace) -> tuple[FaultBurst, ...]:
-    bursts: list[FaultBurst] = []
-    if trace.burst is not None:
-        # no center: the traffic generator draws it from its own stream,
-        # and each request's fault count is capped by its tenant
-        bursts.append(FaultBurst(
-            start_ms=trace.burst.at_ms,
-            duration_ms=trace.burst.duration_ms,
-            radius=trace.burst.radius,
-            burst_fault_rate=trace.burst.fault_rate,
-        ))
-    for event in trace.events:
-        if event.kind == "ball_outage":
-            bursts.append(FaultBurst(
-                start_ms=event.at_ms,
-                duration_ms=event.duration_ms,
-                radius=event.radius,
-                burst_fault_rate=event.fault_rate,
-                center=event.center,
-                max_faults=event.max_faults,
-            ))
-        elif event.kind == "outage":
-            bursts.append(FaultBurst(
-                start_ms=event.at_ms,
-                duration_ms=event.duration_ms,
-                radius=0,
-                burst_fault_rate=event.fault_rate,
-                vertices=tuple(sorted(event.vertices)),
-                max_faults=event.max_faults,
-            ))
-    return tuple(bursts)
+        cursor = min(crowd.end_ms(), trace.duration_ms)
 
 
 def _actions(trace: ScenarioTrace) -> tuple[ScenarioEvent, ...]:
@@ -246,12 +180,12 @@ def _actions(trace: ScenarioTrace) -> tuple[ScenarioEvent, ...]:
     return tuple(sorted(actions, key=lambda action: action.at_ms))
 
 
-def _probes(trace: ScenarioTrace) -> tuple[TimedProbe, ...]:
-    probes: list[TimedProbe] = []
+def _probes(trace: ScenarioTrace) -> tuple[TimedRequest, ...]:
+    probes: list[TimedRequest] = []
     for event in trace.events:
         if event.kind != "probe":
             continue
-        probes.append(TimedProbe(
+        probes.append(TimedRequest(
             at_ms=event.at_ms,
             request=GatewayRequest(
                 tenant=PROBE_TENANT,
@@ -284,29 +218,10 @@ def compile_trace(
                 f"tenant name {PROBE_TENANT!r} is reserved for injected "
                 "probe requests"
             )
-    traffic = None
-    if trace.base_rate_per_ms > 0:
-        traffic = TrafficConfig(
-            base_rate_per_ms=trace.base_rate_per_ms,
-            zipf_exponent=trace.zipf_exponent,
-            tenants=tuple(
-                TenantProfile(
-                    name=tenant.name,
-                    weight=tenant.weight,
-                    num_users=tenant.num_users,
-                    fault_rate=tenant.fault_rate,
-                    max_faults=tenant.max_faults,
-                    deadline_ms=tenant.deadline_ms,
-                )
-                for tenant in trace.tenants
-            ),
-            phases=_phases(trace),
-            bursts=_bursts(trace),
-        )
+    _check_crowds(trace)
     return CompiledScenario(
         trace=trace,
         graph=graph,
-        traffic=traffic,
         actions=_actions(trace),
         probes=_probes(trace),
         script=tuple(event for event in trace.events if event.scripted),

@@ -30,7 +30,6 @@ them to a file that parses back equal.
 from __future__ import annotations
 
 from repro.exceptions import ScenarioError
-from repro.gateway.traffic import overload_mix
 from repro.graphs.graph import Graph
 from repro.scenario.compile import build_graph
 from repro.scenario.trace import (
@@ -369,9 +368,28 @@ def serve_chaos_suite(
     return traces
 
 
-#: per-tenant token buckets (rate per ms, burst) of the traffic battery:
-#: the aggregator's sits below its arrival rate
-_TRAFFIC_QUOTAS = {"aggregator": (1.0, 30.0)}
+#: the traffic battery's three tenants — a heavy aggregator whose quota
+#: sits below its arrival rate, a steady mid-size product and a light
+#: interactive tail
+_TRAFFIC_TENANTS = (
+    TraceTenant(
+        "aggregator", weight=3.0, num_users=5_000_000, fault_rate=0.05,
+        max_faults=3, quota_rate=1.0, quota_burst=30.0,
+    ),
+    TraceTenant(
+        "product", weight=1.5, num_users=2_000_000, fault_rate=0.08,
+        max_faults=2,
+    ),
+    TraceTenant(
+        "interactive", weight=0.5, num_users=1_000_000, fault_rate=0.02,
+        max_faults=1, deadline_ms=150.0,
+    ),
+)
+
+#: the battery's rush-hour curve, repeated every second: ``(offset,
+#: multiplier, length)`` of each window off the base rate
+_RUSH_HOUR = ((0.0, 0.6, 400.0), (400.0, 1.6, 300.0))
+_RUSH_HOUR_CYCLE_MS = 1000.0
 
 
 def traffic_trace(
@@ -380,10 +398,12 @@ def traffic_trace(
     """The traffic battery: 4x overload plus a concurrent shard outage.
 
     A 10×10 grid served by 4 *unreplicated* shards, shard 0 down from
-    400 to 700 ms (so the outage genuinely degrades answers), and the
-    :func:`~repro.gateway.traffic.overload_mix` traffic at
-    ``multiplier``: three Zipf tenant populations in the millions, the
-    rush-hour curve as ``flash_crowd`` rows and a fault burst whose
+    400 to 700 ms (so the outage genuinely degrades answers), and
+    open-loop traffic at ``multiplier`` arrivals per ms (1 is about
+    what a serial backend with ~1 ms fetches absorbs; 4 is the
+    acceptance regime): three Zipf tenant populations in the millions,
+    a rush-hour curve as ``flash_crowd`` rows (0.6x for 400 ms, then
+    1.6x for 300 ms, every second) and a 450–700 ms fault burst whose
     forbidden sets concentrate in a ball around a drawn center.  A
     64-entry label cache, smaller than the working set, keeps the
     backend the bottleneck, so the overload is real; the aggregator's
@@ -391,51 +411,41 @@ def traffic_trace(
     occur.  Rows that would start at or after ``duration_ms`` are left
     out.  Deterministic in ``seed``.
     """
-    mix = overload_mix(multiplier)
-    timed: list[tuple[float, ScenarioEvent]] = []
-    cycle = sum(phase.duration_ms for phase in mix.phases)
-    start = 0.0
-    while start < duration_ms:
-        # the curve repeats every cycle; phases at the base rate are gaps
-        at = start
-        for phase in mix.phases:
-            if at < duration_ms and phase.rate_multiplier != 1.0:
-                timed.append((at, ScenarioEvent(
-                    at, "flash_crowd", multiplier=phase.rate_multiplier,
-                    duration_ms=min(phase.duration_ms, duration_ms - at),
-                )))
-            at += phase.duration_ms
-        start += cycle
+    if not multiplier > 0:
+        raise ScenarioError(
+            f"traffic multiplier must be positive, got {multiplier:g}",
+            field="multiplier",
+        )
+    rows: list[ScenarioEvent] = []
+    cycle = 0.0
+    while cycle < duration_ms:
+        for offset, factor, length in _RUSH_HOUR:
+            at = cycle + offset
+            if at < duration_ms:
+                rows.append(ScenarioEvent(
+                    at, "flash_crowd", multiplier=factor,
+                    duration_ms=min(length, duration_ms - at),
+                ))
+        cycle += _RUSH_HOUR_CYCLE_MS
     for at, kind in ((400.0, "shard_down"), (700.0, "shard_recover")):
         if at < duration_ms:
-            timed.append((at, ScenarioEvent(at, kind, shard=0)))
-    timed.sort(key=lambda pair: pair[0])
-    tenants = []
-    for tenant in mix.tenants:
-        quota_rate, quota_burst = _TRAFFIC_QUOTAS.get(tenant.name, (None, None))
-        tenants.append(TraceTenant(
-            tenant.name, weight=tenant.weight, num_users=tenant.num_users,
-            fault_rate=tenant.fault_rate, max_faults=tenant.max_faults,
-            deadline_ms=tenant.deadline_ms, quota_rate=quota_rate,
-            quota_burst=quota_burst,
-        ))
-    (burst,) = mix.bursts
+            rows.append(ScenarioEvent(at, kind, shard=0))
+    rows.sort(key=lambda row: row.at_ms)
     return ScenarioTrace(
         name="traffic",
         graph_spec="grid:10x10",
         duration_ms=duration_ms,
         seed=seed,
-        base_rate_per_ms=mix.base_rate_per_ms,
-        zipf_exponent=mix.zipf_exponent,
+        base_rate_per_ms=float(multiplier),
+        zipf_exponent=1.3,
         num_shards=4,
         replication=1,
-        tenants=tuple(tenants),
-        events=tuple(event for _, event in timed),
+        tenants=_TRAFFIC_TENANTS,
+        events=tuple(rows),
         cache_capacity=64,
         gateway=TraceGateway(tenant_queue=24, quota_rate=2.0, quota_burst=40.0),
         burst=TraceBurst(
-            at_ms=burst.start_ms, duration_ms=burst.duration_ms,
-            radius=burst.radius, fault_rate=burst.burst_fault_rate,
+            at_ms=450.0, duration_ms=250.0, radius=2, fault_rate=0.6,
         ),
         slo=TraceSLO(
             p99_ms=400.0, shed_rate=0.9, goodput=0.05, fairness=3.0,

@@ -57,7 +57,7 @@ from typing import TYPE_CHECKING, Any
 from repro.durability.fs import CRASH_MODES, SimulatedFS
 from repro.exceptions import ReproError, SimulatedCrashError
 from repro.gateway.cache import CachingLabelClient, LabelCache
-from repro.gateway.gateway import AsyncGateway, GatewayConfig, GatewayOutcome
+from repro.gateway.gateway import AsyncGateway, GatewayOutcome
 from repro.gateway.loop import VirtualLoop
 from repro.gateway.traffic import TimedRequest, TrafficGenerator
 from repro.graphs.graph import Graph
@@ -285,16 +285,12 @@ class ScenarioReport:
 
 
 class ScenarioRunner:
-    """Builds the stack and replays one compiled scenario end to end.
-
-    ``gateway_config`` overrides the gateway the trace declares.
-    """
+    """Builds the stack and replays one compiled scenario end to end."""
 
     def __init__(
         self,
         compiled: CompiledScenario,
         epsilon: float = 1.0,
-        gateway_config: GatewayConfig | None = None,
         obs: "Registry | None" = None,
     ) -> None:
         trace = compiled.trace
@@ -304,10 +300,8 @@ class ScenarioRunner:
         self.obs = obs
         seed = trace.seed
         self.traffic: TrafficGenerator | None = None
-        if compiled.traffic is not None:
-            self.traffic = TrafficGenerator(
-                compiled.graph, compiled.traffic, seed + 2
-            )
+        if trace.base_rate_per_ms > 0:
+            self.traffic = TrafficGenerator(compiled.graph, trace, seed + 2)
         clock = VirtualClock()
         self.loop = VirtualLoop(clock)
         scheme = ForbiddenSetLabeling(compiled.graph, epsilon)
@@ -345,8 +339,7 @@ class ScenarioRunner:
         self._fs = SimulatedFS(seed=seed + 4)
         store.attach_durability(self._fs, f"scenario-{trace.name}")
         self.gateway = AsyncGateway(
-            self.service, self.loop, gateway_config or compiled.gateway,
-            obs=obs,
+            self.service, self.loop, compiled.gateway, obs=obs
         )
         # only shard_corrupt and rollout_crash draw from it: seed + 2 as
         # serve-chaos drew it, unless the traffic already owns that stream
@@ -375,24 +368,16 @@ class ScenarioRunner:
         """Replay the whole trace, drain the gateway, judge everything."""
         report = self._report
         self._init_windows()
-        stream = (
-            [] if self.traffic is None
-            else self.traffic.generate(self.trace.duration_ms)
-        )
+        stream = [] if self.traffic is None else self.traffic.generate()
         results: list[tuple[float, object]] = []
 
         def _arrive(timed: TimedRequest) -> None:
             results.append((timed.at_ms, self.gateway.submit(timed.request)))
 
-        for timed in stream:
+        # the traffic's arrivals first, then the probes: a tie at one
+        # instant fires in that order
+        for timed in (*stream, *self.compiled.probes):
             self.loop.call_at(timed.at_ms, lambda timed=timed: _arrive(timed))
-        for probe in self.compiled.probes:
-            self.loop.call_at(
-                probe.at_ms,
-                lambda probe=probe: results.append(
-                    (probe.at_ms, self.gateway.submit(probe.request))
-                ),
-            )
         for action in self.compiled.actions:
             self.loop.call_at(
                 action.at_ms,

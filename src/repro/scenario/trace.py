@@ -49,6 +49,8 @@ Event taxonomy (virtual milliseconds throughout):
 ``outage``
     the explicit-set variant: the forbidden pool is the listed
     ``vertices`` (the adversarial worst-``F`` search emits these).
+    While fault windows overlap, the one listed first (the v2
+    ``burst`` header, then the rows in file order) supplies the pool.
 ``flash_crowd``
     an arrival-rate override window (``multiplier`` × the base rate).
 ``maintenance``
@@ -234,10 +236,15 @@ def _name_ok(name: str) -> bool:
 
 @dataclass(frozen=True)
 class TraceTenant:
-    """One tenant row of a trace header (mirrors ``TenantProfile``).
+    """One tenant row of a trace header: a share of the open-loop traffic.
 
-    ``quota_rate`` / ``quota_burst`` (v2, set together) override the
-    gateway's token bucket for this tenant.
+    ``weight`` sets the tenant's fraction of arrivals; ``num_users``
+    sizes the simulated user population its requests are drawn from;
+    ``fault_rate`` is the per-request probability of carrying a
+    forbidden set (of up to ``max_faults`` vertices) outside fault
+    windows; ``deadline_ms`` is attached to every request (None = the
+    gateway default).  ``quota_rate`` / ``quota_burst`` (v2, set
+    together) override the gateway's token bucket for this tenant.
     """
 
     name: str

@@ -109,7 +109,3 @@ class VirtualClock:
         while heap and heap[0][2].cancelled:
             heapq.heappop(heap)
         return heap[0][0] if heap else None
-
-    def pending_wakeups(self) -> int:
-        """How many live (non-cancelled) wakeups are registered."""
-        return sum(1 for _, _, w in self._wakeups if not w.cancelled)

@@ -376,10 +376,6 @@ class ShardedLabelStore:
                 f"(available: {self.versions})"
             ) from None
 
-    def all_healthy(self) -> bool:
-        """True when no shard carries any injected fault."""
-        return all(h.healthy for h in self._health)
-
     def _check_shard(self, shard: int) -> None:
         if not 0 <= shard < self._num_shards:
             raise QueryError(f"shard {shard} out of range")

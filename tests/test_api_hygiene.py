@@ -78,18 +78,28 @@ def test_version_defined():
     assert repro.__version__
 
 
-def test_every_public_name_is_referenced():
-    """A public def, class or method that nothing mentions is dead code.
-
-    A word-boundary scan of the repository's Python, tests included,
-    must find each public name in ``src/`` more often than it is
-    defined.  Only the ``visit_*`` hooks of ``lint/callgraph.py`` are
-    exempt: ``ast.NodeVisitor`` calls them by name.
-    """
+def _words(include_tests: bool) -> Counter[str]:
+    """Every word of the repository's Python, ``tests/`` in or out."""
     words: Counter[str] = Counter()
     for path in ROOT.rglob("*.py"):
-        if not any(p.startswith(".") for p in path.relative_to(ROOT).parts):
-            words.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+        parts = path.relative_to(ROOT).parts
+        if any(p.startswith(".") for p in parts):
+            continue
+        if parts[0] == "tests" and not include_tests:
+            continue
+        words.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    return words
+
+
+def _unreferenced(include_tests: bool) -> list[str]:
+    """``"path: name"`` of each public def, class or method in ``src/``
+    that the word scan finds no use of.
+
+    A name counts as used when it occurs more often than it is defined.
+    Only the ``visit_*`` hooks of ``lint/callgraph.py`` are exempt:
+    ``ast.NodeVisitor`` calls them by name.
+    """
+    words = _words(include_tests)
     definitions = []
     for path in sorted((ROOT / "src").rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -101,13 +111,67 @@ def test_every_public_name_is_referenced():
             and not node.name.startswith("_")
         )
     defined = Counter(name for name, _ in definitions)
-    unreferenced = sorted(
+    return sorted(
         f"{where}: {name}" for name, where in definitions
         if words[name] <= defined[name]
         and not (where == "src/repro/lint/callgraph.py"
                  and name.startswith("visit_"))
     )
+
+
+def test_every_public_name_is_referenced():
+    """A public def, class or method that nothing mentions is dead code.
+
+    A word-boundary scan of the repository's Python, tests included,
+    must find each public name in ``src/`` more often than it is
+    defined.
+    """
+    unreferenced = _unreferenced(include_tests=True)
     assert not unreferenced, unreferenced
+
+
+#: public names that only the tests call, each kept for the reason given
+TEST_ONLY_ALLOWED = {
+    "src/repro/baselines/single_fault.py: query_edge_fault":
+        "the single-fault baseline's edge-fault answer, beside its query",
+    "src/repro/connectivity/scheme.py: connected_from_labels":
+        "paper-facing: connectivity decided from two labels alone",
+    "src/repro/graphs/doubling.py: packing_bound_holds":
+        "paper-facing: the Fact 1 / Lemma 2.2 packing bound",
+    "src/repro/graphs/weighted.py: from_edges":
+        "a constructor of the weighted scheme's input graph",
+    "src/repro/graphs/weighted.py: from_unweighted":
+        "a constructor of the weighted scheme's input graph",
+    "src/repro/lint/engine.py: check_source":
+        "the lint engine's in-memory entry point, beside check_file",
+    "src/repro/nets/hierarchy.py: net_sizes":
+        "paper-facing: |N_i| per level of the net hierarchy",
+    "src/repro/nets/weighted_hierarchy.py: net_sizes":
+        "paper-facing: |N_i| per level of the weighted net hierarchy",
+    "src/repro/oracle/dynamic.py: delete_edge":
+        "the dynamic oracle's edge update, beside delete_vertex",
+    "src/repro/oracle/dynamic.py: restore_edge":
+        "the dynamic oracle's edge update, beside restore_vertex",
+    "src/repro/util/bitio.py: bits_remaining":
+        "bit I/O of the label format: the reader's unread bit count",
+    "src/repro/util/bitio.py: read_unary":
+        "bit I/O of the label format: the unary code under gamma",
+    "src/repro/util/bitio.py: write_unary":
+        "bit I/O of the label format: the unary code under gamma",
+}
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    """A public name only the tests call is dead code, unless allowed.
+
+    The same word scan as above, over the repository's Python outside
+    ``tests/`` (``src/``, ``examples/``, ``bench/``, ``benchmarks/``,
+    ``tools/``), must find every public name in ``src/`` except those on
+    ``TEST_ONLY_ALLOWED``, each with its reason.  An entry whose name
+    gained a caller or went away must leave the list too.
+    """
+    assert _unreferenced(include_tests=False) == sorted(TEST_ONLY_ALLOWED)
+    assert all(reason.strip() for reason in TEST_ONLY_ALLOWED.values())
 
 
 @functools.lru_cache(maxsize=None)

@@ -313,6 +313,28 @@ class TestTrafficCommand:
         assert main(argv) == 0
         assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
+    def test_full_second_matches_committed_golden(self, capsys):
+        # the whole battery: the 400-700 ms 1.6x rush, the 450-700 ms
+        # burst and the shard outage; regenerate (only after a
+        # deliberate behaviour change) with
+        #   PYTHONPATH=src python -m repro traffic --seed 0 \
+        #     --duration-ms 1000 --format json \
+        #     > tests/golden/traffic_seed0_1000ms.json
+        from pathlib import Path
+
+        golden = Path(__file__).parent / "golden" / "traffic_seed0_1000ms.json"
+        argv = ["traffic", "--seed", "0", "--duration-ms", "1000",
+                "--format", "json"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("multiplier", ["0", "-1"])
+    def test_bad_multiplier_is_rejected(self, multiplier, capsys):
+        assert main(["traffic", "--multiplier", multiplier]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"traffic multiplier must be positive, got {multiplier}" in err
+
 
 class TestScenarioCommands:
     def test_list_names_every_library_scenario(self, capsys):

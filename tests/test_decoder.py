@@ -25,7 +25,6 @@ from repro.graphs.generators import (
     path_graph,
     random_tree,
     road_like_graph,
-    star_graph,
 )
 from repro.labeling import (
     FaultSet,
@@ -33,6 +32,7 @@ from repro.labeling import (
     LabelingOptions,
     decode_distance,
 )
+from tests.graph_families import star_graph
 from tests.reference_decoder import build_sketch_graph
 
 

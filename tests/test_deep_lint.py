@@ -25,9 +25,9 @@ from repro.lint import (
     render_json,
     render_sarif,
 )
-from repro.lint.deep import build_program_for_paths, deep_check_sources
+from repro.lint.deep import deep_check_sources
 from repro.lint.deep_rules import HotPathAllocationRule
-from repro.lint.engine import SourceFile
+from repro.lint.engine import SourceFile, collect_files
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
@@ -383,7 +383,10 @@ def test_hot_path_entry_points_resolve_in_the_repo():
     A stale anchor (a renamed or deleted decoder class) would silently
     shrink the walked hot path instead of failing.
     """
-    program = build_program_for_paths([ROOT / "src" / "repro"])
+    program = build_program([
+        SourceFile.from_path(path)
+        for path in collect_files([ROOT / "src" / "repro"])
+    ])
     defined = {
         (node.class_name, node.name) for node in program.sorted_functions()
     }

@@ -70,7 +70,7 @@ class TestClockWakeups:
         wakeup.cancel()
         clock.advance(10.0)
         assert fired == []
-        assert clock.pending_wakeups() == 0
+        assert clock.next_wakeup() is None
 
     def test_next_wakeup_skips_cancelled_heads(self):
         clock = VirtualClock()
@@ -105,8 +105,7 @@ class TestVirtualLoop:
             order.append(f"{tag}-end")
 
         loop.create_task(worker("a"))
-        loop.create_task(worker("b"))
-        loop.run_until_idle()
+        loop.run_until_complete(loop.create_task(worker("b")))
         assert order == ["a-start", "b-start", "a-end", "b-end"]
 
     def test_sleep_orders_by_due_time(self):
@@ -117,9 +116,9 @@ class TestVirtualLoop:
             await loop.sleep(ms)
             order.append((tag, loop.now))
 
-        loop.create_task(sleeper("late", 20.0))
+        late = loop.create_task(sleeper("late", 20.0))
         loop.create_task(sleeper("early", 5.0))
-        loop.run_until_idle()
+        loop.run_until_complete(late)
         assert order == [("early", 5.0), ("late", 20.0)]
 
     def test_run_until_complete_returns_result(self):
@@ -193,14 +192,14 @@ class TestVirtualLoop:
             woken.append(tag)
 
         loop.create_task(waiter("a"))
-        loop.create_task(waiter("b"))
+        last = loop.create_task(waiter("b"))
 
         async def pulse():
             await loop.sleep(0)  # let both park first
             event.notify()
 
         loop.create_task(pulse())
-        loop.run_until_idle()
+        loop.run_until_complete(last)
         assert woken == ["a", "b"]
 
     def test_step_count_is_deterministic(self):
@@ -211,9 +210,8 @@ class TestVirtualLoop:
                 for _ in range(5):
                     await loop.sleep(1.0)
 
-            for _ in range(3):
-                loop.create_task(busy())
-            loop.run_until_idle()
+            for task in [loop.create_task(busy()) for _ in range(3)]:
+                loop.run_until_complete(task)
             return loop.steps
 
         assert run() == run()

@@ -147,8 +147,8 @@ class TestFullBattery:
         baseline = run_trace(trace)
         compiled = compile_trace(replace(trace, cache_capacity=None))
         stripped = ScenarioRunner(
-            compiled,
-            gateway_config=replace(compiled.gateway, coalescing=False),
+            replace(compiled, gateway=replace(compiled.gateway,
+                                              coalescing=False)),
         ).run()
         assert baseline.ok, baseline.violations[:10]
         assert stripped.ok, stripped.violations[:10]

@@ -1,5 +1,7 @@
 """Tests for graph generators, including the Section 3 constructions."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,9 +11,7 @@ from repro.graphs import bfs_distances, is_connected
 from repro.graphs.generators import (
     balanced_tree,
     caterpillar,
-    complete_graph,
     cycle_graph,
-    grid_coords,
     grid_graph,
     grid_index,
     half_king_grid,
@@ -22,9 +22,9 @@ from repro.graphs.generators import (
     random_tree,
     road_like_graph,
     sample_family_graph,
-    star_graph,
     torus_graph,
 )
+from tests.graph_families import complete_graph, star_graph
 
 
 class TestElementary:
@@ -70,9 +70,11 @@ class TestElementary:
 
 class TestGrids:
     def test_grid_index_roundtrip(self):
+        # row-major: the coordinate tuples in lexicographic order are
+        # exactly the indices 0..59
         dims = (3, 4, 5)
-        for index in range(60):
-            assert grid_index(grid_coords(index, dims), dims) == index
+        coords = itertools.product(*(range(size) for size in dims))
+        assert [grid_index(c, dims) for c in coords] == list(range(60))
 
     def test_grid_2d_structure(self):
         g = grid_graph(3, 4)

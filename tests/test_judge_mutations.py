@@ -98,7 +98,10 @@ def inflated_attempts(service, outcome):
 
 
 def degraded_after_recovery(service, outcome):
-    if outcome.exact and service.store.all_healthy():
+    store = service.store
+    if outcome.exact and all(
+        store.health(shard).healthy for shard in range(store.num_shards)
+    ):
         return _degrade(outcome, 0.0,
                         DegradationReason.FAULT_LABELS_UNAVAILABLE)
     return outcome

@@ -12,7 +12,6 @@ from repro.graphs.doubling import (
     packing_bound_holds,
 )
 from repro.graphs.generators import (
-    complete_graph,
     cycle_graph,
     grid_graph,
     path_graph,
@@ -24,6 +23,7 @@ from repro.nets import (
     is_r_dominating,
     min_pairwise_distance_at_least,
 )
+from tests.graph_families import complete_graph
 
 
 class TestGreedyDominatingSet:

@@ -25,22 +25,18 @@ def router():
 
 class TestPolicyManagement:
     def test_names_listed(self, router):
-        assert router.policy_names() == [
-            "no-center",
-            "no-first-link",
-            "no-top-row",
-        ]
+        vertices, edges = router.combined_faults(
+            ["no-center", "no-first-link", "no-top-row"]
+        )
+        assert vertices == {14, 15, 20, 21, 5, 11, 17, 23, 29}
+        assert edges == {(0, 1)}
+        with pytest.raises(QueryError):
+            router.combined_faults(["no-such-policy"])
 
     def test_redefinition_replaces(self, router):
         router.define_policy("no-center", vertices=[7])
         vertices, _ = router.combined_faults(["no-center"])
         assert vertices == {7}
-
-    def test_drop_policy(self, router):
-        router.drop_policy("no-center")
-        assert "no-center" not in router.policy_names()
-        with pytest.raises(QueryError):
-            router.distance(0, 35, policies=["no-center"])
 
     def test_bad_policy_contents_rejected(self, router):
         with pytest.raises(QueryError):

@@ -17,7 +17,7 @@ from repro.scenario import (
     serialize_trace,
     trace_crc,
 )
-from repro.scenario import random_shard_plan, traffic_trace
+from repro.scenario import compile_trace, random_shard_plan, traffic_trace
 from repro.scenario.trace import (
     V1_KINDS,
     TraceBurst,
@@ -315,6 +315,113 @@ class TestValidation:
             "fail_edge", "recover_edge", "partition", "heal_partition",
             "propagate", "send",
         }
+
+
+def _shaped(*events, **header) -> ScenarioTrace:
+    """A trace with open-loop traffic on grid:8x8, 100 ms long."""
+    return ScenarioTrace(name="shaped", graph_spec="grid:8x8",
+                         duration_ms=100.0, events=events, **header)
+
+
+def _window(kind: str, at_ms: float = 0.0, **fields) -> ScenarioTrace:
+    """A shaped trace with one ``kind`` window (sensible defaults)."""
+    defaults = dict(
+        ball_outage=dict(center=0, radius=1, duration_ms=10.0),
+        outage=dict(vertices=(3, 4), duration_ms=10.0),
+        flash_crowd=dict(multiplier=2.0, duration_ms=10.0),
+    )[kind]
+    defaults.update(fields)
+    return _shaped(ScenarioEvent(at_ms=at_ms, kind=kind, **defaults))
+
+
+def _burst(**fields) -> ScenarioTrace:
+    values = dict(at_ms=0.0, duration_ms=10.0, radius=1, fault_rate=0.5)
+    values.update(fields)
+    return _shaped(burst=TraceBurst(**values))
+
+
+#: every rule on the shape of open-loop traffic, as ``case -> (make,
+#: message)``: ``make()`` must raise a ScenarioError matching
+#: ``message``.  A case is named after the traffic-type check it
+#: replaces (``tests/test_traffic.py`` runs them under those names);
+#: ``-header`` / ``-row`` split a fault-window rule between the
+#: ``burst`` header and the outage rows.  A trace without tenant rows
+#: gets the default tenant (``test_defaults_resolve_canonically``).
+TRAFFIC_RULES = {
+    "rate_must_be_positive": (
+        lambda: _shaped(base_rate_per_ms=-1.0), r"rate must be >= 0"),
+    "duration_must_be_positive": (
+        lambda: replace(_shaped(), duration_ms=0.0),
+        r"duration_ms must be positive"),
+    "config_zipf_exponent_floor": (
+        lambda: _shaped(zipf_exponent=-0.5), r"zipf must be >= 0"),
+    "tenant_name_required": (
+        lambda: TraceTenant(""), r"bad tenant name"),
+    "tenant_weights_must_be_positive": (
+        lambda: TraceTenant("b", weight=0.0),
+        r"tenant weight must be positive"),
+    "tenant_fault_rate_bounds-high": (
+        lambda: TraceTenant("a", fault_rate=1.5),
+        r"tenant fault_rate must be in \[0, 1\]"),
+    "tenant_fault_rate_bounds-low": (
+        lambda: TraceTenant("a", fault_rate=-0.1),
+        r"tenant fault_rate must be in \[0, 1\]"),
+    "tenant_max_faults_floor": (
+        lambda: TraceTenant("a", max_faults=0),
+        r"tenant max_faults must be >= 1"),
+    "tenant_needs_users": (
+        lambda: TraceTenant("a", num_users=0), r"at least one user"),
+    "tenant_deadline_must_be_positive": (
+        lambda: TraceTenant("a", deadline_ms=0.0),
+        r"tenant deadline_ms must be positive"),
+    "phase_duration_must_be_positive": (
+        lambda: _window("flash_crowd", duration_ms=0.0),
+        r"flash_crowd duration_ms must be positive"),
+    "phase_multiplier_must_be_positive": (
+        lambda: _window("flash_crowd", multiplier=-1.0),
+        r"flash_crowd multiplier must be positive"),
+    "burst_start-header": (
+        lambda: _burst(at_ms=-1.0), r"burst at_ms must be in \[0, inf\)"),
+    "burst_start-row": (
+        lambda: _window("ball_outage", at_ms=-1.0),
+        r"event time must be >= 0"),
+    "burst_duration-header": (
+        lambda: _burst(duration_ms=0.0),
+        r"burst duration_ms must be in \(0, inf\)"),
+    "burst_duration-row": (
+        lambda: _window("outage", duration_ms=0.0),
+        r"outage duration_ms must be positive"),
+    "burst_rate_bounds-header": (
+        lambda: _burst(fault_rate=2.0),
+        r"burst fault_rate must be in \[0, 1\]"),
+    "burst_rate_bounds-row": (
+        lambda: _window("ball_outage", fault_rate=2.0),
+        r"ball_outage fault_rate must be in \[0, 1\]"),
+    "burst_radius_floor-header": (
+        lambda: _burst(radius=-1), r"burst radius must be in \[0, inf\)"),
+    "burst_radius_floor-row": (
+        lambda: _window("ball_outage", radius=-1),
+        r"ball_outage radius must be >= 0"),
+    "burst_vertices_must_be_distinct": (
+        lambda: _window("outage", vertices=(3, 3)),
+        r"outage vertices must be distinct"),
+    "burst_max_faults_floor-ball": (
+        lambda: _window("ball_outage", max_faults=0),
+        r"ball_outage max_faults must be >= 1"),
+    "burst_max_faults_floor-outage": (
+        lambda: _window("outage", max_faults=0),
+        r"outage max_faults must be >= 1"),
+    "burst_vertices_inside_the_graph": (
+        lambda: compile_trace(_window("outage", vertices=(3, 64))),
+        r"vertex 64 outside the graph's range \[0, 64\)"),
+}
+
+
+@pytest.mark.parametrize("case", list(TRAFFIC_RULES))
+def test_traffic_shape_rules(case):
+    make, message = TRAFFIC_RULES[case]
+    with pytest.raises(ScenarioError, match=message):
+        make()
 
 
 def rich_v2_trace() -> ScenarioTrace:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.exceptions import ScenarioError
 from repro.gateway import GatewayConfig, QuotaPolicy, TrafficGenerator
+from repro.graphs.traversal import bfs_distances
 from repro.obs import Registry, render_prometheus
 from repro.scenario import (
     ScenarioEvent,
@@ -58,12 +59,10 @@ class TestCompile:
     def test_outage_resolves_ball(self):
         # B(12, 1) on grid:5x5: every fault drawn in the 40-120 ms window
         # lies inside the ball, and the window does draw faults
-        compiled = compile_trace(small_trace())
-        (burst,) = compiled.traffic.bursts
-        assert (burst.center, burst.radius) == (12, 1)
+        trace = small_trace()
         stream = TrafficGenerator(
-            compiled.graph, compiled.traffic, seed=3
-        ).generate(200.0)
+            compile_trace(trace).graph, trace, seed=3
+        ).generate()
         inside = [
             set(timed.request.vertex_faults) for timed in stream
             if 40.0 <= timed.at_ms < 120.0
@@ -72,14 +71,17 @@ class TestCompile:
         assert set().union(*inside) <= {7, 11, 12, 13, 17}
 
     def test_flash_crowd_tiles_duration(self):
+        # 3x the base rate inside [50, 110), the base rate around it
         trace = small_trace(events=(
             ScenarioEvent(at_ms=50.0, kind="flash_crowd", multiplier=3.0,
                           duration_ms=60.0),
         ))
-        compiled = compile_trace(trace)
-        phases = compiled.traffic.phases
-        assert [p.duration_ms for p in phases] == [50.0, 60.0, 90.0]
-        assert [p.rate_multiplier for p in phases] == [1.0, 3.0, 1.0]
+        stream = TrafficGenerator(
+            compile_trace(trace).graph, trace, seed=3
+        ).generate()
+        inside = sum(1 for timed in stream if 50.0 <= timed.at_ms < 110.0)
+        outside = len(stream) - inside
+        assert inside / 60.0 > 2 * outside / 140.0
 
     def test_overlapping_flash_crowds_rejected(self):
         trace_events = (
@@ -149,7 +151,6 @@ class TestCompile:
             ScenarioEvent(None, "shard_corrupt", shard=2, fraction=0.5),
         ))
         compiled = compile_trace(trace)
-        assert compiled.traffic is None  # rate 0: no open-loop traffic
         assert compiled.actions == () and compiled.probes == ()
         assert compiled.script == trace.events
         assert [r.kind for r in compiled.script] == [
@@ -197,10 +198,24 @@ class TestCompile:
         assert compile_trace(small_trace()).gateway == GatewayConfig()
 
     def test_drawn_burst_lowers_without_a_center(self):
-        compiled = compile_trace(traffic_trace(seed=0, duration_ms=150.0))
-        (burst,) = compiled.traffic.bursts
-        assert burst.center is None and burst.max_faults is None
-        assert (burst.start_ms, burst.duration_ms) == (450.0, 250.0)
+        # the burst header opens 450-700 ms around a drawn center, and
+        # each request's fault count is capped by its tenant
+        trace = traffic_trace(seed=0, duration_ms=1000.0)
+        graph = compile_trace(trace).graph
+        cap = {tenant.name: tenant.max_faults for tenant in trace.tenants}
+        in_burst = [
+            timed.request
+            for timed in TrafficGenerator(graph, trace, seed=2).generate()
+            if 450.0 <= timed.at_ms < 700.0 and timed.request.vertex_faults
+        ]
+        assert in_burst
+        for request in in_burst:
+            assert len(request.vertex_faults) <= cap[request.tenant]
+        faults = set().union(*(r.vertex_faults for r in in_burst))
+        assert any(
+            faults <= set(bfs_distances(graph, center, radius=2))
+            for center in range(graph.num_vertices)
+        )
 
 
 class TestReplay:

@@ -146,9 +146,9 @@ class TestShardedLabelStore:
         store.corrupt(2, fraction=1.0, rng=7)
         store.set_down(3)
         store.recover_all()
-        assert store.all_healthy()
         for shard in range(store.num_shards):
             health = store.health(shard)
+            assert health.healthy
             assert health.latency_ms == store.base_latency_ms
             assert health.flaky_probability == 0.0
             assert health.corrupted_records == 0

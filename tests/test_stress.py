@@ -10,14 +10,12 @@ from repro.exceptions import QueryError
 from repro.graphs import Graph
 from repro.graphs.generators import (
     caterpillar,
-    complete_graph,
     cycle_graph,
     grid_graph,
-    grid_with_obstacles,
     hypercube_graph,
-    star_graph,
 )
 from repro.labeling import FaultSet, ForbiddenSetLabeling, decode_distance
+from tests.graph_families import complete_graph, grid_with_obstacles, star_graph
 
 
 def sandwich(graph, scheme, s, t, vf=(), ef=()):

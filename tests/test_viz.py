@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.viz import render_grid, route_summary
+from repro.analysis.viz import render_grid
 from repro.exceptions import GraphError
 
 
@@ -38,7 +38,3 @@ class TestRenderGrid:
     def test_highlight(self):
         art = render_grid(2, 2, highlight=[3])
         assert "+" in art
-
-
-def test_route_summary():
-    assert route_summary([0, 1], 2, 2) == "(0,0) -> (0,1)"

@@ -15,7 +15,6 @@ from repro.graphs.weighted import (
     multi_source_weighted_distances,
     weighted_distances,
     weighted_distances_avoiding,
-    weighted_eccentricity,
 )
 from repro.labeling.weighted import WeightedForbiddenSetLabeling
 from repro.nets.weighted_hierarchy import (
@@ -99,7 +98,7 @@ class TestWeightedTraversal:
 
     def test_eccentricity(self):
         g = WeightedGraph.from_unweighted(path_graph(5), weight=3)
-        assert weighted_eccentricity(g, 0) == 12
+        assert max(weighted_distances(g, 0).values()) == 12
 
     def test_matches_bfs_on_unit_weights(self):
         from repro.graphs import bfs_distances
