@@ -1,12 +1,14 @@
 """Kernel decode speedup gate: the array kernel must stay ≥ 5x the reference.
 
-Times the seeded ``repro bench`` workload (120 queries on
-``road:7x7``, up to three vertex faults each) through two decoders —
+Times the seeded workload of ``conftest.build_workload`` (120 queries
+on ``road:7x7``, up to three vertex faults each; ``bench_obs.py`` times
+the same one) through two decoders —
 the object-graph reference ``decode_distance`` of
 ``tests/reference_decoder.py`` and a long-lived :class:`KernelDecoder`
 — and **asserts the ≥ 5x smoke floor** on the warm (steady-state)
-median, with the numpy path on and off.  The test measures 28-37x on a
-2-vCPU Xeon under CPython 3.11 (``-s`` prints each ratio), so the floor sits far enough below
+median, with the numpy path on and off.  The test measures 49-74x with
+numpy and about 12x without on a 2-vCPU Xeon under CPython 3.11
+(``-s`` prints each ratio), so the floor sits far enough below
 it that a noisy CI host cannot flake the gate while a real regression
 (a cache broken, a hot loop deoptimized) still trips it.
 
@@ -25,14 +27,16 @@ import sys
 import time
 from pathlib import Path
 
+from conftest import build_workload
+
 from repro.labeling import FaultSet, KernelDecoder
-from repro.obs.bench import build_workload
 
 # the reference decoder is test-only code: import it from the checkout
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from tests.reference_decoder import decode_distance as reference_decode  # noqa: E402
 
-#: CI smoke floor (this test measures 28-37x on a 2-vCPU Xeon)
+#: CI smoke floor (this test measures 49-74x with numpy, ~12x without,
+#: on a 2-vCPU Xeon)
 SPEEDUP_FLOOR = 5.0
 
 

@@ -9,13 +9,12 @@ recorded in ``EXPERIMENTS.md``.
 
 Run from the command line::
 
-    python -m repro.analysis.experiments --exp E1 [--full]
-    python -m repro.analysis.experiments --all [--full]
+    python -m repro experiment E1 [E5 ...] [--full]
+    python -m repro experiment [--full]      # every experiment
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import time
 
@@ -905,27 +904,3 @@ def run_experiment(name: str, quick: bool = True) -> list[Table]:
     if key not in EXPERIMENTS:
         raise KeyError(f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}")
     return EXPERIMENTS[key](quick=quick)
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point."""
-    parser = argparse.ArgumentParser(description="repro experiment harness")
-    parser.add_argument("--exp", action="append", default=[], help="experiment id, e.g. E1")
-    parser.add_argument("--all", action="store_true", help="run every experiment")
-    parser.add_argument(
-        "--full", action="store_true", help="full-size instances (slow; EXPERIMENTS.md sizes)"
-    )
-    args = parser.parse_args(argv)
-    names = sorted(EXPERIMENTS) if args.all or not args.exp else args.exp
-    for name in names:
-        start = time.perf_counter()
-        for table in run_experiment(name, quick=not args.full):
-            print(table.render())
-            print()
-        print(f"[{name.upper()} done in {time.perf_counter() - start:.1f}s]")
-        print()
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -13,13 +13,12 @@ Subcommands::
     python -m repro crash-battery [GRAPH_SPEC] [--seed 0] [--churn-rounds 3]
     python -m repro rollout [GRAPH_SPEC] [--remove A-B] [--seed 0]
     python -m repro rollout-battery [GRAPH_SPEC] [--seed 0] [--limit N]
-    python -m repro experiment E1 [E5 ...] [--full]
+    python -m repro experiment [E1 E5 ...] [--full]
     python -m repro lint [PATH ...] [--format text|json] [--select RPL001,...]
     python -m repro metrics [--schedules 20] [--events 60] [--seed 0] \
         [--format prom|json]
     python -m repro trace labels.fsdl -s 0 -t 63 [--fail-vertex 5 ...] \
         [--format text|json]
-    python -m repro bench [--queries 120] [--repeats 5] [--emit BENCH.json]
     python -m repro traffic [--seed 0] [--duration-ms 1000] \
         [--multiplier 4.0] [--format prom|json]
     python -m repro scenario list
@@ -675,25 +674,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """``repro bench``: tracing overhead of the decode path."""
-    import json as json_module
-
-    from repro.obs.bench import run_bench
-
-    payload = run_bench(
-        seed=args.seed,
-        epsilon=args.epsilon,
-        num_queries=args.queries,
-        repeats=args.repeats,
-        emit=args.emit,
-    )
-    print(json_module.dumps(payload, indent=2, sort_keys=True))
-    if args.emit:
-        print(f"wrote {args.emit}")
-    return 0
-
-
 def cmd_traffic(args: argparse.Namespace) -> int:
     """``repro traffic``: the overload battery, judged against its SLOs.
 
@@ -751,10 +731,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    """``repro experiment``: run experiment tables by id."""
-    from repro.analysis.experiments import run_experiment
+    """``repro experiment``: run experiment tables by id (default: all)."""
+    from repro.analysis.experiments import EXPERIMENTS, run_experiment
 
-    for name in args.names:
+    for name in args.names or sorted(EXPERIMENTS):
         for table in run_experiment(name, quick=not args.full):
             print(table.render())
             print()
@@ -1040,8 +1020,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_lint.set_defaults(func=cmd_lint)
 
-    p_exp = sub.add_parser("experiment", help="run experiments E1..E13")
-    p_exp.add_argument("names", nargs="+")
+    p_exp = sub.add_parser(
+        "experiment", help="run experiments E1..E14 (all when none is named)"
+    )
+    p_exp.add_argument("names", nargs="*")
     p_exp.add_argument("--full", action="store_true")
     p_exp.set_defaults(func=cmd_experiment)
 
@@ -1073,20 +1055,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=["text", "json"], default="text"
     )
     p_trace.set_defaults(func=cmd_trace)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="measure the tracing overhead of the decode path",
-    )
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("-e", "--epsilon", type=float, default=1.0)
-    p_bench.add_argument("--queries", type=int, default=120)
-    p_bench.add_argument("--repeats", type=int, default=5)
-    p_bench.add_argument(
-        "--emit", default=None, metavar="PATH",
-        help="also write the payload as JSON to PATH (e.g. BENCH_5.json)",
-    )
-    p_bench.set_defaults(func=cmd_bench)
 
     p_traffic = sub.add_parser(
         "traffic",

@@ -207,11 +207,6 @@ class SimulatedFS(FileSystem):
         self._crash_at = None
         self._crash_mode = None
 
-    @property
-    def armed(self) -> bool:
-        """Whether a kill-point is currently armed."""
-        return self._crash_at is not None
-
     def crash(self) -> None:
         """Collapse volatile state: the machine lost power.
 

@@ -10,8 +10,8 @@ small-label schemes).  :class:`LabelCache` exploits all three:
   rollout layer guarantee a query reads one generation end to end, so
   bytes cached under a generation key can never go stale *within* that
   generation; a rollout commit changes the key, which is the whole
-  invalidation story (plus :meth:`retain_generations` to release
-  memory for retired generations eagerly);
+  invalidation story (:meth:`retain_generations` can release a
+  retired generation's entries eagerly; no rollout calls it yet);
 * **negative caching** — a fetch that failed (shard down, breaker
   open, corrupt record) is remembered for ``negative_ttl_ms`` of
   virtual time, so a storm of queries against a dead shard sheds load
@@ -144,7 +144,7 @@ class LabelCache:
     def retain_generations(self, versions: Iterable[int]) -> int:
         """Drop every entry whose generation is not in ``versions``.
 
-        Called after a rollout commits (with the store's live version
+        Meant for after a rollout commits (with the store's live version
         set): retired generations can never be pinned again, so their
         bytes are dead weight.  Returns how many entries were dropped.
         """

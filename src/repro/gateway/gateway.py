@@ -532,10 +532,3 @@ class AsyncGateway:
                 "Requests currently parked in the waiting room.",
             ).set(len(self._room))
 
-    # -- reporting ----------------------------------------------------------
-
-    def metrics_summary(self) -> dict[str, float]:
-        """Gateway + frontend + client counters in one flat dict."""
-        summary = self.metrics.summary()
-        summary.update(self.service.metrics_summary())
-        return summary

@@ -81,20 +81,6 @@ def random_tree(n: int, seed: RngLike = None) -> Graph:
     return g
 
 
-def caterpillar(spine_length: int, legs_per_vertex: int) -> Graph:
-    """A caterpillar tree: a path spine with pendant legs (α close to 1)."""
-    n = spine_length * (1 + legs_per_vertex)
-    g = Graph(n)
-    for u in range(spine_length - 1):
-        g.add_edge(u, u + 1)
-    next_id = spine_length
-    for u in range(spine_length):
-        for _ in range(legs_per_vertex):
-            g.add_edge(u, next_id)
-            next_id += 1
-    return g
-
-
 # ---------------------------------------------------------------------------
 # grids
 # ---------------------------------------------------------------------------

@@ -38,6 +38,28 @@ def bfs_distances(
     return dist
 
 
+def multi_source_distances(
+    graph: Graph, sources: Iterable[int], radius: int
+) -> dict[int, int]:
+    """Distances to every vertex within ``radius`` hops of any source.
+
+    One BFS from all ``sources`` at once (each at distance 0), expanded
+    in sorted source order.
+    """
+    dist: dict[int, int] = {s: 0 for s in sorted(sources)}
+    frontier = deque(dist)
+    while frontier:
+        u = frontier.popleft()
+        du = dist[u]
+        if du >= radius:
+            continue
+        for v in graph.neighbors(u):
+            if v not in dist:
+                dist[v] = du + 1
+                frontier.append(v)
+    return dist
+
+
 def bfs_distances_avoiding(
     graph: Graph,
     source: int,

@@ -105,12 +105,6 @@ class FailureFreeLabeling:
             self._labels[vertex] = cached
         return cached
 
-    def build_all_labels(self) -> dict[int, FailureFreeLabel]:
-        """Materialize every label (used by size-accounting experiments)."""
-        for v in self._graph.vertices():
-            self.label(v)
-        return dict(self._labels)
-
     def _build_label(self, vertex: int) -> FailureFreeLabel:
         label = FailureFreeLabel(vertex=vertex, c=self.c, top_level=self.top_level)
         for i in self.levels():

@@ -209,10 +209,6 @@ class LabelArena:
         self._lam_by_row = []
         self.generation += 1
 
-    def fragment(self, handle: int) -> Fragment:
-        """The fragment behind a handle."""
-        return self._fragments[handle]
-
     # -- the two doors ------------------------------------------------------
 
     def load(self, data: bytes) -> Fragment:

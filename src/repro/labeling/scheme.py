@@ -77,12 +77,6 @@ class ForbiddenSetLabeling:
             self._labels[vertex] = cached
         return cached
 
-    def build_all_labels(self) -> dict[int, VertexLabel]:
-        """Materialize all ``n`` labels (for size accounting; may be large)."""
-        for vertex in self._graph.vertices():
-            self.label(vertex)
-        return dict(self._labels)
-
     def fault_set(
         self,
         vertex_faults: Iterable[int] = (),

@@ -40,7 +40,12 @@ from repro.graphs.weighted import (
     weighted_distances,
 )
 from repro.labeling.construction import LabelingOptions, Rows, assemble_level
-from repro.labeling.decoder import FaultSet, QueryResult, decode_distance
+from repro.labeling.decoder import (
+    FaultSet,
+    QueryResult,
+    decode_distance,
+    normalize_faults,
+)
 from repro.labeling.label import LevelLabel, VertexLabel
 from repro.labeling.params import ParamSchedule, c_for_epsilon, lam_for_level
 from repro.nets.weighted_hierarchy import WeightedNetHierarchy
@@ -156,7 +161,13 @@ class WeightedForbiddenSetLabeling:
         vertex_faults: Iterable[int] = (),
         edge_faults: Iterable[tuple[int, int]] = (),
     ) -> FaultSet:
-        """Package raw fault ids into a label-based :class:`FaultSet`."""
+        """Package raw fault ids into a label-based :class:`FaultSet`.
+
+        Inputs are deduplicated first, as in
+        :meth:`ForbiddenSetLabeling.fault_set`: repeated vertices and both
+        orientations of the same edge collapse to one entry.
+        """
+        vertex_faults, edge_faults = normalize_faults(vertex_faults, edge_faults)
         for a, b in edge_faults:
             if not self._graph.has_edge(a, b):
                 raise QueryError(f"forbidden edge ({a}, {b}) is not in the graph")

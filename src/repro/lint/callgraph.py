@@ -593,7 +593,6 @@ SHARED_STATE_ATTRS = frozenset(
         "_generations",
         "_gen_tables",
         "committed_version",
-        "pinned_versions",
         "_pinned",
     }
 )

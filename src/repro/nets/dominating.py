@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from repro.exceptions import GraphError
 from repro.graphs.graph import Graph
-from repro.graphs.traversal import bfs_distances
+from repro.graphs.traversal import bfs_distances, multi_source_distances
 
 
 def greedy_dominating_set(
@@ -60,7 +60,7 @@ def is_r_dominating(graph: Graph, candidates: Iterable[int], r: int) -> bool:
     members = set(candidates)
     if not members:
         return graph.num_vertices == 0
-    dist = _multi_source_distances(graph, members, radius=r)
+    dist = multi_source_distances(graph, members, radius=r)
     return len(dist) == graph.num_vertices
 
 
@@ -75,20 +75,3 @@ def min_pairwise_distance_at_least(
             if u != v and u in members:
                 return False
     return True
-
-
-def _multi_source_distances(
-    graph: Graph, sources: set[int], radius: int | None = None
-) -> dict[int, int]:
-    dist = {s: 0 for s in sources}
-    frontier = deque(sorted(sources))
-    while frontier:
-        u = frontier.popleft()
-        du = dist[u]
-        if radius is not None and du >= radius:
-            continue
-        for v in graph.neighbors(u):
-            if v not in dist:
-                dist[v] = du + 1
-                frontier.append(v)
-    return dist

@@ -35,12 +35,12 @@ byte-comparing every label against a full rebuild.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from repro.exceptions import GraphError, RolloutError
 from repro.graphs.fastbfs import BfsScratch
 from repro.graphs.graph import Graph
+from repro.graphs.traversal import multi_source_distances
 from repro.labeling.construction import LabelBuilder, LabelingOptions
 from repro.labeling.encoding import encode_label
 from repro.labeling.label import VertexLabel
@@ -292,8 +292,8 @@ class IncrementalRelabeler:
             lam = self._params.lam(i)
             # filter: p's ball or row can only change if the change is
             # within distance <= radius of p in the old or new graph
-            old_near = _multi_source_distances(old_graph, sources, radius + 1)
-            new_near = _multi_source_distances(new_graph, sources, radius + 1)
+            old_near = multi_source_distances(old_graph, sources, radius + 1)
+            new_near = multi_source_distances(new_graph, sources, radius + 1)
             for p in net:
                 if p not in old_near and p not in new_near:
                     continue
@@ -323,21 +323,3 @@ class IncrementalRelabeler:
         return tuple(
             sorted(v for v in affected if 0 <= v < old_graph.num_vertices)
         )
-
-
-def _multi_source_distances(
-    graph: Graph, sources: set[int], radius: int
-) -> dict[int, int]:
-    """Bounded multi-source BFS distances (sources at distance 0)."""
-    dist: dict[int, int] = {s: 0 for s in sorted(sources)}
-    frontier = deque(sorted(sources))
-    while frontier:
-        u = frontier.popleft()
-        du = dist[u]
-        if du >= radius:
-            continue
-        for v in graph.neighbors(u):
-            if v not in dist:
-                dist[v] = du + 1
-                frontier.append(v)
-    return dist

@@ -208,17 +208,6 @@ class ScenarioReport:
         """Exact fraction over the whole run."""
         return self.exact / self.submitted if self.submitted else 0.0
 
-    @property
-    def fingerprint(self) -> str:
-        """A compact determinism witness: same seed ⇒ same fingerprint."""
-        return (
-            f"scenario={self.name} seed={self.seed} "
-            f"submitted={self.submitted} exact={self.exact} "
-            f"degraded={self.degraded} shed={self.shed} "
-            f"steps={self.loop_steps} stretch={self.worst_stretch:.9f} "
-            f"detour={self.worst_detour:.9f}"
-        )
-
     def to_dict(self) -> dict:
         """The full report as a plain (JSON-ready, deterministic) dict."""
         return {

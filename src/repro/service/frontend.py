@@ -225,22 +225,6 @@ class QueryService:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_oracle(
-        cls,
-        oracle,
-        num_shards: int = 4,
-        replication: int = 2,
-        store_seed=None,
-        **kwargs,
-    ) -> "QueryService":
-        """Serve the table of a :class:`ForbiddenSetDistanceOracle`."""
-        store = ShardedLabelStore.from_oracle(
-            oracle, num_shards=num_shards, replication=replication,
-            seed=store_seed,
-        )
-        return cls(store, stretch_bound=1.0 + oracle._epsilon, **kwargs)
-
-    @classmethod
     def from_scheme(
         cls,
         scheme,
@@ -265,7 +249,12 @@ class QueryService:
         store_seed=None,
         **kwargs,
     ) -> "QueryService":
-        """Serve a loaded ``.fsdl`` database (quarantine-aware)."""
+        """Serve a :class:`~repro.oracle.oracle.LabelDatabase` (quarantine-aware).
+
+        A database loaded from a ``.fsdl`` file and a
+        :class:`~repro.oracle.ForbiddenSetDistanceOracle` built in memory
+        are served alike: the same bytes, under the ``1 + ε`` bound.
+        """
         store = ShardedLabelStore.from_database(
             db, num_shards=num_shards, replication=replication,
             seed=store_seed,

@@ -170,11 +170,6 @@ class ShardedLabelStore:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def from_oracle(cls, oracle, **kwargs) -> "ShardedLabelStore":
-        """Shard the in-memory table of a :class:`ForbiddenSetDistanceOracle`."""
-        return cls(list(oracle._table), **kwargs)
-
-    @classmethod
     def from_scheme(cls, scheme, **kwargs) -> "ShardedLabelStore":
         """Encode and shard every label of a labeling scheme."""
         from repro.labeling.encoding import encode_label
@@ -186,7 +181,7 @@ class ShardedLabelStore:
 
     @classmethod
     def from_database(cls, db, **kwargs) -> "ShardedLabelStore":
-        """Shard a loaded ``.fsdl`` :class:`LabelDatabase`.
+        """Shard a :class:`~repro.oracle.oracle.LabelDatabase`'s stored bytes.
 
         Labels quarantined by a ``strict=False`` load are ingested as
         *poisoned* records: every fetch of them fails loudly, so the
@@ -279,10 +274,6 @@ class ShardedLabelStore:
             self._maybe_collect(version)
         else:
             self._pin_counts[version] = count - 1
-
-    def pinned_versions(self) -> tuple[int, ...]:
-        """Versions currently pinned by in-flight queries (ascending)."""
-        return tuple(sorted(self._pin_counts))
 
     def _maybe_collect(self, version: int) -> None:
         if version == self._committed_version:

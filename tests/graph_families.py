@@ -1,4 +1,5 @@
-"""Graph families only the tests use: stars, cliques and holed grids.
+"""Graph families only the tests use: stars, cliques, caterpillars and
+holed grids.
 
 Stars and complete graphs have a doubling dimension that grows with
 ``n`` (the scheme stays correct, only its bounds degrade); a grid with
@@ -16,6 +17,20 @@ def star_graph(n_leaves: int) -> Graph:
     g = Graph(n_leaves + 1)
     for leaf in range(1, n_leaves + 1):
         g.add_edge(0, leaf)
+    return g
+
+
+def caterpillar(spine_length: int, legs_per_vertex: int) -> Graph:
+    """A caterpillar tree: a path spine with pendant legs (α close to 1)."""
+    n = spine_length * (1 + legs_per_vertex)
+    g = Graph(n)
+    for u in range(spine_length - 1):
+        g.add_edge(u, u + 1)
+    next_id = spine_length
+    for u in range(spine_length):
+        for _ in range(legs_per_vertex):
+            g.add_edge(u, next_id)
+            next_id += 1
     return g
 
 

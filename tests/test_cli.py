@@ -88,6 +88,27 @@ class TestCommands:
         assert main(["experiment", "E9"]) == 0
         assert "Theorem 3.1" in capsys.readouterr().out
 
+    def test_experiment_without_names_runs_all_in_id_order(
+        self, monkeypatch, capsys
+    ):
+        import repro.analysis.experiments as experiments
+        from repro.analysis.tables import Table
+
+        def fake(name):
+            def run(quick=True):
+                table = Table(title=f"{name} quick={quick}", columns=["x"])
+                table.add_row(x=1)
+                return [table]
+            return run
+
+        monkeypatch.setattr(
+            experiments, "EXPERIMENTS", {n: fake(n) for n in ("E2", "E10", "E1")}
+        )
+        assert main(["experiment"]) == 0
+        out = capsys.readouterr().out
+        titles = [line for line in out.splitlines() if "quick=" in line]
+        assert titles == ["E1 quick=True", "E10 quick=True", "E2 quick=True"]
+
     def test_build_unit_mode(self, tmp_path, capsys):
         db_path = str(tmp_path / "labels.fsdl")
         assert main(
@@ -246,19 +267,6 @@ class TestObsCommands:
         names = [span["name"] for span in payload["spans"]]
         assert "decode" in names
         assert "decode.dijkstra" in names
-
-    def test_bench_emits_artifact(self, tmp_path, capsys):
-        import json
-
-        emit = str(tmp_path / "BENCH.json")
-        assert main(
-            ["bench", "--queries", "10", "--repeats", "1", "--emit", emit]
-        ) == 0
-        capsys.readouterr()
-        with open(emit, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        assert payload["bench"] == "obs_decode_overhead"
-        assert payload["deterministic"]["decode_spans"] == 10
 
 
 class TestTrafficCommand:

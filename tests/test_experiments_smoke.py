@@ -81,10 +81,3 @@ class TestReportGeneration:
         assert report_main(["--exp", "E9", "-o", str(output)]) == 0
         assert output.exists()
         assert "## E9" in output.read_text()
-
-    def test_experiments_main_cli(self, capsys):
-        from repro.analysis.experiments import main as experiments_main
-
-        assert experiments_main(["--exp", "E9"]) == 0
-        out = capsys.readouterr().out
-        assert "E9a" in out and "done in" in out

@@ -100,7 +100,7 @@ class TestQueries:
     def test_build_all_labels_size(self):
         g = path_graph(32)
         scheme = FailureFreeLabeling(g, epsilon=1.0)
-        labels = scheme.build_all_labels()
+        labels = {v: scheme.label(v) for v in g.vertices()}
         assert len(labels) == 32
         assert all(lbl.size_entries() > 0 for lbl in labels.values())
 

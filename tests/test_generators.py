@@ -10,7 +10,6 @@ from repro.exceptions import GraphError
 from repro.graphs import bfs_distances, is_connected
 from repro.graphs.generators import (
     balanced_tree,
-    caterpillar,
     cycle_graph,
     grid_graph,
     grid_index,
@@ -24,7 +23,7 @@ from repro.graphs.generators import (
     sample_family_graph,
     torus_graph,
 )
-from tests.graph_families import complete_graph, star_graph
+from tests.graph_families import caterpillar, complete_graph, star_graph
 
 
 class TestElementary:

@@ -34,8 +34,35 @@ class TestStaticOracle:
 
     def test_size_accounting(self, grid_oracle):
         _, oracle = grid_oracle
-        assert oracle.size_bits() >= 36 * oracle.max_label_bits() / 36
-        assert oracle.max_label_bits() > 0
+        max_label_bits = max(8 * len(oracle.encoded(v)) for v in range(36))
+        assert oracle.size_bits() >= 36 * max_label_bits / 36
+        assert max_label_bits > 0
+
+    def test_is_the_database_of_its_scheme(self, grid_oracle):
+        """Same stored bytes, answers and span trees as the saved table."""
+        import io
+
+        from repro.labeling import ForbiddenSetLabeling
+        from repro.obs.trace import Tracer
+        from repro.oracle.persistence import LabelDatabase, save_labels
+
+        g, oracle = grid_oracle
+        buffer = io.BytesIO()
+        save_labels(ForbiddenSetLabeling(g, epsilon=1.0), buffer)
+        db = LabelDatabase.load(io.BytesIO(buffer.getvalue()))
+        assert isinstance(oracle, LabelDatabase)
+        assert [oracle.encoded(v) for v in g.vertices()] == [
+            db.encoded(v) for v in g.vertices()
+        ]
+        assert (oracle.epsilon, oracle.c, oracle.top_level) == (
+            db.epsilon, db.c, db.top_level,
+        )
+        ours, theirs = Tracer(), Tracer()
+        faults = {"vertex_faults": [14], "edge_faults": [(20, 21)]}
+        assert oracle.query(0, 35, tracer=ours, **faults) == db.query(
+            0, 35, tracer=theirs, **faults
+        )
+        assert ours.to_dicts() == theirs.to_dicts()
 
     def test_out_of_range_vertex(self, grid_oracle):
         _, oracle = grid_oracle
@@ -186,12 +213,8 @@ class TestDecodeEconomy:
 
     def test_decode_counter_counts_real_decodes(self, monkeypatch):
         """Labels served from the cache count as hits, never as parses."""
-        from repro.obs.registry import Registry
-
-        obs = Registry()
-        oracle = ForbiddenSetDistanceOracle(
-            grid_graph(4, 4), epsilon=1.0, obs=obs
-        )
+        oracle = ForbiddenSetDistanceOracle(grid_graph(4, 4), epsilon=1.0)
+        arena = oracle._decoder.arena
         calls = count_parses(monkeypatch)
         queries = [
             (0, 15, [5, 6], []),
@@ -205,13 +228,8 @@ class TestDecodeEconomy:
                 s, t, vertex_faults=vertex_faults, edge_faults=edge_faults
             )
             loads += 2 + len(vertex_faults) + 2 * len(edge_faults)
-        decodes = obs.get_counter_value("repro_oracle_label_decodes_total")
-        hits = obs.get_counter_value("repro_oracle_memo_hits_total")
-        assert decodes == len(calls) == len(set(calls))
-        assert decodes + hits == loads
-        assert obs.get_counter_value("repro_oracle_queries_total") == len(
-            queries
-        )
+        assert arena.parses == len(calls) == len(set(calls))
+        assert arena.parses + arena.hits == loads
 
     def test_duplicate_faults_answer_unchanged(self):
         g = grid_graph(4, 4)

@@ -236,7 +236,6 @@ class TestReplay:
         first = run_trace(small_trace())
         second = run_trace(small_trace())
         assert first.to_json() == second.to_json()
-        assert first.fingerprint == second.fingerprint
 
     def test_seed_changes_the_replay(self):
         first = run_trace(small_trace())

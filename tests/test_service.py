@@ -360,7 +360,7 @@ class TestQueryService:
     def oracle_service(self):
         graph = grid_graph(5, 5)
         oracle = ForbiddenSetDistanceOracle(graph, epsilon=1.0)
-        service = QueryService.from_oracle(
+        service = QueryService.from_database(
             oracle, num_shards=4, replication=2, store_seed=5, seed=7
         )
         return graph, oracle, service
@@ -412,7 +412,7 @@ class TestQueryService:
     def test_missing_fault_labels_give_certified_lower_bound(self):
         graph = grid_graph(5, 5)
         oracle = ForbiddenSetDistanceOracle(graph, epsilon=1.0)
-        service = QueryService.from_oracle(
+        service = QueryService.from_database(
             oracle, num_shards=5, replication=1, store_seed=5, seed=7
         )
         fault = 12
@@ -532,7 +532,7 @@ class TestDegradationReason:
     def test_outcome_carries_enum_member(self):
         graph = grid_graph(4, 4)
         oracle = ForbiddenSetDistanceOracle(graph, epsilon=1.0)
-        service = QueryService.from_oracle(
+        service = QueryService.from_database(
             oracle, num_shards=4, replication=2, store_seed=5, seed=7
         )
         healthy = service.query(0, 15)

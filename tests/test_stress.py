@@ -9,13 +9,17 @@ from repro.baselines import ExactRecomputeOracle
 from repro.exceptions import QueryError
 from repro.graphs import Graph
 from repro.graphs.generators import (
-    caterpillar,
     cycle_graph,
     grid_graph,
     hypercube_graph,
 )
 from repro.labeling import FaultSet, ForbiddenSetLabeling, decode_distance
-from tests.graph_families import complete_graph, grid_with_obstacles, star_graph
+from tests.graph_families import (
+    caterpillar,
+    complete_graph,
+    grid_with_obstacles,
+    star_graph,
+)
 
 
 def sandwich(graph, scheme, s, t, vf=(), ef=()):

@@ -23,7 +23,7 @@ from repro.graphs.generators import (
     path_graph,
     random_tree,
 )
-from repro.graphs.traversal import eccentricity
+from repro.graphs.traversal import eccentricity, multi_source_distances
 from tests.reference_decoder import dijkstra_with_paths
 
 
@@ -47,6 +47,18 @@ class TestBfs:
         g = grid_graph(5, 7)
         expected = nx.single_source_shortest_path_length(to_networkx(g), 0)
         assert bfs_distances(g, 0) == dict(expected)
+
+
+class TestMultiSource:
+    @pytest.mark.parametrize("radius", [0, 1, 2, 5])
+    def test_nearest_source_within_radius(self, radius):
+        g = grid_graph(5, 5)
+        sources = {0, 12, 19}
+        expected = {}
+        for s in sources:
+            for v, d in bfs_distances(g, s, radius=radius).items():
+                expected[v] = min(d, expected.get(v, d))
+        assert multi_source_distances(g, sources, radius) == expected
 
 
 class TestBfsAvoiding:

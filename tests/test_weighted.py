@@ -189,6 +189,16 @@ class TestWeightedScheme:
         with pytest.raises(QueryError):
             scheme.query(0, 3, edge_faults=[(0, 2)])
 
+    def test_fault_set_is_normalized(self):
+        """Duplicate faults and both orientations of an edge collapse to one."""
+        g = WeightedGraph.from_unweighted(path_graph(6))
+        scheme = WeightedForbiddenSetLabeling(g, epsilon=1.0)
+        faults = scheme.fault_set([5, 5], [(2, 1), (1, 2)])
+        assert len(faults.vertex_labels) == 1
+        assert len(faults.edge_labels) == 1
+        with pytest.raises(QueryError, match="self-loop"):
+            scheme.fault_set(edge_faults=[(3, 3)])
+
     def test_labels_roundtrip_through_codec(self):
         from repro.labeling import decode_label, encode_label
 
