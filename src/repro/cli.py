@@ -734,7 +734,14 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     """``repro experiment``: run experiment tables by id (default: all)."""
     from repro.analysis.experiments import EXPERIMENTS, run_experiment
 
-    for name in args.names or sorted(EXPERIMENTS):
+    names = args.names or sorted(EXPERIMENTS)
+    for name in names:
+        if name.upper() not in EXPERIMENTS:
+            ids = list(EXPERIMENTS)
+            raise ReproError(
+                f"unknown experiment {name!r}; choose from {ids[0]} … {ids[-1]}"
+            )
+    for name in names:
         for table in run_experiment(name, quick=not args.full):
             print(table.render())
             print()

@@ -90,21 +90,6 @@ class ServiceError(ReproError):
     """Raised by the sharded label-serving tier (:mod:`repro.service`)."""
 
 
-class LabelFetchError(ServiceError):
-    """Raised when a label cannot be fetched despite retries/failover.
-
-    Covers every terminal fetch failure: all replicas down or flaky,
-    circuit breakers open with no budget left to wait, corrupt or
-    quarantined bytes on every reachable replica.  The serving frontend
-    converts this into an explicitly *degraded* answer — it never
-    guesses.
-    """
-
-
-class DeadlineExceededError(LabelFetchError):
-    """Raised when a per-request deadline budget runs out mid-fetch."""
-
-
 class GatewayError(ServiceError):
     """Raised by the async admission-control gateway (:mod:`repro.gateway`).
 

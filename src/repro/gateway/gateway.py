@@ -164,22 +164,6 @@ class GatewayMetrics:
         """Fraction of submitted requests answered exactly."""
         return self.exact / self.submitted if self.submitted else 0.0
 
-    def summary(self) -> dict[str, float]:
-        """Counters as a flat dict (stable key order)."""
-        out: dict[str, float] = {
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "exact": self.exact,
-            "degraded": self.degraded,
-            "shed": self.shed,
-            "shed_rate": round(self.shed_rate, 4),
-            "goodput_fraction": round(self.goodput_fraction, 4),
-            "coalesced": self.coalesced,
-        }
-        for reason in sorted(self.shed_by_reason):
-            out[f"shed_{reason}"] = self.shed_by_reason[reason]
-        return out
-
 
 @dataclass
 class _PendingRequest:

@@ -22,7 +22,10 @@ per-query engine touches nothing but int arrays:
   owner), from which the **protected-ball bitmaps** — for each level
   row, a byte-per-vertex membership table of ``PB_i(v) = B(v, λ_i)`` —
   are built lazily the first time a label is used as a fault, then
-  reused by every subsequent query naming that fault.
+  reused by every subsequent query naming that fault.  The same points
+  let the safe-edge filter rule on a whole level at once: a level's
+  virtual edges join only points it lists (``closed``), so a fault
+  whose balls hold all of them catches every such edge.
 
 The columns exist once, in the representation of the arena's mode:
 numpy arrays (int32 endpoints and weights, 12 bytes per edge) when the
@@ -54,7 +57,7 @@ handle.
 from __future__ import annotations
 
 from itertools import chain
-from operator import itemgetter
+from operator import eq, itemgetter
 from typing import Any
 
 from repro.exceptions import QueryError
@@ -82,7 +85,15 @@ class Fragment:
     ``segments`` holds one ``(row, start, vstart, end)`` tuple per
     level, ascending.  ``points`` holds one ``(row, ids, dists)`` entry
     per level: the level's points and their distances from the owner,
-    the data of its protected balls.  Everything on a fragment is
+    the data of its protected balls.  ``closed`` says that every level
+    lies in the scheme's rows and that each of its virtual edges joins
+    two distinct points the level lists: then the safe-edge rule tests
+    only listed points, which lets the filter rule on a whole level from
+    its points (see :func:`repro.labeling.kernel.npops.filter_fragment`).
+    In numpy mode ``pid`` / ``prow`` hold, for a closed fragment, every
+    point that rule tests and its level row (each level's points, less
+    the owner above the lowest level), and ``pstart`` the offset where
+    each row's points begin.  Everything on a fragment is
     immutable after it is built except the lazily built protected-ball
     bitmaps ``ball`` (a list of per-row bytearrays in stdlib mode, one
     flat boolean array indexed ``row * ball_bound + vertex`` in numpy
@@ -107,6 +118,10 @@ class Fragment:
         "segments",
         "edges_listed",
         "points",
+        "closed",
+        "pid",
+        "prow",
+        "pstart",
         "ball",
         "ball_bound",
     )
@@ -130,6 +145,10 @@ class Fragment:
         self.segments: list[tuple[int, int, int, int]] = []
         self.edges_listed = 0
         self.points: list[tuple[int, list[int], list[int]]] = []
+        self.closed = False
+        self.pid: Any = None
+        self.prow: Any = None
+        self.pstart: Any = None
         self.ball: Any = None
         self.ball_bound = 0
 
@@ -289,6 +308,9 @@ class LabelArena:
                 bound = max(bound, max(frag.ex) + 1, max(frag.ey) + 1)
         frag.edges_listed = end
         frag.bound = bound
+        frag.closed = _closed(frag, self.use_numpy)
+        if frag.closed and self.use_numpy:
+            _tested_points(frag)
         self._admit(frag)
         self._by_id[id(label)] = (label, frag)
         return frag
@@ -317,17 +339,24 @@ class LabelArena:
     ) -> Fragment:
         """A loaded fragment from per-level ``(ids, dists, section)``.
 
-        ``section`` is :meth:`_section`'s ``(graph, virtual, top)``.
+        ``section`` is :meth:`_section`'s ``(graph, virtual, top,
+        looped)``.  Stored edges name points by their index in the
+        level's point list, so the fragment is closed unless a level
+        falls outside the scheme's rows or a virtual edge is a loop
+        (both only in corrupt bytes).
         """
         frag = Fragment(vertex, c, top_level)
         frag.levels_sorted = sorted(levels)
         frag.num_levels = len(levels)
+        frag.closed = True
         # per level: graph edges, then virtual edges (the scan order)
         parts: list = []
         end = 0
         for level in frag.levels_sorted:
-            ids, dists, (graph, virtual, top) = levels[level]
+            ids, dists, (graph, virtual, top, looped) = levels[level]
             row = frag.row_of(level)
+            if looped or not 0 <= row < frag.rows:
+                frag.closed = False
             start = end
             vstart = start + len(graph[0])
             end = vstart + len(virtual[0])
@@ -348,6 +377,8 @@ class LabelArena:
             frag.ex, frag.ey, frag.ew = (
                 list(chain.from_iterable(column)) for column in columns
             )
+        if frag.closed and self.use_numpy:
+            _tested_points(frag)
         return frag
 
     def _admit(self, frag: Fragment) -> None:
@@ -378,9 +409,10 @@ class LabelArena:
 
         The held entry for ``order`` matches only if the text at ``pos``
         starts with the entry's bit text.  Returns ``((graph, virtual,
-        top), end)``: the graph and the virtual edge map as ``(xs, ys,
-        ws)`` columns in the arena's representation, the largest
-        endpoint id (-1 for none), and the position after the section.
+        top, looped), end)``: the graph and the virtual edge map as
+        ``(xs, ys, ws)`` columns in the arena's representation, the
+        largest endpoint id (-1 for none), whether a virtual edge joins
+        a point to itself, and the position after the section.
         """
         key = tuple(order)
         held = self._sections.get(key)
@@ -389,6 +421,7 @@ class LabelArena:
         (virtual, graph), end = read_section(text, pos, order)
         maps = []
         top = -1
+        looped = any(map(eq, virtual[0], virtual[1]))
         for xs, ys, ws, ordered in (graph, virtual):
             if not ordered:
                 # only corrupt bytes list a key twice: dict semantics,
@@ -403,7 +436,7 @@ class LabelArena:
                 maps.append(tuple(_column(v, len(v)) for v in (xs, ys, ws)))
             else:
                 maps.append((xs, ys, ws))
-        entry = (maps[0], maps[1], top)
+        entry = (maps[0], maps[1], top, looped)
         self._sections[key] = (text[pos:end], entry)
         return entry, end
 
@@ -434,6 +467,64 @@ class LabelArena:
         else:
             frag.ball = ball
         frag.ball_bound = bound
+
+
+def _closed(frag: Fragment, use_numpy: bool) -> bool:
+    """Whether each level is a scheme row whose virtual edges join
+    two distinct points the level lists (see :class:`Fragment`)."""
+    ex = frag.ex
+    ey = frag.ey
+    listed: Any = (
+        _np.zeros(frag.bound, dtype=bool) if use_numpy
+        else bytearray(frag.bound)
+    )
+    for (row, ids, _), (_, _, vstart, end) in zip(frag.points, frag.segments):
+        if not 0 <= row < frag.rows:
+            return False
+        xs = ex[vstart:end]
+        ys = ey[vstart:end]
+        if use_numpy:
+            listed[ids] = True
+            joined = bool(
+                listed[xs].all() and listed[ys].all() and not (xs == ys).any()
+            )
+            listed[ids] = False
+        else:
+            for x in ids:
+                listed[x] = 1
+            joined = (
+                all(map(listed.__getitem__, xs))
+                and all(map(listed.__getitem__, ys))
+                and not any(map(eq, xs, ys))
+            )
+            for x in ids:
+                listed[x] = 0
+        if not joined:
+            return False
+    return True
+
+
+def _tested_points(frag: Fragment) -> None:
+    """Fill a closed numpy fragment's ``pid`` / ``prow`` / ``pstart``.
+
+    These are the points whose ball membership the safe-edge rule
+    tests, with their level rows: every listed point, except the owner
+    above the lowest level, where Lemma 2.3's conservative rule tests
+    an owner edge's net endpoint in the owner's place.
+    """
+    counts = [len(ids) for _, ids, _ in frag.points]
+    pid = _column(
+        chain.from_iterable(ids for _, ids, _ in frag.points), sum(counts)
+    )
+    prow = _np.repeat(
+        _np.array([row for row, _, _ in frag.points], dtype=_np.intp), counts
+    )
+    tested = (pid != frag.vertex) | (prow == 0)
+    frag.pid = pid[tested]
+    frag.prow = prow = prow[tested]
+    first = _np.ones(len(prow), dtype=bool)
+    _np.not_equal(prow[1:], prow[:-1], out=first[1:])
+    frag.pstart = _np.flatnonzero(first)
 
 
 def _column(values, count: int):

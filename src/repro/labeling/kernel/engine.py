@@ -31,7 +31,8 @@ the engine memoizes across queries: filter records are cached per
 ``(fragment, fault signature)``, and assembled sketch graphs, each
 with its Dijkstra paused between targets, per sketch key — ``(s, F)``
 when t adds nothing to the sketch, else the whole source tuple (see
-:meth:`DecodeEngine.run`).  Both caches are answer-preserving (they
+:meth:`DecodeEngine.run`).  A sketch of ``(s, F)`` also keeps, per
+target, whether that target adds nothing to it.  Both caches are answer-preserving (they
 cache *inputs-determined* results, never timings), capped, and dropped
 whenever the arena is reset or the id universe grows.  This is what
 ``decode_batch`` — and any serving tier that repeats sources or
@@ -140,7 +141,10 @@ class _Sketch(NamedTuple):
     the merged edge count.  A sketch of ``(s, F)`` keeps its merged
     edges as sorted merge keys and their weights (``keys`` /
     ``weights``, ``array('q')`` columns) for the coverage test of later
-    targets; a sketch of a whole source tuple has None there.
+    targets, and that test's verdict per target fragment handle
+    (``verdicts``: 0 not yet tested, 1 the target's record adds to the
+    sketch, 2 it adds nothing); a sketch of a whole source tuple has
+    None in all three.
     """
 
     vlist: list[int]
@@ -150,6 +154,7 @@ class _Sketch(NamedTuple):
     m: int
     keys: array | None
     weights: array | None
+    verdicts: bytearray | None
     search: _Search
 
 
@@ -231,7 +236,8 @@ class DecodeEngine:
         later target whose record it covers shares it, searched by one
         paused Dijkstra.  Otherwise the key is the whole source tuple.
         A later target absent from an ``(s, F)`` sketch adds one
-        isolated vertex to it.
+        isolated vertex to it.  The sketch entry keeps each target's
+        coverage verdict, so a repeated ``(s, t, F)`` tests it once.
         """
         self._sync()
         s = frag_s.vertex
@@ -242,8 +248,8 @@ class DecodeEngine:
         scache = self._scache
         key = ((frag_s.handle,), fsig)
         sketch = scache.get(key)
-        if sketch is None or not self._covers(
-            sketch, self._record(frag_t, fsig, fault_v, fault_e)
+        if sketch is None or not self._covered(
+            sketch, frag_t, fsig, fault_v, fault_e
         ):
             key = (tuple(frag.handle for frag in source), fsig)
             sketch = scache.get(key)
@@ -251,6 +257,7 @@ class DecodeEngine:
                 sketch = self._build_sketch(source, fsig, fault_v, fault_e)
                 if sketch.keys is not None:
                     key = ((frag_s.handle,), fsig)
+                    _keep_verdict(sketch.verdicts, frag_t.handle, True)
         # least recently used first: a hit moves to the back
         if scache.pop(key, None) is None and len(scache) >= _SKETCH_CACHE_CAP:
             del scache[next(iter(scache))]
@@ -375,6 +382,30 @@ class DecodeEngine:
         self._fcache[ckey] = rec
         return rec
 
+    def _covered(
+        self,
+        sketch: _Sketch,
+        frag_t: Fragment,
+        fsig: int,
+        fault_v: list[Fragment],
+        fault_e: list[tuple[Fragment, Fragment]],
+    ) -> bool:
+        """Whether t's filtered record adds nothing to an ``(s, F)`` sketch.
+
+        The entry is the sketch of one ``(s, F)``, so the verdict depends
+        on t alone: each target is tested once and its verdict kept on
+        the entry, dropped with it.
+        """
+        verdicts = sketch.verdicts
+        handle = frag_t.handle
+        if handle < len(verdicts) and verdicts[handle]:
+            return verdicts[handle] == 2
+        covered = self._covers(
+            sketch, self._record(frag_t, fsig, fault_v, fault_e)
+        )
+        _keep_verdict(verdicts, handle, covered)
+        return covered
+
     def _covers(self, sketch: _Sketch, rec: tuple) -> bool:
         """Whether a filtered record adds nothing to an ``(s, F)`` sketch.
 
@@ -485,6 +516,7 @@ class DecodeEngine:
             m,
             keys,
             weights,
+            bytearray() if cover is not None else None,
             _fresh_search(len(vlist), adjacency is not None),
         )
 
@@ -529,7 +561,8 @@ class DecodeEngine:
 
         Returns ``(kept_x, kept_y, kept_w, dropped_forbidden,
         dropped_protected)`` in the fragment's scan order — the scalar
-        twin of :func:`repro.labeling.kernel.npops.filter_fragment`.
+        twin of :func:`repro.labeling.kernel.npops.filter_fragment`,
+        whole levels caught by a fault (:meth:`_level_caught`) included.
         """
         ex, ey, ew = frag.ex, frag.ey, frag.ew
         owner = frag.vertex
@@ -542,7 +575,10 @@ class DecodeEngine:
         dropped_forbidden = 0
         dropped_protected = 0
         stride = self._stride
-        for row, start, vstart, end in frag.segments:
+        closed = frag.closed
+        for (row, start, vstart, end), (_, ids, _) in zip(
+            frag.segments, frag.points
+        ):
             for j in range(start, vstart):
                 x = ex[j]
                 y = ey[j]
@@ -559,6 +595,9 @@ class DecodeEngine:
                     kx.append(x)
                     ky.append(y)
                     kw.append(ew[j])
+            if closed and vstart < end and self._level_caught(row, ids, owner):
+                dropped_protected += end - vstart
+                continue
             # above the lowest level the owner may not be a net-point, so
             # its ball membership is unknown: an owner edge is tested on
             # its net endpoint alone (Lemma 2.3's conservative rule)
@@ -594,6 +633,23 @@ class DecodeEngine:
                 else:
                     dropped_protected += 1
         return kx, ky, kw, dropped_forbidden, dropped_protected
+
+    def _level_caught(self, row: int, ids: list[int], owner: int) -> bool:
+        """Whether a loaded fault catches every virtual edge of a closed level.
+
+        The stdlib twin of :func:`repro.labeling.kernel.npops.caught_rows`
+        for one level: true when some vertex fault's ball at ``row`` (or
+        both balls of an edge fault) holds every point the safe-edge rule
+        tests there — the level's points ``ids``, less the owner above
+        the lowest level.
+        """
+        tested = [x for x in ids if x != owner] if row else ids
+        for is_edge, center_a, center_b in self._groups:
+            if all(map(center_a.ball[row].__getitem__, tested)) and (
+                not is_edge or all(map(center_b.ball[row].__getitem__, tested))
+            ):
+                return True
+        return False
 
     def _merge_py(self, recs: list[tuple]) -> tuple | None:
         """First-seen min-weight merge into the ``_mx/_my/_mw`` buffers.
@@ -927,6 +983,13 @@ class DecodeEngine:
         search.pending = u
         search.edges = edges_scanned
         search.updates = heap_updates
+
+
+def _keep_verdict(verdicts: bytearray, handle: int, covered: bool) -> None:
+    """Record a target's coverage verdict on an ``(s, F)`` sketch entry."""
+    if handle >= len(verdicts):
+        verdicts.extend(bytes(handle + 1 - len(verdicts)))
+    verdicts[handle] = 2 if covered else 1
 
 
 def _local_id(vlist: list[int], vertex: int) -> int:

@@ -39,68 +39,136 @@ def filter_fragment(frag, groups, forb_v, forb_e_keys, stride) -> tuple:
     boolean bitmap over vertex ids (or None when no fault forbids any
     vertex) and ``forb_e_keys`` a list of ``a * stride + b`` keys for
     forbidden edges.  Merge keys ``x * stride + y`` are computed here,
-    per call, rather than stored on the fragment.
+    per call and for kept edges only, rather than stored on the
+    fragment.
+
+    The levels a fault catches whole (:func:`caught_rows`) drop their
+    virtual edges without a per-edge test; that test runs once, over
+    the span of edges from the first level left to it to the last.
     """
     ex = frag.ex
     ey = frag.ey
-    key = ex.astype(np.int64)
-    key *= stride
-    key += ey
     if not groups and forb_v is None and not forb_e_keys:
+        key = ex.astype(np.int64)
+        key *= stride
+        key += ey
         return key, frag.ew, 0, 0
+    caught = caught_rows(frag, groups, stride)
     segments = frag.segments
-    # flat bitmap index row * stride + vertex of each endpoint
-    base = np.repeat(
-        np.array([row * stride for row, _, _, _ in segments], dtype=np.intp),
-        [end - start for _, start, _, end in segments],
-    )
-    ix = base + ex
-    iy = base + ey
-    # above the lowest level an owner endpoint's ball membership is
-    # unknown (Lemma 2.3's conservative rule): test the net endpoint in
-    # its place.  Rows ascend, so those levels form a suffix.
-    above = next((start for row, start, _, _ in segments if row), len(ex))
-    owner = frag.vertex
-    x_owned = np.flatnonzero(ex[above:] == owner) + above
-    y_owned = np.flatnonzero(ey[above:] == owner) + above
-    x_net = iy[x_owned]
-    y_net = ix[y_owned]
-    ix[x_owned] = x_net
-    iy[y_owned] = y_net
-    # protected-ball rules, evaluated on every edge and then kept for
-    # virtual ones only: an edge is unsafe when any fault's balls catch
-    # it, so testing every fault (not stopping at the first) is exact
-    unsafe = np.zeros(len(ex), dtype=bool)
-    for is_edge, center_a, center_b in groups:
-        ball_a = center_a.ball
-        if not is_edge:
-            unsafe |= ball_a[ix] & ball_a[iy]
-        else:
-            ball_b = center_b.ball
-            unsafe |= (ball_a[ix] & ball_b[iy]) | (ball_b[ix] & ball_a[iy])
-    for _, start, vstart, _ in segments:
-        unsafe[start:vstart] = False
-    keep = ~unsafe
+    dropped_protected = 0
+    # the first and last level whose virtual edges are tested one by one
+    first = last = -1
+    for k, (row, _, vstart, end) in enumerate(segments):
+        if vstart == end:
+            continue
+        if caught[row]:
+            dropped_protected += end - vstart
+            continue
+        if first < 0:
+            first = k
+        last = k
+    keep = np.zeros(len(ex), dtype=bool)
+    if first >= 0:
+        span = segments[first : last + 1]
+        lo = span[0][2]
+        hi = span[-1][3]
+        # flat bitmap index row * stride + vertex of each endpoint
+        base = np.repeat(
+            np.array([row * stride for row, _, _, _ in span], dtype=np.intp),
+            [end - max(start, lo) for _, start, _, end in span],
+        )
+        x = ex[lo:hi]
+        y = ey[lo:hi]
+        ix = base + x
+        iy = base + y
+        # above the lowest level an owner endpoint's ball membership is
+        # unknown (Lemma 2.3's conservative rule): test the net endpoint
+        # in its place.  Rows ascend, so those levels form a suffix.
+        above = next(
+            (max(start, lo) - lo for row, start, _, _ in span if row), hi - lo
+        )
+        owner = frag.vertex
+        x_owned = np.flatnonzero(x[above:] == owner) + above
+        y_owned = np.flatnonzero(y[above:] == owner) + above
+        x_net = iy[x_owned]
+        y_net = ix[y_owned]
+        ix[x_owned] = x_net
+        iy[y_owned] = y_net
+        # an edge is unsafe when any fault's balls catch it, so testing
+        # every fault (not stopping at the first) is exact
+        unsafe = np.zeros(hi - lo, dtype=bool)
+        for is_edge, center_a, center_b in groups:
+            ball_a = center_a.ball
+            if not is_edge:
+                unsafe |= ball_a[ix] & ball_a[iy]
+            else:
+                ball_b = center_b.ball
+                unsafe |= (ball_a[ix] & ball_b[iy]) | (ball_b[ix] & ball_a[iy])
+        # graph edges and caught levels inside the span are ruled elsewhere
+        inner = [
+            (caught[row], start, vstart, end)
+            for row, start, vstart, end in span[1:]
+            if start < vstart or caught[row]
+        ]
+        for whole, start, vstart, end in inner:
+            unsafe[start - lo : (end if whole else vstart) - lo] = False
+        np.logical_not(unsafe, out=keep[lo:hi])
+        dropped_protected += int(np.count_nonzero(unsafe))
+        for whole, _, vstart, end in inner:
+            if whole:
+                keep[vstart:end] = False
     # the forbidden-vertex/edge clause, on graph edges only
     dropped_forbidden = 0
-    if forb_v is not None or forb_e_keys:
-        for _, start, vstart, _ in segments:
-            if start == vstart:
-                continue
-            if forb_v is not None:
-                bad = forb_v[ex[start:vstart]] | forb_v[ey[start:vstart]]
-            else:
-                bad = np.zeros(vstart - start, dtype=bool)
+    for _, start, vstart, _ in segments:
+        if start == vstart:
+            continue
+        if forb_v is not None:
+            bad = forb_v[ex[start:vstart]] | forb_v[ey[start:vstart]]
+        else:
+            bad = np.zeros(vstart - start, dtype=bool)
+        if forb_e_keys:
+            graph_key = ex[start:vstart].astype(np.int64)
+            graph_key *= stride
+            graph_key += ey[start:vstart]
             for fk in forb_e_keys:
-                bad |= key[start:vstart] == fk
-            keep[start:vstart] = ~bad
-            dropped_forbidden += int(np.count_nonzero(bad))
-    return (
-        key[keep],
-        frag.ew[keep],
-        dropped_forbidden,
-        int(np.count_nonzero(unsafe)),
-    )
+                bad |= graph_key == fk
+        np.logical_not(bad, out=keep[start:vstart])
+        dropped_forbidden += int(np.count_nonzero(bad))
+    key = ex[keep].astype(np.int64)
+    key *= stride
+    key += ey[keep]
+    return key, frag.ew[keep], dropped_forbidden, dropped_protected
+
+
+def caught_rows(frag, groups, stride) -> list:
+    """Per level row, whether some fault catches every virtual edge there.
+
+    All false when ``frag`` is not closed.  In a closed fragment the
+    safe-edge rule tests only the points of ``frag.pid`` (a level's
+    virtual edges join points it lists; above the lowest level an owner
+    endpoint is replaced by the other one).  So a vertex fault whose
+    protected ball at a row holds every such point catches every virtual
+    edge of that level, and so does an edge fault whose two balls both
+    hold them.  One gather over the tested points per ball, reduced per
+    row, replaces two gathers per virtual edge.
+    """
+    caught = [False] * frag.rows
+    if not frag.closed or not len(frag.pstart):
+        return caught
+    prow = frag.prow
+    starts = frag.pstart
+    idx = np.multiply(prow, stride, dtype=np.intp)
+    idx += frag.pid
+    # per row holding tested points: does one fault hold all of them?
+    whole = np.zeros(len(starts), dtype=bool)
+    for is_edge, center_a, center_b in groups:
+        held = np.logical_and.reduceat(center_a.ball[idx], starts)
+        if is_edge:
+            held &= np.logical_and.reduceat(center_b.ball[idx], starts)
+        whole |= held
+    for row, hit in zip(prow[starts].tolist(), whole.tolist()):
+        caught[row] = hit
+    return caught
 
 
 def stable_order(values, bound: int) -> "np.ndarray":

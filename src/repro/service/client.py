@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
-from repro.exceptions import DeadlineExceededError, LabelFetchError
 from repro.service.clock import VirtualClock
 from repro.service.store import ShardedLabelStore
 from repro.util.rng import RngLike, make_rng
@@ -245,26 +244,6 @@ class ResilientLabelClient:
         self.metrics.breaker_closes = sum(b.closes for b in self._breakers)
 
     # -- fetching -----------------------------------------------------------
-
-    def fetch(
-        self,
-        vertex: int,
-        deadline_ms: float | None = None,
-        version: int | None = None,
-    ) -> bytes:
-        """Strict fetch: the label bytes, or a raised fetch error."""
-        outcome = self.fetch_label(vertex, deadline_ms, version)
-        if outcome.ok:
-            return outcome.data
-        if outcome.error == "deadline":
-            raise DeadlineExceededError(
-                f"label {vertex}: deadline exhausted after "
-                f"{outcome.attempts} attempt(s)"
-            )
-        raise LabelFetchError(
-            f"label {vertex}: {outcome.error} after "
-            f"{outcome.attempts} attempt(s)"
-        )
 
     def fetch_label(
         self,

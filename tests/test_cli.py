@@ -88,6 +88,16 @@ class TestCommands:
         assert main(["experiment", "E9"]) == 0
         assert "Theorem 3.1" in capsys.readouterr().out
 
+    def test_unknown_experiment_is_an_error_before_any_table_runs(
+        self, capsys
+    ):
+        assert main(["experiment", "E9", "E99"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: unknown experiment 'E99'; choose from E1 … E14\n"
+        )
+
     def test_experiment_without_names_runs_all_in_id_order(
         self, monkeypatch, capsys
     ):

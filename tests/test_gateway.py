@@ -548,8 +548,17 @@ class TestGateway:
                     else GatewayRequest("t", 0, 15)
                 )
             loop.run_until_complete(loop.create_task(_drain(gateway)))
+            metrics = gateway.metrics
             return (
-                gateway.metrics.summary(),
+                metrics.submitted,
+                metrics.completed,
+                metrics.exact,
+                metrics.degraded,
+                metrics.shed,
+                metrics.shed_rate,
+                metrics.goodput_fraction,
+                metrics.coalesced,
+                sorted(metrics.shed_by_reason.items()),
                 loop.steps,
                 loop.now,
             )

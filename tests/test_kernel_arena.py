@@ -19,15 +19,20 @@ Four contracts beneath the differential harness:
   entries for the same queries, not merely equal answers.
 """
 
+import copy
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import parse_graph_spec
 from repro.graphs import generators as gen
 from repro.labeling import FaultSet, ForbiddenSetLabeling
-from repro.labeling.kernel import HAVE_NUMPY, KernelDecoder, LabelArena
+from repro.labeling.encoding import encode_label
+from repro.labeling.kernel import HAVE_NUMPY, KernelDecoder, LabelArena, npops
+from repro.labeling.label import LevelLabel, VertexLabel
+from repro.labeling.params import lam_for_level
 from repro.util.pqueue import IndexedMinHeap
 from tests.reference_decoder import DenseMinHeap, build_sketch_graph
 
@@ -292,3 +297,308 @@ def test_numpy_and_stdlib_cache_entries_byte_equal(labeled):
     np_entries = sorted(np_kern._engine._scache.items())
     py_entries = sorted(py_kern._engine._scache.items())
     assert repr(np_entries) == repr(py_entries)
+
+
+# -- level-wide rulings == the per-edge rule ---------------------------------
+
+#: two families in the whole-graph regime, where a fault catches every
+#: level whole, and two past r_{c+1}, where it catches some levels
+RULING_FAMILIES = ["grid:6x6", "road:7x7", "path:96", "cycle:128"]
+
+
+def per_edge_record(frag, fault_v, fault_e, stride):
+    """A fragment's filter record by the safe-edge rule, edge by edge.
+
+    The protected balls come straight from the fault fragments' points
+    (distance at most λ of the level), not from the kernel's bitmaps,
+    and no level is ruled on whole.  Returns ``(keys, weights,
+    dropped_forbidden, dropped_protected)`` with the kept edges' merge
+    keys and weights in scan order.
+    """
+
+    def ball(center, row):
+        lam = lam_for_level(center.c + 1 + row)
+        return {
+            x
+            for r, ids, dists in center.points if r == row
+            for x, d in zip(ids, dists) if d <= lam
+        }
+
+    forbidden = {frag_f.vertex for frag_f in fault_v}
+    cut = {
+        (min(a.vertex, b.vertex), max(a.vertex, b.vertex)) for a, b in fault_e
+    }
+    owner = frag.vertex
+    keys, weights = [], []
+    dropped_forbidden = dropped_protected = 0
+    for row, start, vstart, end in frag.segments:
+        for j in range(start, vstart):
+            x, y, w = int(frag.ex[j]), int(frag.ey[j]), int(frag.ew[j])
+            if x in forbidden or y in forbidden or (x, y) in cut:
+                dropped_forbidden += 1
+            else:
+                keys.append(x * stride + y)
+                weights.append(w)
+        balls = [(ball(f, row), None) for f in fault_v] + [
+            (ball(a, row), ball(b, row)) for a, b in fault_e
+        ]
+        for j in range(vstart, end):
+            x, y, w = int(frag.ex[j]), int(frag.ey[j]), int(frag.ew[j])
+            bx, by = x, y
+            if row != 0:
+                if x == owner:
+                    bx = y
+                elif y == owner:
+                    by = x
+            caught = any(
+                (bx in pa and by in pa) if pb is None
+                else (bx in pa and by in pb) or (bx in pb and by in pa)
+                for pa, pb in balls
+            )
+            if caught:
+                dropped_protected += 1
+            else:
+                keys.append(x * stride + y)
+                weights.append(w)
+    return keys, weights, dropped_forbidden, dropped_protected
+
+
+def kernel_record(kern, frag, fsig, fault_v, fault_e):
+    """The engine's filter record of ``frag``, as plain keys and weights."""
+    engine = kern._engine
+    rec = engine._record(frag, fsig, fault_v, fault_e)
+    if kern.use_numpy:
+        keys = [int(k) for k in rec[0]]
+        weights = [int(w) for w in rec[1]]
+    else:
+        keys = [x * engine._stride + y for x, y in zip(rec[0], rec[1])]
+        weights = list(rec[2])
+    return keys, weights, rec[-2], rec[-1]
+
+
+def caught_levels(kern, frag):
+    """Per level with virtual edges, whether the loaded faults catch it whole."""
+    engine = kern._engine
+    levels = [
+        (row, ids)
+        for (row, _, vstart, end), (_, ids, _) in zip(frag.segments, frag.points)
+        if vstart < end
+    ]
+    if kern.use_numpy:
+        rows = npops.caught_rows(frag, engine._groups, engine._stride)
+        return [rows[row] for row, _ in levels]
+    return [engine._level_caught(row, ids, frag.vertex) for row, ids in levels]
+
+
+def ruling_fault_sets(graph, seed, count=14):
+    """Seeded ``(s, t, fault vertices, fault edges)`` with |F| of 1-3.
+
+    They cycle through vertex faults only, edge faults only and both.
+    """
+    rng = random.Random(seed)
+    n = graph.num_vertices
+    edges = sorted(graph.edges())
+    cases = []
+    for i in range(count):
+        s, t = rng.sample(range(n), 2)
+        size = rng.randint(1, 3)
+        kind = i % 3
+        num_e = 0 if kind == 0 else size if kind == 1 else rng.randint(1, size)
+        fault_v = rng.sample(
+            [v for v in range(n) if v not in (s, t)], size - num_e
+        )
+        fault_e = rng.sample(edges, num_e)
+        cases.append((s, t, fault_v, fault_e))
+    return cases
+
+
+@pytest.mark.parametrize("spec", RULING_FAMILIES)
+def test_level_rulings_keep_the_per_edge_record(spec):
+    """Whole-level drops change no filter record, on either path.
+
+    Every fragment a seeded faulted query filters (s, t and each fault
+    label), loaded from stored bytes and interned from the label
+    object, on the numpy and the stdlib path: kept keys and weights in
+    scan order and both drop counts equal the per-edge rule's.  (The
+    two doors scan a label's edges in different orders: stored order,
+    and the label object's dict order.)
+    """
+    graph = parse_graph_spec(spec)
+    scheme = ForbiddenSetLabeling(graph, 1.0)
+    labels = [scheme.label(v) for v in graph.vertices()]
+    stored = [encode_label(label) for label in labels]
+    kernels = []
+    for use_numpy in [False] + ([True] if HAVE_NUMPY else []):
+        loaded = KernelDecoder(use_numpy=use_numpy)
+        interned = KernelDecoder(use_numpy=use_numpy)
+        kernels.append(
+            ("load", loaded, [loaded.load(data) for data in stored])
+        )
+        kernels.append(
+            ("intern", interned, [interned.arena.intern(lb) for lb in labels])
+        )
+    for _, kern, frags in kernels:
+        assert all(frag.closed for frag in frags)
+        kern._engine._sync()
+    whole = partial = mixed = 0
+    for fsig, (s, t, fv, fe) in enumerate(ruling_fault_sets(graph, 5), 1):
+        expected = {}
+        for door, kern, frags in kernels:
+            fault_v = [frags[v] for v in fv]
+            fault_e = [(frags[a], frags[b]) for a, b in fe]
+            for frag_f in fault_v + [f for pair in fault_e for f in pair]:
+                kern.arena.ensure_fault_tables(frag_f)
+            sources = [s, t] + fv + [v for edge in fe for v in edge]
+            for v in sources:
+                got = kernel_record(kern, frags[v], fsig, fault_v, fault_e)
+                if (door, v) not in expected:
+                    expected[door, v] = per_edge_record(
+                        frags[v], fault_v, fault_e, kern._engine._stride
+                    )
+                assert got == expected[door, v], (spec, door, s, t, fv, fe, v)
+                caught = caught_levels(kern, frags[v])
+                whole += sum(caught)
+                partial += len(caught) - sum(caught)
+                mixed += any(caught) and not all(caught)
+    assert whole, "no level was caught whole"
+    if spec in ("path:96", "cycle:128"):
+        # past r_{c+1} some levels are caught whole and some are not,
+        # within one fragment too
+        assert partial and mixed
+    else:
+        assert not partial
+
+
+@pytest.mark.parametrize("use_numpy", [False] + ([True] if HAVE_NUMPY else []))
+def test_an_open_label_is_filtered_edge_by_edge(use_numpy):
+    """A label whose virtual edge leaves its level's points is not closed.
+
+    On path:96, find a fault that catches a level of s whole, then give
+    s's label one more virtual edge there, to a vertex outside the
+    fault's ball: the per-edge rule keeps it, so the filter must not
+    rule on that level.  A loop at the owner above the lowest level
+    (which the rule tests on the owner itself) opens a label too, at
+    both doors.
+    """
+    graph = parse_graph_spec("path:96")
+    scheme = ForbiddenSetLabeling(graph, 1.0)
+    labels = [scheme.label(v) for v in graph.vertices()]
+    probe = KernelDecoder(use_numpy=use_numpy)
+    frags = [probe.arena.intern(label) for label in labels]
+    probe._engine._sync()
+
+    def caught_above_the_lowest_level():
+        """``(s, f, row, ids, z)``: fault f catches s's level whole, and
+        z is neither listed there nor in f's ball."""
+        for s in range(0, 96, 7):
+            for f in (s - 2, s + 2):
+                if not 0 <= f < 96:
+                    continue
+                probe.arena.ensure_fault_tables(frags[f])
+                probe._engine._load_faults([frags[f]], [])
+                probe._engine._loaded = -1
+                levels = [
+                    (row, ids) for (row, _, vstart, end), (_, ids, _)
+                    in zip(frags[s].segments, frags[s].points) if vstart < end
+                ]
+                caught = caught_levels(probe, frags[s])
+                for is_caught, (row, ids) in zip(caught, levels):
+                    lam = lam_for_level(frags[f].c + 1 + row)
+                    ball = {
+                        x for r, pts, dists in frags[f].points if r == row
+                        for x, d in zip(pts, dists) if d <= lam
+                    }
+                    for z in range(96):
+                        if is_caught and row and z not in ball and z not in ids:
+                            yield s, f, row, ids, z
+
+    found = next(caught_above_the_lowest_level(), None)
+    assert found, "no level of path:96 is caught whole"
+    s, f, row, ids, z = found
+    x = next(p for p in ids if p != s)
+    open_label = copy.deepcopy(labels[s])
+    level = frags[s].c + 1 + row
+    open_label.levels[level].edges[(min(x, z), max(x, z))] = abs(x - z)
+    loop_label = copy.deepcopy(labels[s])
+    loop_label.levels[level].edges[(s, s)] = 1
+    # stored edges name listed points only: only the loop can be stored
+    for door, label in [
+        ("intern", open_label), ("intern", loop_label), ("load", loop_label)
+    ]:
+        kern = KernelDecoder(use_numpy=use_numpy)
+        frag = (
+            kern.arena.intern(label) if door == "intern"
+            else kern.load(encode_label(label))
+        )
+        fault = kern.arena.intern(labels[f])
+        for other in labels:
+            kern.arena.intern(other)
+        assert not frag.closed
+        kern._engine._sync()
+        kern.arena.ensure_fault_tables(fault)
+        got = kernel_record(kern, frag, 1, [fault], [])
+        assert got == per_edge_record(frag, [fault], [], kern._engine._stride)
+        if label is open_label:
+            stride = kern._engine._stride
+            assert min(x, z) * stride + max(x, z) in got[0]
+
+
+def _hand_label(vertex, levels):
+    """A label of scheme (c=2, top=5) from ``{level: (points, edges[,
+    graph_edges])}``."""
+    label = VertexLabel(vertex=vertex, epsilon=1.0, c=2, top_level=5)
+    for level, (points, edges, *graph_edges) in levels.items():
+        label.levels[level] = LevelLabel(
+            level=level, points=dict(points), edges=dict(edges),
+            graph_edges=dict(*graph_edges),
+        )
+    return label
+
+
+@pytest.mark.parametrize("use_numpy", [False] + ([True] if HAVE_NUMPY else []))
+def test_rulings_where_the_rule_holds_back(use_numpy):
+    """Hand-built levels where a whole-level drop must not, or may, fire.
+
+    s = 0 lists 0-2 at level 3 (the lowest, row 0) and 0-3 at level 4.
+    A vertex fault whose balls hold every point but s catches level 4
+    whole (s is not tested there) but not level 3, where s is tested.
+    An edge fault one of whose balls holds every tested point of level
+    4 and the other not all of them catches neither level whole.  Level
+    4 also lists a graph edge, which only the builder's lowest level
+    does, so the per-edge pass spans a level's graph edges.  With a
+    level 5 that the vertex fault does not catch, the caught level 4
+    lies inside that span.
+    """
+    source = _hand_label(0, {
+        3: ({0: 0, 1: 1, 2: 2}, {(0, 1): 1, (1, 2): 1, (0, 2): 2}),
+        4: ({0: 0, 1: 1, 2: 2, 3: 3},
+            {(0, 1): 1, (0, 3): 3, (1, 2): 1, (2, 3): 1}, {(1, 2): 1}),
+    })
+    # λ is 16 at level 3 and 32 at level 4: distance 99 is outside
+    near = _hand_label(5, {
+        3: ({0: 99, 1: 3, 2: 3, 5: 0}, {}),
+        4: ({0: 99, 1: 3, 2: 3, 3: 3, 5: 0}, {}),
+    })
+    wide = _hand_label(6, {3: ({6: 0}, {}), 4: ({1: 3, 2: 3, 3: 3, 6: 0}, {})})
+    narrow = _hand_label(7, {3: ({7: 0}, {}), 4: ({1: 3, 2: 3, 7: 0}, {})})
+    three = copy.deepcopy(source)
+    three.levels[5] = LevelLabel(
+        level=5, points={0: 0, 1: 1, 2: 2, 3: 3}, edges={(1, 3): 2, (0, 2): 2}
+    )
+    near.levels[5] = LevelLabel(level=5, points={1: 3, 2: 3, 3: 99, 5: 0})
+    for label, fault_v, fault_e, caught in [
+        (source, [near], [], [False, True]),
+        (source, [], [(wide, narrow)], [False, False]),
+        (three, [near], [], [False, True, False]),
+    ]:
+        kern = KernelDecoder(use_numpy=use_numpy)
+        frag = kern.arena.intern(label)
+        fv = [kern.arena.intern(label) for label in fault_v]
+        fe = [(kern.arena.intern(a), kern.arena.intern(b)) for a, b in fault_e]
+        kern._engine._sync()
+        for center in fv + [f for pair in fe for f in pair]:
+            kern.arena.ensure_fault_tables(center)
+        assert frag.closed
+        got = kernel_record(kern, frag, 1, fv, fe)
+        assert got == per_edge_record(frag, fv, fe, kern._engine._stride)
+        assert caught_levels(kern, frag) == caught

@@ -37,6 +37,7 @@ from repro.exceptions import QueryError
 from repro.graphs import generators as gen
 from repro.labeling import FaultSet, ForbiddenSetLabeling
 from repro.labeling.decoder import decode_distance as production_decode
+from repro.labeling.encoding import encode_label
 from repro.labeling.kernel import HAVE_NUMPY, KernelDecoder
 from repro.obs.trace import Tracer
 from tests.reference_decoder import decode_distance
@@ -372,6 +373,108 @@ def test_long_lived_reuse_matches_reference(name):
                     for query in order]
             assert got == want
             assert kern_tracer.to_dicts() == ref_tracer.to_dicts()
+
+
+# -- coverage verdicts live and die with their (s, F) sketch ------------------
+
+
+def _count_coverage_tests(monkeypatch):
+    """A list that grows with each step of a coverage test, on either path.
+
+    The numpy path calls ``npops.covers`` once per test; the stdlib path
+    bisects the sketch's merge keys once per kept edge it checks.
+    """
+    from repro.labeling.kernel import engine, npops
+
+    steps = []
+    real_covers = npops.covers
+    real_bisect = engine.bisect_left
+
+    def covers(*args):
+        steps.append("covers")
+        return real_covers(*args)
+
+    def bisect_left(*args):
+        steps.append("bisect")
+        return real_bisect(*args)
+
+    monkeypatch.setattr(npops, "covers", covers)
+    monkeypatch.setattr(engine, "bisect_left", bisect_left)
+    return steps
+
+
+def _verdict_probe(kern, steps, labels, faults):
+    """``decode(s, t)``: coverage-test steps one query took on ``kern``.
+
+    Each answer, path and span tree must equal a fresh decoder's.
+    """
+
+    def decode(s, t):
+        before = len(steps)
+        got = _traced(kern.decode, labels[s], labels[t], faults)
+        taken = len(steps) - before
+        fresh = KernelDecoder(use_numpy=kern.use_numpy)
+        assert got == _traced(fresh.decode, labels[s], labels[t], faults)
+        return taken
+
+    return decode
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_repeated_query_tests_coverage_once(backend, monkeypatch):
+    """A repeated (s, t, F) reads t's verdict off the sketch of (s, F).
+
+    On grid:4x4 with one fault, the first query builds the sketch of
+    (s, F), and its t's verdict comes with it; a second target is
+    tested once, however often it repeats.  An arena reset drops the
+    sketch and its verdicts: the second target is tested afresh.
+    """
+    labels, _ = instance("grid:4x4/e1")
+    kern = KernelDecoder(use_numpy=(backend == "numpy"))
+    steps = _count_coverage_tests(monkeypatch)
+    decode = _verdict_probe(
+        kern, steps, labels, FaultSet(vertex_labels=[labels[5]])
+    )
+    s, t1, t2 = 0, 15, 10
+    assert decode(s, t1) == 0
+    handle = kern.arena.member(labels[s]).handle
+    assert any(key[0] == (handle,) for key in kern._engine._scache)
+    first = decode(s, t2)
+    assert first == 1 if backend == "numpy" else first > 0
+    assert decode(s, t2) == 0
+    assert decode(s, t1) == 0
+    assert decode(s, t2) == 0
+    kern.arena.reset()
+    assert decode(s, t1) == 0
+    assert decode(s, t2) == first
+    assert decode(s, t2) == 0
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_wider_id_universe_retests_coverage(backend, monkeypatch):
+    """A load that widens the id universe drops every kept verdict.
+
+    On path:96 the labels of 1-4 reach vertex 94 at most, and loading
+    the label of 95 widens the universe (and every merge key's stride)
+    between two runs of the same queries.
+    """
+    labels, _ = instance("path:96/e1")
+    kern = KernelDecoder(use_numpy=(backend == "numpy"))
+    steps = _count_coverage_tests(monkeypatch)
+    decode = _verdict_probe(
+        kern, steps, labels, FaultSet(vertex_labels=[labels[1]])
+    )
+    s, t1, t2 = 4, 2, 3
+    assert decode(s, t1) == 0
+    first = decode(s, t2)
+    assert first > 0
+    assert decode(s, t2) == 0
+    bound = kern.arena.id_bound
+    kern.load(encode_label(labels[95]))
+    assert kern.arena.id_bound > bound
+    assert decode(s, t1) == 0
+    assert decode(s, t2) == first
+    assert decode(s, t2) == 0
 
 
 # -- batch API: grouping order never changes an answer -----------------------

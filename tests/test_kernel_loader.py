@@ -9,8 +9,9 @@ checks
 
 * real labels — every label of every codec-differential family at
   ε ∈ {1, 0.5, 0.1} loads to the columns, segments, ``edges_listed``,
-  ball points and protected-ball bitmaps of the reference, in both arena
-  modes, with the section cache warm across each table;
+  ball points, ``closed`` flag, tested points and protected-ball bitmaps
+  of the reference, in both arena modes, with the section cache warm
+  across each table;
 * corrupt input — the codec differential's 1,200 seeded corruptions and
   every prefix of one label get the reference's verdict (equal fragment,
   or a raise within ``DECODE_ERRORS``) from a loader whose cache is warm
@@ -62,7 +63,8 @@ def fields(frag) -> tuple:
         frag.levels_sorted, frag.num_levels, frag.segments,
         frag.edges_listed, [int(x) for x in frag.ex],
         [int(y) for y in frag.ey], [int(w) for w in frag.ew], dtypes,
-        frag.points,
+        frag.points, frag.closed,
+        None if frag.pid is None else (frag.pid.tolist(), frag.prow.tolist()),
     )
 
 

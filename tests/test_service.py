@@ -6,12 +6,7 @@ import math
 import pytest
 
 from repro.baselines import ExactRecomputeOracle
-from repro.exceptions import (
-    DeadlineExceededError,
-    LabelFetchError,
-    QueryError,
-    ServiceError,
-)
+from repro.exceptions import QueryError, ServiceError
 from repro.graphs.generators import cycle_graph, grid_graph
 from repro.labeling import ForbiddenSetLabeling
 from repro.labeling.encoding import decode_label, encode_label
@@ -266,23 +261,23 @@ class TestResilientClient:
     def test_healthy_fetch(self, grid_setup):
         _, _, labels = grid_setup
         _, client = self.make_client(labels)
-        assert client.fetch(3) == labels[3]
+        assert client.fetch_label(3).data == labels[3]
         assert client.metrics.retries == 0
 
     def test_failover_to_replica(self, grid_setup):
         _, _, labels = grid_setup
         store, client = self.make_client(labels)
         store.set_down(store.replicas(0)[0])
-        assert client.fetch(0) == labels[0]
+        assert client.fetch_label(0).data == labels[0]
         assert client.metrics.failovers >= 1
 
-    def test_all_replicas_down_raises_fetch_error(self, grid_setup):
+    def test_all_replicas_down_fails_the_fetch(self, grid_setup):
         _, _, labels = grid_setup
         store, client = self.make_client(labels)
         for shard in store.replicas(0):
             store.set_down(shard)
-        with pytest.raises(LabelFetchError):
-            client.fetch(0)
+        outcome = client.fetch_label(0)
+        assert not outcome.ok
         assert client.metrics.fetch_failures == 1
 
     def test_attempts_bounded_by_policy(self, grid_setup):
@@ -303,17 +298,19 @@ class TestResilientClient:
         )
         store.set_slow(store.replicas(0)[0], 500.0)
         store.set_slow(store.replicas(0)[1], 500.0)
-        with pytest.raises(DeadlineExceededError):
-            client.fetch(0, deadline_ms=40.0)
+        outcome = client.fetch_label(0, deadline_ms=40.0)
+        assert not outcome.ok
+        assert outcome.error == "deadline"
         assert client.metrics.deadline_exhausted == 1
 
-    def test_attempt_exhaustion_raises_fetch_error(self, grid_setup):
+    def test_attempt_exhaustion_fails_the_fetch(self, grid_setup):
         _, _, labels = grid_setup
         store, client = self.make_client(labels)
         store.set_slow(store.replicas(0)[0], 500.0)
         store.set_slow(store.replicas(0)[1], 500.0)
-        with pytest.raises(LabelFetchError, match="timeout"):
-            client.fetch(0, deadline_ms=40.0)
+        outcome = client.fetch_label(0, deadline_ms=40.0)
+        assert not outcome.ok
+        assert "timeout" in outcome.error
 
     def test_breaker_short_circuits_after_trips(self, grid_setup):
         _, _, labels = grid_setup
