@@ -43,7 +43,10 @@ Fragments come from two doors:
   with it; parsing is deterministic, so a match reads exactly the
   records it read before, and fragments share that section's arrays).
   In the whole-graph regime every label of a graph repeats most of its
-  edge sections, so a table parses each of them once.
+  edge sections, so a table parses each of them once.  A loaded
+  fragment keeps, per level, the :class:`Section` it was built from,
+  and each section counts the fragments that hold it, so the engine
+  can do the work of a section once for all of them.
 * :meth:`LabelArena.intern` flattens a label object, keyed by object
   identity (the arena pins a strong reference to it, so the key stays
   valid), for callers that hold labels rather than bytes.
@@ -77,6 +80,29 @@ _first = itemgetter(0)
 _second = itemgetter(1)
 
 
+class Section:
+    """One parsed level edge section, held by every fragment that lists it.
+
+    ``graph`` and ``virtual`` are the level's two edge maps as ``(xs,
+    ys, ws)`` columns in the arena's representation, ``top`` is the
+    largest endpoint id (-1 for none) and ``looped`` says whether a
+    virtual edge joins a point to itself.  ``holders`` counts the loaded
+    fragments built from the section.  Sections compare by identity: two
+    fragments hold the same one exactly when the loader matched its
+    point order and bit text.
+    """
+
+    __slots__ = ("graph", "virtual", "top", "looped", "holders")
+
+    def __init__(self, graph: tuple, virtual: tuple, top: int,
+                 looped: bool) -> None:
+        self.graph = graph
+        self.virtual = virtual
+        self.top = top
+        self.looped = looped
+        self.holders = 0
+
+
 class Fragment:
     """One label in flat form: scan-order edge columns plus fault data.
 
@@ -93,11 +119,15 @@ class Fragment:
     In numpy mode ``pid`` / ``prow`` hold, for a closed fragment, every
     point that rule tests and its level row (each level's points, less
     the owner above the lowest level), and ``pstart`` the offset where
-    each row's points begin.  Everything on a fragment is
-    immutable after it is built except the lazily built protected-ball
-    bitmaps ``ball`` (a list of per-row bytearrays in stdlib mode, one
-    flat boolean array indexed ``row * ball_bound + vertex`` in numpy
-    mode, fully determined by the label) and the arena membership
+    each row's points begin.  ``sections`` holds, for a loaded
+    fragment, the :class:`Section` of each level (empty for an interned
+    one).  Everything on a fragment is immutable after it is built
+    except the lazily built protected-ball bitmaps ``ball`` (a list of
+    per-row bytearrays in stdlib mode, one flat boolean array indexed
+    ``row * ball_bound + vertex`` in numpy mode), ``reduces`` (None
+    until the engine tests it: whether the levels after the first add no
+    edge key and lower no weight relative to the first level's section),
+    both fully determined by the label, and the arena membership
     ``handle`` / ``generation``.
     """
 
@@ -122,6 +152,8 @@ class Fragment:
         "pid",
         "prow",
         "pstart",
+        "sections",
+        "reduces",
         "ball",
         "ball_bound",
     )
@@ -149,6 +181,8 @@ class Fragment:
         self.pid: Any = None
         self.prow: Any = None
         self.pstart: Any = None
+        self.sections: tuple[Section, ...] = ()
+        self.reduces: bool | None = None
         self.ball: Any = None
         self.ball_bound = 0
 
@@ -182,7 +216,7 @@ class LabelArena:
         # the content-keyed cache: whole labels by bytes, edge sections
         # by point order (holding their bit text and their columns)
         self._by_bytes: dict[bytes, Fragment] = {}
-        self._sections: dict[tuple[int, ...], tuple[str, tuple]] = {}
+        self._sections: dict[tuple[int, ...], tuple[str, Section]] = {}
         self._id_bound = 0
         self._c: int | None = None
         self._top_level: int | None = None
@@ -339,33 +373,40 @@ class LabelArena:
     ) -> Fragment:
         """A loaded fragment from per-level ``(ids, dists, section)``.
 
-        ``section`` is :meth:`_section`'s ``(graph, virtual, top,
-        looped)``.  Stored edges name points by their index in the
-        level's point list, so the fragment is closed unless a level
-        falls outside the scheme's rows or a virtual edge is a loop
-        (both only in corrupt bytes).
+        ``section`` is the level's :class:`Section`, which the fragment
+        keeps and counts itself a holder of once.  Stored edges name
+        points by their index in the level's point list, so the fragment
+        is closed unless a level falls outside the scheme's rows or a
+        virtual edge is a loop (both only in corrupt bytes).
         """
         frag = Fragment(vertex, c, top_level)
         frag.levels_sorted = sorted(levels)
         frag.num_levels = len(levels)
         frag.closed = True
+        sections: list[Section] = []
         # per level: graph edges, then virtual edges (the scan order)
         parts: list = []
         end = 0
         for level in frag.levels_sorted:
-            ids, dists, (graph, virtual, top, looped) = levels[level]
+            ids, dists, section = levels[level]
+            if section not in sections:
+                section.holders += 1
+            sections.append(section)
             row = frag.row_of(level)
-            if looped or not 0 <= row < frag.rows:
+            if section.looped or not 0 <= row < frag.rows:
                 frag.closed = False
             start = end
-            vstart = start + len(graph[0])
-            end = vstart + len(virtual[0])
+            vstart = start + len(section.graph[0])
+            end = vstart + len(section.virtual[0])
             frag.segments.append((row, start, vstart, end))
             frag.points.append((row, ids, dists))
-            parts += (graph, virtual)
+            parts += (section.graph, section.virtual)
             # ids ascend (gap-coded), so the last is the largest
-            frag.bound = max(frag.bound, top + 1, ids[-1] + 1 if ids else 0)
+            frag.bound = max(
+                frag.bound, section.top + 1, ids[-1] + 1 if ids else 0
+            )
         frag.edges_listed = end
+        frag.sections = tuple(sections)
         columns = list(zip(*parts)) if parts else [(), (), ()]
         if self.use_numpy:
             frag.ex, frag.ey, frag.ew = (
@@ -404,15 +445,12 @@ class LabelArena:
 
     def _section(
         self, text: str, pos: int, order: list[int]
-    ) -> tuple[tuple, int]:
-        """A level's edge section as columns: reused, or parsed and held.
+    ) -> tuple[Section, int]:
+        """A level's edge section: reused, or parsed and held.
 
-        The held entry for ``order`` matches only if the text at ``pos``
-        starts with the entry's bit text.  Returns ``((graph, virtual,
-        top, looped), end)``: the graph and the virtual edge map as
-        ``(xs, ys, ws)`` columns in the arena's representation, the
-        largest endpoint id (-1 for none), whether a virtual edge joins
-        a point to itself, and the position after the section.
+        The held :class:`Section` for ``order`` matches only if the text
+        at ``pos`` starts with its bit text.  Returns the section and the
+        position after it.
         """
         key = tuple(order)
         held = self._sections.get(key)
@@ -436,7 +474,7 @@ class LabelArena:
                 maps.append(tuple(_column(v, len(v)) for v in (xs, ys, ws)))
             else:
                 maps.append((xs, ys, ws))
-        entry = (maps[0], maps[1], top, looped)
+        entry = Section(maps[0], maps[1], top, looped)
         self._sections[key] = (text[pos:end], entry)
         return entry, end
 
@@ -474,10 +512,7 @@ def _closed(frag: Fragment, use_numpy: bool) -> bool:
     two distinct points the level lists (see :class:`Fragment`)."""
     ex = frag.ex
     ey = frag.ey
-    listed: Any = (
-        _np.zeros(frag.bound, dtype=bool) if use_numpy
-        else bytearray(frag.bound)
-    )
+    listed: Any = _np.zeros(frag.bound, dtype=bool) if use_numpy else None
     for (row, ids, _), (_, _, vstart, end) in zip(frag.points, frag.segments):
         if not 0 <= row < frag.rows:
             return False
@@ -490,15 +525,12 @@ def _closed(frag: Fragment, use_numpy: bool) -> bool:
             )
             listed[ids] = False
         else:
-            for x in ids:
-                listed[x] = 1
+            points = set(ids)
             joined = (
-                all(map(listed.__getitem__, xs))
-                and all(map(listed.__getitem__, ys))
+                points.issuperset(xs)
+                and points.issuperset(ys)
                 and not any(map(eq, xs, ys))
             )
-            for x in ids:
-                listed[x] = 0
         if not joined:
             return False
     return True

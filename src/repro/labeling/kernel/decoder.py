@@ -17,9 +17,10 @@ pass those, and the arena interns them by identity.  The decoder's
 memos key on which arena fragments play which role in ``(s, t, F)``,
 not on the ``FaultSet`` object, so a long-lived decoder shares the
 safe-edge filtering and sketch assembly of every repeated combination
-— and one sketch and one paused search among all targets that add
-nothing to the sketch of ``(s, F)`` — and a caller that changes its
-forbidden set needs no invalidation.
+— one sketch among all sources and targets whose records reduce to one
+content (the sketch of ``(s, F)``, or of a level section that loaded
+labels share), searched by one paused search per source — and a
+caller that changes its forbidden set needs no invalidation.
 :func:`repro.labeling.decoder.decode_distance` is the one-shot form:
 a fresh decoder per call.
 """

@@ -28,12 +28,16 @@ byte-identical sketch graphs.
 
 Because every stage is a pure function of ``(fragments, fault set)``,
 the engine memoizes across queries: filter records are cached per
-``(fragment, fault signature)``, and assembled sketch graphs, each
-with its Dijkstra paused between targets, per sketch key — ``(s, F)``
-when t adds nothing to the sketch, else the whole source tuple (see
-:meth:`DecodeEngine.run`).  A sketch of ``(s, F)`` also keeps, per
-target, whether that target adds nothing to it.  Both caches are answer-preserving (they
-cache *inputs-determined* results, never timings), capped, and dropped
+``(fragment, fault signature)`` (and, where loaded fragments share a
+level section, once per ``(section, fault signature)``), and assembled
+sketch graphs per sketch key — the sketch's content when t adds nothing
+to it, else the whole source tuple (see :meth:`DecodeEngine.run`).  A
+sketch graph is numbered by its merged edges alone, so one graph serves
+every source whose record reduces to its content, each source
+searching it from its own local id by its own Dijkstra, paused between
+targets; it also keeps, per target, whether that target adds nothing to
+it.  Both caches are answer-preserving (they cache
+*inputs-determined* results, never timings), capped, and dropped
 whenever the arena is reset or the id universe grows.  This is what
 ``decode_batch`` — and any serving tier that repeats sources or
 forbidden sets — amortizes.
@@ -48,11 +52,11 @@ import math
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, NamedTuple
+from typing import TYPE_CHECKING, Any
 
 from repro.exceptions import QueryError
 from repro.labeling.kernel import npops
-from repro.labeling.kernel.arena import Fragment, LabelArena
+from repro.labeling.kernel.arena import Fragment, LabelArena, Section
 from repro.labeling.query import QueryResult
 
 if TYPE_CHECKING:
@@ -88,23 +92,23 @@ _KEY_SETTLED = -(1 << 63)
 
 @dataclass(slots=True)
 class _Search:
-    """Dijkstra from local id 0 (``s``) over one sketch, paused between targets.
+    """Dijkstra from one source over one sketch, paused between targets.
 
     ``state[v]`` is ``v``'s heap position while it is queued, -1 while
     it is unseen, and ``-2 - rank`` once it has settled as the
     ``rank``-th pop.  ``hkeys`` / ``hitems`` hold the heap (``size``
     entries; they grow as it does) and ``parent`` each vertex's
-    predecessor.  Per rank, ``dist`` / ``edges_at`` / ``updates_at``
-    hold the distance and the ``edges_scanned`` / ``heap_updates``
-    counts reached at that pop (``nodes_settled`` is ``rank + 1``):
-    exactly what a fresh search to that vertex reports.  ``edges`` /
-    ``updates`` are the running counts.  ``pending`` is the target the
-    search last stopped at, popped but not yet scanned (-1 for none).
-    ``key`` is the numpy scan pre-filter's per-vertex key array, kept
-    only for a sketch assembled with a numpy adjacency.  It is derived
-    from the heap state (see :func:`npops.scan_candidates`), so it
-    stays out of the repr and of comparisons, and the two paths' cache
-    entries compare equal.
+    predecessor (-1 for the source).  Per rank, ``dist`` / ``edges_at``
+    / ``updates_at`` hold the distance and the ``edges_scanned`` /
+    ``heap_updates`` counts reached at that pop (``nodes_settled`` is
+    ``rank + 1``): exactly what a fresh search to that vertex reports.
+    ``edges`` / ``updates`` are the running counts.  ``pending`` is the
+    target the search last stopped at, popped but not yet scanned (-1
+    for none).  ``key`` is the numpy scan pre-filter's per-vertex key
+    array, kept only for a sketch assembled with a numpy adjacency.  It
+    is derived from the heap state (see :func:`npops.scan_candidates`),
+    so it stays out of the repr and of comparisons, and the two paths'
+    cache entries compare equal.
     """
 
     size: int
@@ -121,30 +125,39 @@ class _Search:
     key: Any = field(default=None, repr=False, compare=False)
 
 
-def _fresh_search(nv: int, with_key: bool) -> _Search:
-    """A search over ``nv`` local ids with only ``s`` (local 0) pushed."""
+def _fresh_search(nv: int, with_key: bool, source: int = 0) -> _Search:
+    """A search over ``nv`` local ids with only ``source`` pushed."""
     state = [-1] * nv
-    state[0] = 0
+    state[source] = 0
     key = None
     if with_key:
         key = _np.full(nv, _KEY_UNSEEN, dtype=_np.int64)
-        key[0] = 0
-    # one push so far: s at key 0
-    return _Search(1, -1, 0, 1, state, [-1] * nv, [0], [0], [], [], [], key)
+        key[source] = 0
+    # one push so far: the source at key 0
+    return _Search(
+        1, -1, 0, 1, state, [-1] * nv, [0], [source], [], [], [], key
+    )
 
 
-class _Sketch(NamedTuple):
-    """One sketch-cache entry: a CSR sketch graph and its paused search.
+@dataclass(slots=True)
+class _Sketch:
+    """One sketch-cache entry: a CSR sketch graph and its paused searches.
 
-    ``vlist`` maps local ids to vertex ids, ``s`` first; ``indptr`` /
-    ``nbr`` / ``wts`` are the adjacency in reference order and ``m``
-    the merged edge count.  A sketch of ``(s, F)`` keeps its merged
+    ``vlist`` maps local ids to vertex ids, numbered by the merged edges
+    alone (a label vertex without an edge is not in it; each query
+    counts its own); ``indptr`` / ``nbr`` / ``wts`` are the adjacency in
+    reference order and ``m`` the merged edge count.  ``searches``
+    holds, per local id, the paused search from that source (None until
+    a query searches from it).  A sketch of one content — one record
+    that the rest of its first query added nothing to — keeps its merged
     edges as sorted merge keys and their weights (``keys`` /
     ``weights``, ``array('q')`` columns) for the coverage test of later
-    targets, and that test's verdict per target fragment handle
+    targets, that test's verdict per target fragment handle
     (``verdicts``: 0 not yet tested, 1 the target's record adds to the
-    sketch, 2 it adds nothing); a sketch of a whole source tuple has
-    None in all three.
+    sketch, 2 it adds nothing), and the loaded sections its content is
+    made of (``sections``); a sketch of a whole source tuple has None in
+    the first three and no sections.  ``fast`` is the numpy adjacency
+    ``(nbr, wts)`` of the scan pre-filter, or None.
     """
 
     vlist: list[int]
@@ -155,7 +168,9 @@ class _Sketch(NamedTuple):
     keys: array | None
     weights: array | None
     verdicts: bytearray | None
-    search: _Search
+    searches: list
+    sections: tuple = field(default=(), repr=False, compare=False)
+    fast: Any = field(default=None, repr=False, compare=False)
 
 
 class DecodeEngine:
@@ -197,9 +212,9 @@ class DecodeEngine:
         self._cursor: list[int] = []
         self._nbr: list[int] = []
         self._wts: list[int] = []
-        # the numpy adjacency of the sketch assembled last: the nbr
-        # list it belongs to, then (nbr, wts) arrays
-        self._np_adj: tuple | None = None
+        # the sketch assembled last, when it is not shared: it keeps
+        # its numpy adjacency only until the next assembly
+        self._last: _Sketch | None = None
         # trace scratch (distinct levels across the source fragments)
         self._row_mark = bytearray()
         self._row_dirty: list[int] = []
@@ -228,16 +243,19 @@ class DecodeEngine:
         bitmaps built.  Raises :class:`QueryError` when an endpoint is
         forbidden.
 
-        The sketch cache keys a sketch by ``((s,), fsig)`` when the
-        filtered records of t and of every fault add no edge key and
-        lower no weight relative to s's merged record (and t is a
-        vertex of the result): the merge is associative, so the sketch
-        of ``(s, t, F)`` is then the sketch of ``(s, F)``, and every
-        later target whose record it covers shares it, searched by one
-        paused Dijkstra.  Otherwise the key is the whole source tuple.
-        A later target absent from an ``(s, F)`` sketch adds one
-        isolated vertex to it.  The sketch entry keeps each target's
-        coverage verdict, so a repeated ``(s, t, F)`` tests it once.
+        The sketch cache keys a sketch by its content when the filtered
+        records of t and of every fault add no edge key and lower no
+        weight relative to s's merged record: the merge is associative,
+        so the sketch of ``(s, t, F)`` is then the merge of s's record
+        alone, and every later target whose record it covers shares it.
+        The content is a shared section (:meth:`_shared`) when s's
+        record reduces to that section's record, so every source that
+        reduces to it shares one graph, else s's own record, keyed
+        ``((s,), fsig)``.  Otherwise the key is the whole source tuple.
+        Each source searches a sketch by its own paused Dijkstra, and a
+        label vertex absent from the sketch adds one isolated vertex to
+        the query's ``sketch_vertices``.  The sketch entry keeps each
+        target's coverage verdict, so a repeated target tests it once.
         """
         self._sync()
         s = frag_s.vertex
@@ -245,53 +263,60 @@ class DecodeEngine:
         for frag in fault_v:
             if frag.vertex == s or frag.vertex == t:
                 raise QueryError("query endpoint is inside the forbidden set")
-        scache = self._scache
-        key = ((frag_s.handle,), fsig)
-        sketch = scache.get(key)
+        shared = self._shared(frag_s, fsig, fault_v, fault_e)
+        key = ((frag_s.handle,) if shared is None else shared, fsig)
+        sketch = self._scache.get(key)
         if sketch is None or not self._covered(
-            sketch, frag_t, fsig, fault_v, fault_e
+            sketch, shared, frag_t, fsig, fault_v, fault_e
         ):
-            key = (tuple(frag.handle for frag in source), fsig)
-            sketch = scache.get(key)
+            whole = (tuple(frag.handle for frag in source), fsig)
+            sketch = self._scache.get(whole)
             if sketch is None:
-                sketch = self._build_sketch(source, fsig, fault_v, fault_e)
+                sketch = self._assemble(
+                    [self._record(frag, fsig, fault_v, fault_e)
+                     for frag in source],
+                    frag_s.sections if shared is None else (shared,),
+                    shared is not None,
+                )
                 if sketch.keys is not None:
-                    key = ((frag_s.handle,), fsig)
+                    whole = key
                     _keep_verdict(sketch.verdicts, frag_t.handle, True)
-        # least recently used first: a hit moves to the back
-        if scache.pop(key, None) is None and len(scache) >= _SKETCH_CACHE_CAP:
-            del scache[next(iter(scache))]
-        scache[key] = sketch
+            key = whole
+        self._keep(key, sketch)
         vlist = sketch.vlist
-        nv = len(vlist)
-        target = 1
-        if sketch.keys is not None:
-            target = _local_id(vlist, t)
-            if target < 0:
-                nv += 1
+        origin = _local_id(vlist, s)
+        target = _local_id(vlist, t)
+        nv = len(vlist) + (origin < 0) + (target < 0)
+        if len(source) > 2:
+            nv += self._absent(vlist, source)
         m = sketch.m
         if tracer is not None:
             self._emit_build_spans(tracer, source, fsig, fault_v, fault_e, nv, m)
         dijkstra_span = (
             tracer.start("decode.dijkstra") if tracer is not None else None
         )
-        adjacency = self._np_adj
-        fast = (
-            adjacency[1]
-            if adjacency is not None and adjacency[0] is sketch.nbr
-            else None
-        )
         try:
-            distance, path = self._dijkstra(
-                vlist,
-                sketch.indptr,
-                sketch.nbr,
-                sketch.wts,
-                dijkstra_span,
-                fast,
-                sketch.search,
-                target,
-            )
+            if origin < 0:
+                # s has no edge in the sketch: its search settles s alone
+                distance, path = self._dijkstra(
+                    [s], [0, 0], [], [], dijkstra_span, target=-1
+                )
+            else:
+                search = sketch.searches[origin]
+                if search is None:
+                    search = sketch.searches[origin] = _fresh_search(
+                        len(vlist), sketch.fast is not None, origin
+                    )
+                distance, path = self._dijkstra(
+                    vlist,
+                    sketch.indptr,
+                    sketch.nbr,
+                    sketch.wts,
+                    dijkstra_span,
+                    sketch.fast,
+                    search,
+                    target,
+                )
         finally:
             if dijkstra_span is not None:
                 tracer.end(dijkstra_span)
@@ -320,16 +345,18 @@ class DecodeEngine:
             self._generation = arena.generation
             self._fcache.clear()
             self._scache.clear()
+            self._last = None
             self._stride = 0
         bound = arena.id_bound
         stride = bound if bound > 1 else 1
         if stride != self._stride:
             # merge keys are x*stride + y: a stride change invalidates
             # every cached filter record, the coverage keys of every
-            # (s, F) sketch and the loaded forbidden-edge keys
+            # sketch and the loaded forbidden-edge keys
             self._stride = stride
             self._fcache.clear()
             self._scache.clear()
+            self._last = None
             self._loaded = -1
         if len(self._lookup) < bound:
             self._lookup.extend([-1] * (bound - len(self._lookup)))
@@ -345,6 +372,45 @@ class DecodeEngine:
             self._np_forb = _np.zeros(bound, dtype=bool)
             self._np_forb_dirty.clear()
 
+    def _keep(self, key: tuple, sketch: _Sketch) -> None:
+        """Cache a sketch, least recently used first: a hit moves back."""
+        scache = self._scache
+        if scache.pop(key, None) is None and len(scache) >= _SKETCH_CACHE_CAP:
+            del scache[next(iter(scache))]
+        scache[key] = sketch
+
+    def _shared(
+        self,
+        frag: Fragment,
+        fsig: int,
+        fault_v: list[Fragment],
+        fault_e: list[tuple[Fragment, Fragment]],
+    ) -> Section | None:
+        """The section whose record stands for ``frag``'s under ``fsig``.
+
+        Only a loaded fragment's first section can, and only one that two
+        or more loaded fragments hold: a sketch or a record of a section
+        no other fragment lists is never shared, so no fragment pays for
+        one.  Without faults, the fragment's record reduces to the
+        section's when its later levels add no key and lower no weight
+        relative to it (first-seen order starts with the first level), a
+        test made once per fragment against the section's merged edges.
+        With faults, it does when the fragment's record is the section's
+        shared record (see :meth:`_record`).  None otherwise.
+        """
+        sections = frag.sections
+        if not sections or sections[0].holders < 2:
+            return None
+        low = sections[0]
+        if fsig:
+            rec = self._record(frag, fsig, fault_v, fault_e)
+            base = self._fcache.get((low, fsig))
+            return low if base is not None and rec[0] is base[0] else None
+        if frag.reduces is None:
+            keys, weights = self._section_cover(frag)
+            frag.reduces = self._covers_levels(keys, weights, (low,), frag)
+        return low if frag.reduces else None
+
     def _record(
         self,
         frag: Fragment,
@@ -356,33 +422,164 @@ class DecodeEngine:
 
         A numpy record is ``(kept_keys, kept_weights, dropped_forbidden,
         dropped_protected)``, a stdlib one ``(kept_x, kept_y, kept_w,
-        dropped_forbidden, dropped_protected)``.
+        dropped_forbidden, dropped_protected)``.  Where a section's
+        record stands for the fragment's, the record holds the section's
+        edges: without faults it is the section's record itself (the
+        same merged edges, see :meth:`_shared`); with faults, when every
+        virtual level is caught whole and only the first level lists
+        graph edges, it is the first level's graph edges less the
+        forbidden ones, computed once per section and fault set, with
+        the fragment's own drop counts.  A merge takes such a record
+        once, however many fragments hand it over.
         """
         ckey = (frag.handle, fsig)
         rec = self._fcache.get(ckey)
         if rec is not None:
             return rec
-        if self._loaded != fsig:
-            self._load_faults(fault_v, fault_e)
-            self._loaded = fsig
-        if self._use_numpy:
-            rec = npops.filter_fragment(
-                frag,
-                self._groups,
-                self._np_forb if fault_v else None,
-                self._forb_e,
-                self._stride,
-            )
-        elif fsig == 0:
-            rec = (frag.ex, frag.ey, frag.ew, 0, 0)
+        if not fsig:
+            if self._shared(frag, 0, fault_v, fault_e) is not None:
+                rec = self._section_record(frag, 0)
+            elif self._use_numpy:
+                rec = (npops.edge_keys(frag.ex, frag.ey, self._stride),
+                       frag.ew, 0, 0)
+            else:
+                rec = (frag.ex, frag.ey, frag.ew, 0, 0)
         else:
-            rec = self._filter_frag_py(frag)
+            if self._loaded != fsig:
+                self._load_faults(fault_v, fault_e)
+                self._loaded = fsig
+            if self._use_numpy:
+                caught = npops.caught_rows(frag, self._groups, self._stride)
+            else:
+                caught = self._caught_rows_py(frag)
+            rec = self._caught_record(frag, fsig, caught)
+            if rec is None and self._use_numpy:
+                rec = npops.filter_fragment(
+                    frag,
+                    caught,
+                    self._groups,
+                    self._np_forb if fault_v else None,
+                    self._forb_e,
+                    self._stride,
+                )
+            elif rec is None:
+                rec = self._filter_frag_py(frag, caught)
+        return self._hold(ckey, rec)
+
+    def _caught_record(
+        self, frag: Fragment, fsig: int, caught: list[bool]
+    ) -> tuple | None:
+        """A faulted fragment's record as its first section's, or None.
+
+        That holds when the first section is shared (see :meth:`_shared`),
+        every level with virtual edges is caught whole and no later level
+        lists a graph edge: the record is then the first level's graph
+        edges less the forbidden ones, whichever fragment holds it.
+        """
+        sections = frag.sections
+        if not frag.closed or not sections or sections[0].holders < 2:
+            return None
+        dropped = 0
+        for k, (row, start, vstart, end) in enumerate(frag.segments):
+            if (k and start < vstart) or (vstart < end and not caught[row]):
+                return None
+            dropped += end - vstart
+        base = self._section_record(frag, fsig)
+        return base[:-1] + (dropped,)
+
+    def _section_record(self, frag: Fragment, fsig: int) -> tuple:
+        """The record of ``frag``'s first section, once per fault set.
+
+        Without faults it lists the section's edges (graph edges, then
+        virtual ones); with faults, its graph edges less the forbidden
+        ones, which is what a holder whose virtual levels are all caught
+        keeps.  Read off the first level of any holder: they list the
+        same edges.
+        """
+        ckey = (frag.sections[0], fsig)
+        rec = self._fcache.get(ckey)
+        if rec is not None:
+            return rec
+        _, start, vstart, end = frag.segments[0]
+        if self._use_numpy:
+            if fsig:
+                # the loaded fault context forbids vertices iff it
+                # marked some
+                rec = npops.filter_graph_edges(
+                    frag.ex[start:vstart], frag.ey[start:vstart],
+                    frag.ew[start:vstart],
+                    self._np_forb if self._forb_dirty else None,
+                    self._forb_e, self._stride,
+                )
+            else:
+                rec = (npops.edge_keys(frag.ex[start:end], frag.ey[start:end],
+                                       self._stride),
+                       frag.ew[start:end], 0, 0)
+        elif fsig:
+            kx: list[int] = []
+            ky: list[int] = []
+            kw: list[int] = []
+            dropped = self._keep_graph_py(frag, start, vstart, kx, ky, kw)
+            rec = (kx, ky, kw, dropped, 0)
+        else:
+            rec = (frag.ex[start:end], frag.ey[start:end], frag.ew[start:end],
+                   0, 0)
+        return self._hold(ckey, rec)
+
+    def _section_cover(self, frag: Fragment) -> tuple[array, array]:
+        """The merged edges of ``frag``'s first section, without faults.
+
+        As sorted merge keys and their weights, the ``cover`` of
+        :func:`repro.labeling.kernel.npops.merge_edges`, cached in the
+        filter cache under ``(section, None)`` next to the section's
+        records.
+        """
+        ckey = (frag.sections[0], None)
+        cover = self._fcache.get(ckey)
+        if cover is None:
+            rec = self._section_record(frag, 0)
+            if self._use_numpy:
+                cover = npops.merge_edges([rec[0]], [rec[1]], self._stride)[3]
+            else:
+                cover = self._merge_py([rec])
+            cover = self._hold(ckey, cover)
+        return cover
+
+    def _hold(self, ckey: tuple, value: tuple) -> tuple:
+        """Keep ``value`` in the filter cache, which clears on overflow."""
         if len(self._fcache) >= _FILTER_CACHE_CAP:
             self._fcache.clear()
-        self._fcache[ckey] = rec
-        return rec
+        self._fcache[ckey] = value
+        return value
 
     def _covered(
+        self,
+        sketch: _Sketch,
+        shared: Section | None,
+        frag_t: Fragment,
+        fsig: int,
+        fault_v: list[Fragment],
+        fault_e: list[tuple[Fragment, Fragment]],
+    ) -> bool:
+        """Whether t's filtered record adds nothing to a content sketch.
+
+        The sketch's content fixes the verdict, which depends on t
+        alone: each target is tested once and its verdict kept on the
+        entry, dropped with it.  A target whose record reduces to the
+        shared section the sketch is made of needs no test.
+        """
+        verdicts = sketch.verdicts
+        handle = frag_t.handle
+        if handle < len(verdicts) and verdicts[handle]:
+            return verdicts[handle] == 2
+        covered = (
+            shared is not None
+            and self._shared(frag_t, fsig, fault_v, fault_e) is shared
+        ) or self._covers(sketch, frag_t, fsig, fault_v, fault_e)
+        _keep_verdict(verdicts, handle, covered)
+        return covered
+
+    def _covers(
         self,
         sketch: _Sketch,
         frag_t: Fragment,
@@ -390,103 +587,121 @@ class DecodeEngine:
         fault_v: list[Fragment],
         fault_e: list[tuple[Fragment, Fragment]],
     ) -> bool:
-        """Whether t's filtered record adds nothing to an ``(s, F)`` sketch.
+        """Whether t's filtered record adds nothing to a content sketch.
 
-        The entry is the sketch of one ``(s, F)``, so the verdict depends
-        on t alone: each target is tested once and its verdict kept on
-        the entry, dropped with it.
-        """
-        verdicts = sketch.verdicts
-        handle = frag_t.handle
-        if handle < len(verdicts) and verdicts[handle]:
-            return verdicts[handle] == 2
-        covered = self._covers(
-            sketch, self._record(frag_t, fsig, fault_v, fault_e)
-        )
-        _keep_verdict(verdicts, handle, covered)
-        return covered
-
-    def _covers(self, sketch: _Sketch, rec: tuple) -> bool:
-        """Whether a filtered record adds nothing to an ``(s, F)`` sketch.
-
-        True when every kept edge of ``rec`` is a merged edge of the
-        sketch and no kept weight is below the merged one.
+        True when every kept edge of t's record is a merged edge of the
+        sketch and no kept weight is below the merged one.  Without
+        faults, a level of a loaded t whose section the sketch's content
+        holds adds nothing to it, so only t's other levels are tested.
         """
         keys = sketch.keys
         weights = sketch.weights
+        if not fsig and frag_t.sections:
+            if frag_t.reduces and frag_t.sections[0] in sketch.sections:
+                return True
+            return self._covers_levels(keys, weights, sketch.sections, frag_t)
+        rec = self._record(frag_t, fsig, fault_v, fault_e)
         if self._use_numpy:
             return npops.covers(keys, weights, rec[0], rec[1])
+        return self._covers_py(keys, weights, rec[0], rec[1], rec[2])
+
+    def _covers_levels(
+        self, keys: array, weights: array, held: tuple, frag: Fragment
+    ) -> bool:
+        """Whether a loaded fragment's levels whose section is not in
+        ``held`` add nothing to merged edges ``keys`` / ``weights``."""
+        spans = [
+            (start, end)
+            for (_, start, _, end), section in zip(frag.segments, frag.sections)
+            if start < end and section not in held
+        ]
+        if not spans:
+            return True
+        if self._use_numpy:
+            rec_keys, rec_weights = npops.span_keys(frag, spans, self._stride)
+            return npops.covers(keys, weights, rec_keys, rec_weights)
+        ex, ey, ew = frag.ex, frag.ey, frag.ew
+        return all(
+            self._covers_py(
+                keys, weights, ex[start:end], ey[start:end], ew[start:end]
+            )
+            for start, end in spans
+        )
+
+    def _covers_py(
+        self,
+        keys: array,
+        weights: array,
+        xs: list[int],
+        ys: list[int],
+        ws: list[int],
+    ) -> bool:
+        """Stdlib coverage test of kept edges against sorted merge keys."""
         stride = self._stride
         top = len(keys)
-        for x, y, w in zip(rec[0], rec[1], rec[2]):
+        for x, y, w in zip(xs, ys, ws):
             ekey = x * stride + y
             i = bisect_left(keys, ekey)
             if i == top or keys[i] != ekey or w < weights[i]:
                 return False
         return True
 
-    def _build_sketch(
-        self,
-        source: list[Fragment],
-        fsig: int,
-        fault_v: list[Fragment],
-        fault_e: list[tuple[Fragment, Fragment]],
-    ) -> _Sketch:
-        """Filter + merge + CSR for one ``(s, t, F)``, with a fresh search.
-
-        When the records after s's add nothing to s's merged record and
-        t is a vertex of the result, this is the sketch of ``(s, F)``:
-        the head of the numbering leaves t out, and the entry keeps the
-        merged edges for coverage tests.  Otherwise the head is every
-        source vertex, first-seen, so ``s`` and ``t`` are local ids 0
-        and 1.
-        """
-        recs = self._recs
-        recs.clear()
-        for frag in source:
-            recs.append(self._record(frag, fsig, fault_v, fault_e))
-        use_np = self._use_numpy
-        if use_np:
-            ex, ey, ew, cover = npops.merge_edges(
-                [rec[0] for rec in recs], [rec[1] for rec in recs], self._stride
-            )
-        else:
-            cover = self._merge_py(recs)
-        head = source
-        if cover is not None:
-            # the sketch of (s, F), kept only if it holds this query's t:
-            # the entry a query builds is that query's sketch
-            head = source[:1] + source[2:]
-            t = source[1].vertex
-            if use_np:
-                t_in_edges = bool((ex == t).any() or (ey == t).any())
-            else:
-                t_in_edges = t in self._mx or t in self._my
-            if not t_in_edges and all(frag.vertex != t for frag in head):
-                cover = None
-                head = source
-        # unique label vertices, first-seen — the head of the local numbering
-        verts = self._verts
-        verts.clear()
+    def _absent(self, vlist: list[int], source: list[Fragment]) -> int:
+        """How many distinct fault label vertices of a query, other than
+        ``s`` and ``t`` (``source[:2]``), the sketch lacks."""
         lookup = self._lookup
-        for frag in head:
+        lookup[source[0].vertex] = lookup[source[1].vertex] = 0
+        absent = 0
+        for frag in source[2:]:
             v = frag.vertex
             if lookup[v] < 0:
-                lookup[v] = len(verts)
-                verts.append(v)
-        adjacency = None
-        if use_np:
-            for v in verts:
-                lookup[v] = -1
-            m = len(ex)
-            vlist, indptr, nbr, wts, adjacency = npops.assemble_csr(
-                verts, ex, ey, ew, self._np_lookup, SCAN_PREFILTER_DEGREE
+                lookup[v] = 0
+                if _local_id(vlist, v) < 0:
+                    absent += 1
+        for frag in source:
+            lookup[frag.vertex] = -1
+        return absent
+
+    def _assemble(
+        self, recs: list[tuple], sections: tuple, shared: bool
+    ) -> _Sketch:
+        """Merge + CSR of filter records, with no search yet.
+
+        A record handed over twice (the same record object: a shared
+        section's, or one fragment's twice) is merged once; it adds no
+        key and lowers no weight.  When the records after the first add
+        nothing to it, this is the sketch of the first record's content,
+        made of ``sections``: the entry keeps the merged edges for
+        coverage tests, and, if ``shared`` (its content is a section
+        several fragments hold), its numpy adjacency for good.  Every
+        other sketch keeps its numpy adjacency until the next assembly.
+        """
+        parts = self._recs
+        parts.clear()
+        for rec in recs:
+            for taken in parts:
+                if taken[0] is rec[0]:
+                    break
+            else:
+                parts.append(rec)
+        if self._last is not None:
+            self._last.fast = None
+            self._last = None
+        if self._use_numpy:
+            ex, ey, ew, cover = npops.merge_edges(
+                [rec[0] for rec in parts], [rec[1] for rec in parts],
+                self._stride,
             )
-            # only the sketch just assembled keeps its numpy adjacency:
-            # a later search of an older sketch scans scalar rather than
-            # hold a second copy of every cached sketch
-            self._np_adj = (nbr, adjacency) if adjacency is not None else None
+            m = len(ex)
+            vlist, indptr, nbr, wts, fast = npops.assemble_csr(
+                ex, ey, ew, self._np_lookup, SCAN_PREFILTER_DEGREE
+            )
         else:
+            cover = self._merge_py(parts)
+            # local ids: edge endpoints, first-seen
+            verts = self._verts
+            verts.clear()
+            lookup = self._lookup
             mx, my = self._mx, self._my
             m = len(mx)
             for j in range(m):
@@ -507,8 +722,9 @@ class DecodeEngine:
             indptr = self._indptr[: nv + 1]
             nbr = self._nbr[: 2 * m]
             wts = self._wts[: 2 * m]
+            fast = None
         keys, weights = cover if cover is not None else (None, None)
-        return _Sketch(
+        sketch = _Sketch(
             vlist,
             indptr,
             nbr,
@@ -517,8 +733,13 @@ class DecodeEngine:
             keys,
             weights,
             bytearray() if cover is not None else None,
-            _fresh_search(len(vlist), adjacency is not None),
+            [None] * len(vlist),
+            sections if cover is not None else (),
+            fast,
         )
+        if fast is not None and not (shared and cover is not None):
+            self._last = sketch
+        return sketch
 
     def _load_faults(
         self,
@@ -556,46 +777,77 @@ class DecodeEngine:
                 a, b = b, a
             forb_e.append(a * stride + b)
 
-    def _filter_frag_py(self, frag: Fragment) -> tuple:
+    def _caught_rows_py(self, frag: Fragment) -> list[bool]:
+        """Per level row, whether a loaded fault catches every virtual
+        edge there: the stdlib twin of
+        :func:`repro.labeling.kernel.npops.caught_rows`."""
+        caught = [False] * frag.rows
+        if frag.closed:
+            owner = frag.vertex
+            for (row, _, vstart, end), (_, ids, _) in zip(
+                frag.segments, frag.points
+            ):
+                if vstart < end:
+                    caught[row] = self._level_caught(row, ids, owner)
+        return caught
+
+    def _keep_graph_py(
+        self,
+        frag: Fragment,
+        start: int,
+        vstart: int,
+        kx: list[int],
+        ky: list[int],
+        kw: list[int],
+    ) -> int:
+        """Append a level's graph edges the loaded faults do not forbid to
+        ``kx`` / ``ky`` / ``kw``; returns how many were forbidden."""
+        ex, ey, ew = frag.ex, frag.ey, frag.ew
+        forb = self._forb_v
+        forb_e = self._forb_e
+        stride = self._stride
+        dropped = 0
+        for j in range(start, vstart):
+            x = ex[j]
+            y = ey[j]
+            drop = forb[x] or forb[y]
+            if not drop and forb_e:
+                ekey = x * stride + y
+                for fkey in forb_e:
+                    if fkey == ekey:
+                        drop = True
+                        break
+            if drop:
+                dropped += 1
+            else:
+                kx.append(x)
+                ky.append(y)
+                kw.append(ew[j])
+        return dropped
+
+    def _filter_frag_py(self, frag: Fragment, caught: list[bool]) -> tuple:
         """Stdlib filter of one fragment against the loaded fault context.
 
         Returns ``(kept_x, kept_y, kept_w, dropped_forbidden,
         dropped_protected)`` in the fragment's scan order — the scalar
         twin of :func:`repro.labeling.kernel.npops.filter_fragment`,
-        whole levels caught by a fault (:meth:`_level_caught`) included.
+        whole levels caught by a fault (``caught``, per row, from
+        :meth:`_caught_rows_py`) included.
         """
         ex, ey, ew = frag.ex, frag.ey, frag.ew
         owner = frag.vertex
         groups = self._groups
-        forb = self._forb_v
-        forb_e = self._forb_e
         kx: list[int] = []
         ky: list[int] = []
         kw: list[int] = []
         dropped_forbidden = 0
         dropped_protected = 0
-        stride = self._stride
         closed = frag.closed
-        for (row, start, vstart, end), (_, ids, _) in zip(
-            frag.segments, frag.points
-        ):
-            for j in range(start, vstart):
-                x = ex[j]
-                y = ey[j]
-                drop = forb[x] or forb[y]
-                if not drop and forb_e:
-                    ekey = x * stride + y
-                    for fkey in forb_e:
-                        if fkey == ekey:
-                            drop = True
-                            break
-                if drop:
-                    dropped_forbidden += 1
-                else:
-                    kx.append(x)
-                    ky.append(y)
-                    kw.append(ew[j])
-            if closed and vstart < end and self._level_caught(row, ids, owner):
+        for row, start, vstart, end in frag.segments:
+            dropped_forbidden += self._keep_graph_py(
+                frag, start, vstart, kx, ky, kw
+            )
+            if closed and caught[row]:
                 dropped_protected += end - vstart
                 continue
             # above the lowest level the owner may not be a net-point, so
@@ -802,11 +1054,12 @@ class DecodeEngine:
         search: _Search | None = None,
         target: int = 1,
     ) -> tuple[float, list[int]]:
-        """Distance and path from local id 0 (``s``) to local id ``target``.
+        """Distance and path from a search's source to local id ``target``.
 
-        ``search`` is the sketch's paused search (a fresh one when
-        None); :meth:`_advance` moves it on only if ``target`` has not
-        settled yet.  The counts added to ``span`` are those reached at
+        ``search`` is the source's paused search over the sketch (a
+        fresh one from local id 0 when None); :meth:`_advance` moves it
+        on only if ``target`` has not settled yet.  The counts added to
+        ``span`` are those reached at
         ``target``'s pop, or, when it never settles (``target`` -1: a
         vertex outside the sketch), the exhausted search's totals:
         exactly what the reference Dijkstra, run afresh to ``target``,
@@ -832,11 +1085,11 @@ class DecodeEngine:
         if rank < 0:
             return math.inf, []
         parent = search.parent
-        path = [vlist[target]]
+        path = []
         node = target
-        while node != 0:
-            node = parent[node]
+        while node >= 0:
             path.append(vlist[node])
+            node = parent[node]
         path.reverse()
         return search.dist[rank], path
 
@@ -986,7 +1239,7 @@ class DecodeEngine:
 
 
 def _keep_verdict(verdicts: bytearray, handle: int, covered: bool) -> None:
-    """Record a target's coverage verdict on an ``(s, F)`` sketch entry."""
+    """Record a target's coverage verdict on a content sketch entry."""
     if handle >= len(verdicts):
         verdicts.extend(bytes(handle + 1 - len(verdicts)))
     verdicts[handle] = 2 if covered else 1

@@ -26,7 +26,48 @@ except ImportError:  # pragma: no cover - exercised where numpy is absent
     np = None  # type: ignore[assignment]
 
 
-def filter_fragment(frag, groups, forb_v, forb_e_keys, stride) -> tuple:
+def edge_keys(xs, ys, stride) -> "np.ndarray":
+    """The merge keys ``x * stride + y`` of an edge column pair, as int64."""
+    key = xs.astype(np.int64)
+    key *= stride
+    key += ys
+    return key
+
+
+def forbidden(xs, ys, forb_v, forb_e_keys, stride) -> "np.ndarray":
+    """Which graph edges the fault set forbids, as a boolean mask.
+
+    ``forb_v`` is a boolean bitmap over vertex ids (or None when no
+    fault forbids a vertex) and ``forb_e_keys`` a list of ``a * stride
+    + b`` keys of forbidden edges.
+    """
+    if forb_v is not None:
+        bad = forb_v[xs] | forb_v[ys]
+    else:
+        bad = np.zeros(len(xs), dtype=bool)
+    if forb_e_keys:
+        key = edge_keys(xs, ys, stride)
+        for fk in forb_e_keys:
+            bad |= key == fk
+    return bad
+
+
+def filter_graph_edges(xs, ys, ws, forb_v, forb_e_keys, stride) -> tuple:
+    """A run of graph edges less the forbidden ones, as a filter record.
+
+    Returns ``(kept_keys, kept_weights, dropped_forbidden, 0)``: the
+    record of a level holding only these edges once every virtual edge
+    is dropped (see :func:`filter_fragment`).
+    """
+    bad = forbidden(xs, ys, forb_v, forb_e_keys, stride)
+    keep = np.logical_not(bad)
+    return (
+        edge_keys(xs[keep], ys[keep], stride), ws[keep],
+        int(np.count_nonzero(bad)), 0,
+    )
+
+
+def filter_fragment(frag, caught, groups, forb_v, forb_e_keys, stride) -> tuple:
     """Safe/forbidden-filter one fragment's edges against a fault set.
 
     Returns ``(kept_keys, kept_weights, dropped_forbidden,
@@ -35,25 +76,19 @@ def filter_fragment(frag, groups, forb_v, forb_e_keys, stride) -> tuple:
     ``edges_dropped_forbidden`` / ``edges_dropped_protected`` tallies
     for this fragment.  ``groups`` entries are ``(is_edge_fault,
     center_a, center_b)`` fragments whose protected-ball bitmaps must
-    already be built, with ``ball_bound == stride``; ``forb_v`` is a
-    boolean bitmap over vertex ids (or None when no fault forbids any
-    vertex) and ``forb_e_keys`` a list of ``a * stride + b`` keys for
-    forbidden edges.  Merge keys ``x * stride + y`` are computed here,
+    already be built, with ``ball_bound == stride``; ``forb_v`` and
+    ``forb_e_keys`` are the forbidden vertices and edges of
+    :func:`forbidden`.  Merge keys ``x * stride + y`` are computed here,
     per call and for kept edges only, rather than stored on the
     fragment.
 
-    The levels a fault catches whole (:func:`caught_rows`) drop their
-    virtual edges without a per-edge test; that test runs once, over
-    the span of edges from the first level left to it to the last.
+    ``caught`` is :func:`caught_rows` for this fragment and fault set:
+    the levels a fault catches whole drop their virtual edges without a
+    per-edge test, which runs once, over the span of edges from the
+    first level left to it to the last.
     """
     ex = frag.ex
     ey = frag.ey
-    if not groups and forb_v is None and not forb_e_keys:
-        key = ex.astype(np.int64)
-        key *= stride
-        key += ey
-        return key, frag.ew, 0, 0
-    caught = caught_rows(frag, groups, stride)
     segments = frag.segments
     dropped_protected = 0
     # the first and last level whose virtual edges are tested one by one
@@ -122,22 +157,30 @@ def filter_fragment(frag, groups, forb_v, forb_e_keys, stride) -> tuple:
     for _, start, vstart, _ in segments:
         if start == vstart:
             continue
-        if forb_v is not None:
-            bad = forb_v[ex[start:vstart]] | forb_v[ey[start:vstart]]
-        else:
-            bad = np.zeros(vstart - start, dtype=bool)
-        if forb_e_keys:
-            graph_key = ex[start:vstart].astype(np.int64)
-            graph_key *= stride
-            graph_key += ey[start:vstart]
-            for fk in forb_e_keys:
-                bad |= graph_key == fk
+        bad = forbidden(
+            ex[start:vstart], ey[start:vstart], forb_v, forb_e_keys, stride
+        )
         np.logical_not(bad, out=keep[start:vstart])
         dropped_forbidden += int(np.count_nonzero(bad))
-    key = ex[keep].astype(np.int64)
-    key *= stride
-    key += ey[keep]
-    return key, frag.ew[keep], dropped_forbidden, dropped_protected
+    return (
+        edge_keys(ex[keep], ey[keep], stride), frag.ew[keep],
+        dropped_forbidden, dropped_protected,
+    )
+
+
+def span_keys(frag, spans, stride) -> tuple:
+    """Merge keys and weights of a fragment's edges in ``[start, end)`` spans.
+
+    In span order, as int64 keys and the fragment's weight column.
+    """
+    if len(spans) == 1:
+        ((start, end),) = spans
+        return (
+            edge_keys(frag.ex[start:end], frag.ey[start:end], stride),
+            frag.ew[start:end],
+        )
+    pick = np.concatenate([np.arange(start, end) for start, end in spans])
+    return edge_keys(frag.ex[pick], frag.ey[pick], stride), frag.ew[pick]
 
 
 def caught_rows(frag, groups, stride) -> list:
@@ -262,14 +305,14 @@ def covers(keys, weights, rec_keys, rec_weights) -> bool:
     )
 
 
-def assemble_csr(unique_vertices, ex, ey, ew, lookup, scan_degree) -> tuple:
+def assemble_csr(ex, ey, ew, lookup, scan_degree) -> tuple:
     """Local-id CSR of the merged sketch edges, in reference adjacency order.
 
-    ``unique_vertices`` (the query's label vertices, first-seen order)
-    get the lowest local ids, then edge endpoints in first-seen order —
-    the exact insertion order of the reference adjacency dict.  Per
-    vertex, neighbors appear in merged-edge order with the ``x`` side
-    of an edge before its ``y`` side, again matching the reference
+    Local ids follow edge endpoints in first-seen order (the ``x`` side
+    of an edge before its ``y`` side); the Dijkstra compares keys only,
+    so how the vertices are numbered changes no settle order, count or
+    path.  Per vertex, neighbors appear in merged-edge order with the
+    ``x`` side of an edge before its ``y`` side, matching the reference
     append order, so the array Dijkstra scans edges in the identical
     sequence.  ``lookup`` is a reusable int64 array filled with -1 and
     as long as the id universe; it is restored before returning.
@@ -281,11 +324,11 @@ def assemble_csr(unique_vertices, ex, ey, ew, lookup, scan_degree) -> tuple:
     int32, where a key sum might not fit int64.
     """
     m = len(ex)
-    k = len(unique_vertices)
-    pts = np.empty(k + 2 * m, dtype=np.int64)
-    pts[:k] = unique_vertices
-    pts[k::2] = ex
-    pts[k + 1 :: 2] = ey
+    if not m:
+        return [], [0], [], [], None
+    pts = np.empty(2 * m, dtype=np.int64)
+    pts[0::2] = ex
+    pts[1::2] = ey
     order = stable_order(pts, len(lookup))
     sorted_pts = pts[order]
     starts = np.empty(len(pts), dtype=bool)
@@ -314,8 +357,7 @@ def assemble_csr(unique_vertices, ex, ey, ew, lookup, scan_degree) -> tuple:
     wts = wts2[edge_order]
     int32 = np.iinfo(np.int32)
     fast = (
-        m
-        and counts.max() > scan_degree
+        counts.max() > scan_degree
         and ew.min() >= int32.min
         and ew.max() <= int32.max
     )

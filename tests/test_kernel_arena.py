@@ -157,10 +157,16 @@ class TestCsrRoundTrip:
             expected = build_sketch_graph(labels[s], labels[t], faults)
             engine = kern._engine
             engine._scache.clear()  # isolate this query's entry
-            kern.decode(labels[s], labels[t], faults)
+            result = kern.decode(labels[s], labels[t], faults)
             (entry,) = engine._scache.values()
-            vlist, indptr, nbr, wts = entry[0], entry[1], entry[2], entry[3]
-            got = csr_to_adjacency(vlist, indptr, nbr, wts)
+            got = csr_to_adjacency(
+                entry.vlist, entry.indptr, entry.nbr, entry.wts
+            )
+            # a sketch lists the vertices of its merged edges; a label
+            # vertex without an edge is the query's, counted per query
+            isolated = {s, t, *fault_v} - set(entry.vlist)
+            assert result.sketch_vertices == len(entry.vlist) + len(isolated)
+            got.update((v, []) for v in isolated)
             assert got == expected
 
 

@@ -33,11 +33,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import parse_graph_spec
 from repro.exceptions import QueryError
 from repro.graphs import generators as gen
 from repro.labeling import FaultSet, ForbiddenSetLabeling
 from repro.labeling.decoder import decode_distance as production_decode
-from repro.labeling.encoding import encode_label
+from repro.labeling.encoding import decode_label, encode_label
 from repro.labeling.kernel import HAVE_NUMPY, KernelDecoder
 from repro.obs.trace import Tracer
 from tests.reference_decoder import decode_distance
@@ -475,6 +476,294 @@ def test_a_wider_id_universe_retests_coverage(backend, monkeypatch):
     assert decode(s, t1) == 0
     assert decode(s, t2) == first
     assert decode(s, t2) == 0
+
+
+# -- one sketch graph per shared section -------------------------------------
+
+#: two tables in the whole-graph regime, where every loaded label holds
+#: the same lowest section, and two past it
+SHARING_SPECS = ["grid:6x6", "road:7x7", "path:96", "cycle:128"]
+
+_table_cache: dict[str, tuple] = {}
+
+
+def _table(spec):
+    """Labels, stored bytes and sorted edges of a graph at ε = 1.
+
+    The labels are those the stored bytes decode to, which list their
+    edges in the order a loaded fragment scans them.
+    """
+    entry = _table_cache.get(spec)
+    if entry is None:
+        graph = parse_graph_spec(spec)
+        scheme = ForbiddenSetLabeling(graph, 1.0)
+        stored = [encode_label(scheme.label(v)) for v in graph.vertices()]
+        entry = _table_cache[spec] = (
+            [decode_label(data) for data in stored], stored,
+            sorted(graph.edges()),
+        )
+    return entry
+
+
+def _section_keys(kern):
+    """The sketch-cache keys whose content is a shared section."""
+    return [key for key in kern._engine._scache
+            if not isinstance(key[0], tuple)]
+
+
+def _sharing_stream(labels, edges, seed, count=48):
+    """Seeded ``(s, t, fault vertices, fault edges)`` from many sources.
+
+    Fault-free queries interleave with three fault sets (vertices only,
+    edges only, both) that recur across sources; the last two queries
+    cut every edge at vertex 0, by vertex and by edge faults, so 0 is
+    isolated in the sketch they share.
+    """
+    rng = random.Random(seed)
+    n = len(labels)
+    pool = [
+        (rng.sample(range(n), 2), []),
+        ([], rng.sample(edges, 2)),
+        (rng.sample(range(n), 1), rng.sample(edges, 1)),
+    ]
+    cases = []
+    for i in range(count):
+        s, t = rng.sample(range(n), 2)
+        fault_v, fault_e = ([], []) if i % 4 == 0 else pool[i % 4 - 1]
+        cases.append((s, t, fault_v, fault_e))
+    around = sorted({a + b for a, b in edges if 0 in (a, b)})
+    t = n - 1
+    cases += [(0, t, around, []), (t // 2, t, around, [])]
+    cases += [(0, t, [], [e for e in edges if 0 in e])]
+    return cases
+
+
+@pytest.mark.parametrize("spec", SHARING_SPECS)
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_shared_sections_match_the_reference(backend, spec):
+    """One long-lived decoder over a loaded table, labels in some roles.
+
+    Every answer, path, sketch size and span tree equals the reference
+    decoder's, whichever queries shared a graph or a record before.  In
+    the whole-graph regime the fault-free and the faulted sketches are
+    keyed by the shared section; past it no fragment reduces to one.
+    """
+    labels, stored, edges = _table(spec)
+    kern = KernelDecoder(use_numpy=(backend == "numpy"))
+    frags = [kern.load(data) for data in stored]
+    for i, (s, t, fv, fe) in enumerate(_sharing_stream(labels, edges, 29)):
+        # a label object in some roles: the intern door beside the loader
+        pick = [frags, labels]
+        role_s, role_t, role_f = (
+            pick[i % 5 == 1], pick[i % 7 == 2], pick[i % 3 == 1]
+        )
+        faults = FaultSet(
+            vertex_labels=[role_f[v] for v in fv],
+            edge_labels=[(role_f[a], role_f[b]) for a, b in fe],
+        )
+        reference = FaultSet(
+            vertex_labels=[labels[v] for v in fv],
+            edge_labels=[(labels[a], labels[b]) for a, b in fe],
+        )
+        got = _traced(kern.decode, role_s[s], role_t[t], faults)
+        want = _traced(decode_distance, labels[s], labels[t], reference)
+        assert got == want, (spec, i, s, t, fv, fe)
+    whole_graph = spec in ("grid:6x6", "road:7x7")
+    assert bool(_section_keys(kern)) == whole_graph
+    assert all(frag.reduces is not True for frag in frags) != whole_graph
+
+
+def _hand_table():
+    """grid:4x4 labels in which two hold a lowest section missing a key.
+
+    Labels 0 and 5 drop, from their lowest level, a virtual edge that
+    their higher levels list: the two share that section (loaded first,
+    one after the other), and its later levels add a key to it.
+    """
+    labels, _ = instance("grid:4x4/e1")
+    labels = [copy.deepcopy(label) for label in labels]
+    low = min(labels[0].levels)
+    higher = [
+        set(level.edges) for u in (0, 5)
+        for i, level in labels[u].levels.items() if i != low
+    ]
+    key = sorted(set(labels[0].levels[low].edges).intersection(*higher))[0]
+    for u in (0, 5):
+        del labels[u].levels[low].edges[key]
+    order = [0, 5] + [v for v in range(len(labels)) if v not in (0, 5)]
+    return labels, order
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_section_that_adds_a_key_is_not_shared(backend):
+    """A source whose higher section adds a key to its lowest one does
+    not share that section's sketch, though another fragment holds it."""
+    labels, order = _hand_table()
+    labels = [decode_label(encode_label(label)) for label in labels]
+    kern = KernelDecoder(use_numpy=(backend == "numpy"))
+    frags = [None] * len(labels)
+    for v in order:
+        frags[v] = kern.load(encode_label(labels[v]))
+    assert frags[0].sections[0] is frags[5].sections[0]
+    assert frags[0].sections[0].holders == 2
+    faults = [FaultSet(), FaultSet(vertex_labels=[labels[9]])]
+    for faulted in (False, True):
+        for s, t in [(0, 15), (5, 12), (3, 0), (6, 5), (0, 5), (10, 3)]:
+            query = FaultSet(vertex_labels=[frags[9]]) if faulted else FaultSet()
+            got = _traced(kern.decode, frags[s], frags[t], query)
+            assert got == _traced(
+                decode_distance, labels[s], labels[t], faults[faulted]
+            )
+    assert frags[0].reduces is False and frags[5].reduces is False
+    assert frags[3].reduces is True
+    keys = kern._engine._scache
+    assert ((frags[0].handle,), 0) in keys
+    assert (frags[3].sections[0], 0) in keys
+
+
+def _count_assemblies(monkeypatch):
+    """A list that grows with each sketch graph assembled, on either path."""
+    from repro.labeling.kernel import engine, npops
+
+    built = []
+    real_csr = npops.assemble_csr
+    real_py = engine.DecodeEngine._build_csr_py
+
+    def assemble_csr(*args):
+        built.append("numpy")
+        return real_csr(*args)
+
+    def build_csr_py(self, m):
+        built.append("stdlib")
+        return real_py(self, m)
+
+    monkeypatch.setattr(npops, "assemble_csr", assemble_csr)
+    monkeypatch.setattr(engine.DecodeEngine, "_build_csr_py", build_csr_py)
+    return built
+
+
+def _loaded(backend, spec):
+    """A fresh decoder with every label of ``spec`` loaded."""
+    labels, stored, edges = _table(spec)
+    kern = KernelDecoder(use_numpy=(backend == "numpy"))
+    return kern, [kern.load(data) for data in stored], labels, edges
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_fault_free_sources_assemble_one_graph(backend, monkeypatch):
+    """Fault-free queries from every source of a loaded grid:6x6 table
+    share one sketch graph, each source searching it on its own."""
+    kern, frags, labels, _ = _loaded(backend, "grid:6x6")
+    built = _count_assemblies(monkeypatch)
+    n = len(frags)
+    for s in range(n):
+        for t in ((s + 1) % n, (s + 17) % n):
+            got = kern.decode(frags[s], frags[t])
+            if s % 7 == 0:
+                assert got == decode_distance(labels[s], labels[t])
+    assert len(built) == 1
+    ((key, sketch),) = kern._engine._scache.items()
+    assert key == (frags[0].sections[0], 0)
+    assert sum(search is not None for search in sketch.searches) == n
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_two_sources_with_one_fault_set_assemble_one_graph(backend, monkeypatch):
+    """Sources that share a fault set share its sketch, for vertex and
+    for edge faults."""
+    kern, frags, labels, _ = _loaded(backend, "grid:6x6")
+    built = _count_assemblies(monkeypatch)
+    for fv, fe in [([14], []), ([], [(14, 15)])]:
+        before = len(built)
+        for s, t in [(0, 35), (7, 20), (35, 0)]:
+            got = _traced(kern.decode, frags[s], frags[t], FaultSet(
+                vertex_labels=[frags[v] for v in fv],
+                edge_labels=[(frags[a], frags[b]) for a, b in fe],
+            ))
+            assert got == _traced(decode_distance, labels[s], labels[t], FaultSet(
+                vertex_labels=[labels[v] for v in fv],
+                edge_labels=[(labels[a], labels[b]) for a, b in fe],
+            ))
+        assert len(built) - before == 1
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_shared_section_is_never_coverage_tested(backend, monkeypatch):
+    """Each fragment's later levels are tested once against its lowest
+    section; the section itself and shared faulted records never are."""
+    from repro.labeling.kernel import engine, npops
+
+    kern, frags, labels, _ = _loaded(backend, "grid:6x6")
+    tested = []
+    real_covers = npops.covers
+    real_bisect = engine.bisect_left
+
+    def covers(keys, weights, rec_keys, rec_weights):
+        tested.append(len(rec_keys))
+        return real_covers(keys, weights, rec_keys, rec_weights)
+
+    def bisect_left(*args):
+        tested.append(1)
+        return real_bisect(*args)
+
+    monkeypatch.setattr(npops, "covers", covers)
+    monkeypatch.setattr(engine, "bisect_left", bisect_left)
+    n = len(frags)
+    for faults in (FaultSet(), FaultSet(vertex_labels=[frags[14]])):
+        for s in range(n):
+            for t in range(0, n, 5):
+                if t != s and not (faults and 14 in (s, t)):
+                    kern.decode(frags[s], frags[t], faults)
+    later = [frag.edges_listed - frag.segments[0][3] for frag in frags]
+    if backend == "numpy":
+        assert sorted(tested) == sorted(later)
+    else:
+        assert len(tested) == sum(later)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_past_the_whole_graph_regime_nothing_is_shared(backend, monkeypatch):
+    """On path:96 no fragment reduces to a shared section: every sketch
+    is keyed by its source, one graph per key."""
+    kern, frags, labels, edges = _loaded(backend, "path:96")
+    built = _count_assemblies(monkeypatch)
+    for s, t, fv, fe in _sharing_stream(labels, edges, 31):
+        kern.decode(frags[s], frags[t], FaultSet(
+            vertex_labels=[frags[v] for v in fv],
+            edge_labels=[(frags[a], frags[b]) for a, b in fe],
+        )) if not {s, t} & set(fv) else None
+    assert not _section_keys(kern)
+    assert len(built) == len(kern._engine._scache)
+    assert not any(frag.reduces for frag in frags)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_reset_and_a_wider_universe_rebuild_shared_graphs(backend, monkeypatch):
+    """An arena reset, or a load that widens the id universe, drops every
+    shared graph and record: the same queries assemble them afresh and
+    answer as the reference does."""
+    kern, frags, labels, _ = _loaded(backend, "grid:6x6")
+    built = _count_assemblies(monkeypatch)
+    wide = copy.deepcopy(labels[0])
+    wide.vertex = 40
+
+    def run_queries():
+        before = len(built)
+        for s, t, fv in [(0, 35, []), (9, 20, []), (0, 35, [14]), (9, 20, [14])]:
+            got = _traced(kern.decode, frags[s], frags[t], FaultSet(
+                vertex_labels=[frags[v] for v in fv]))
+            assert got == _traced(decode_distance, labels[s], labels[t], FaultSet(
+                vertex_labels=[labels[v] for v in fv]))
+        return len(built) - before
+
+    assert run_queries() == 2
+    assert run_queries() == 0
+    kern.arena.reset()
+    assert run_queries() == 2
+    bound = kern.arena.id_bound
+    kern.load(encode_label(wide))
+    assert kern.arena.id_bound > bound
+    assert run_queries() == 2
 
 
 # -- batch API: grouping order never changes an answer -----------------------
